@@ -65,6 +65,7 @@ from .rnf import (
     invariant_factors,
     partition_of,
     rnf_transform,
+    similarity_defect,
 )
 
 __version__ = "0.1.0"

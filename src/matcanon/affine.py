@@ -62,9 +62,7 @@ def jump_data(p: Partition) -> JumpData:
     jumps = tuple(i + 1 for i in range(r - 1) if parts[i] != parts[i + 1])
     qs = [parts[j - 1] - parts[j] for j in jumps]
     qs.append(parts[-1])
-    data = JumpData(jumps, tuple(qs), r)
-    assert sum(data.qs) == parts[0]
-    return data
+    return JumpData(jumps, tuple(qs), r)
 
 
 def generalized_companion(qs: Sequence[Polynomial]) -> Matrix:

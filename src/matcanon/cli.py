@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for a clean result, 1 when an exact verification check
-reports a mismatch, 2 for usage, parse, and domain errors.  With
+reports a mismatch, 2 for usage, parse, and domain errors, 3 for an
+internal error (a bug, reported by exception class and message).  With
 ``--format json`` the output is a single stable-keyed JSON object whose
 matrices are nested arrays of exact strings.
 """
@@ -33,10 +34,16 @@ from .pairs import (
     reduce_to_q,
     split_off_simple,
 )
-from .rnf import assemble_rnf_matrix, invariant_factors, partition_of, rnf_transform
+from .rnf import (
+    assemble_rnf_matrix,
+    invariant_factors,
+    partition_of,
+    rnf_transform,
+    similarity_defect,
+)
 from .selftest import run_selftest
 
-EXIT_CODES = {"ok": 0, "mismatch": 1, "error": 2}
+EXIT_CODES = {"ok": 0, "mismatch": 1, "error": 2, "internal": 3}
 
 
 class Report:
@@ -66,8 +73,7 @@ def _chain_payload(chain) -> list[list[str]]:
 
 def _cmd_rnf(args) -> Report:
     a = parse_matrix_file(args.matrix, _field_override(args))
-    chain = invariant_factors(a)
-    r, t = rnf_transform(a)
+    r, t, chain = rnf_transform(a)
     payload = {
         "field": field_label(a.field),
         "invariant_factors": _chain_payload(chain),
@@ -76,7 +82,7 @@ def _cmd_rnf(args) -> Report:
         "transform": matrix_strings(t),
     }
     if args.verify:
-        ok = t.is_invertible() and t.inverse() * a * t == r
+        ok = similarity_defect(a, r, t) is None
         payload["verified"] = ok
         if not ok:
             return Report("mismatch", payload)
@@ -118,11 +124,9 @@ def _cmd_verify(args) -> Report:
     r = parse_matrix_file(args.rnf_matrix, override if override else a.field)
     t = parse_matrix_file(args.transform, override if override else a.field)
     payload = {"field": field_label(a.field)}
-    if not t.is_invertible():
-        payload["reason"] = "transform is singular"
-        return Report("mismatch", payload)
-    if t.inverse() * a * t != r:
-        payload["reason"] = "conjugation does not reproduce the claimed form"
+    reason = similarity_defect(a, r, t)
+    if reason is not None:
+        payload["reason"] = reason
         return Report("mismatch", payload)
     return Report("ok", payload)
 
@@ -326,6 +330,11 @@ def main(argv: list[str] | None = None) -> int:
         report = Report("error", {"error": type(exc).__name__, "message": str(exc)})
     except OSError as exc:
         report = Report("error", {"error": "IOError", "message": str(exc)})
+    except Exception as exc:
+        import traceback  # only a bug gets here; keep it off the start-up path
+
+        traceback.print_exc(file=sys.stderr)
+        report = Report("internal", {"error": type(exc).__name__, "message": str(exc)})
     output = render_json(report) if args.format == "json" else render_text(report)
     sys.stdout.write(output)
     return EXIT_CODES[report.status]

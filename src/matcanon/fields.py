@@ -15,14 +15,17 @@ from math import isqrt
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base in _MR_WITNESSES
+# (Sorenson & Webster 2015): the test is exact below it and only there.
+MAX_MODULUS = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin, exact for n < MAX_MODULUS."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
@@ -68,8 +71,6 @@ class Field:
 
     def __call__(self, value) -> "Scalar":
         return Scalar(self, self.canon(value))
-
-    scalar = __call__
 
     def poly_ops(self) -> PolyOps:
         ops = getattr(self, "_poly_ops", None)
@@ -241,6 +242,10 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
             raise ParseError(f"prime modulus must be an integer, got {p!r}")
+        if p >= MAX_MODULUS:
+            raise ValueError(
+                f"modulus {p} is too large: primality is proved only below {MAX_MODULUS}"
+            )
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

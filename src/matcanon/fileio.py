@@ -12,7 +12,7 @@ field.
 from __future__ import annotations
 
 from .errors import FieldMismatch, ParseError
-from .fields import GF, QQ, Field, Scalar
+from .fields import GF, QQ, Field
 from .matrix import Matrix
 
 
@@ -60,10 +60,6 @@ def parse_field_words(words: list[str]) -> Field:
 
 def field_label(field: Field) -> str:
     return "Q" if field.characteristic == 0 else f"GF {field.characteristic}"
-
-
-def parse_scalar(field: Field, token: str) -> Scalar:
-    return field(token)
 
 
 def _parse_block(tokens: _Tokens, override: Field | None) -> Matrix:

@@ -79,9 +79,6 @@ class Matrix:
     def column_raw(self, j: int) -> list:
         return [row[j] for row in self._rows]
 
-    def rows_scalar(self) -> list[list[Scalar]]:
-        return [[Scalar(self.field, x) for x in row] for row in self._rows]
-
     def _check_field(self, other: "Matrix"):
         if self.field != other.field:
             raise FieldMismatch(f"matrices over {self.field} and {other.field}")

@@ -234,20 +234,24 @@ def reduce_to_q(pair: Sl2Pair) -> tuple[Matrix, QForm]:
     a11, b11 = roots_a[0], roots_b[0]
     v1 = _eigenvector_raw(pair.a, a11)
     w1 = _eigenvector_raw(pair.b, -b11)
-    assert v1 is not None and w1 is not None
+    if v1 is None or w1 is None:
+        raise BasisFailure("an eigenvector of the reduction is missing")
     # A*w1 = x*v1 - a11*w1 with x != 0 (otherwise w1 would be a common
     # eigenvector, impossible over Y); rescale v1 by x.
     u = pair.a * w1 + w1.scale(a11)
     field = pair.field
     i0 = next(i for i in range(2) if not field.is_zero(v1.column_raw(0)[i]))
     x = Scalar(field, field.div(u.column_raw(0)[i0], v1.column_raw(0)[i0]))
-    assert u == v1.scale(x) and not x.is_zero()
+    if x.is_zero() or u != v1.scale(x):
+        raise BasisFailure("A*w1 + a11*w1 is not a nonzero multiple of v1")
     g = Matrix.from_columns(field, [v1.scale(x).column_raw(0), w1.column_raw(0)])
     gi = g.inverse()
     qa, qb = gi * pair.a * g, gi * pair.b * g
-    assert qa == Matrix(field, [[a11, 1], [0, -a11]])
+    if qa != Matrix(field, [[a11, 1], [0, -a11]]):
+        raise BasisFailure("the reduced first member is not in Q")
     q = QForm(a11, qb[0, 0], qb[1, 0])
-    assert qb == Matrix(field, [[q.b11, 0], [q.b21, -q.b11]])
+    if qb != Matrix(field, [[q.b11, 0], [q.b21, -q.b11]]):
+        raise BasisFailure("the reduced second member is not in Q")
     return g, q
 
 

@@ -124,9 +124,6 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other: "Polynomial") -> bool:
-        return (other % self).is_zero()
-
     def __call__(self, point):
         """Evaluate at a scalar (Horner)."""
         field = self.field

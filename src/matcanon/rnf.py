@@ -7,14 +7,22 @@ Tracking the inverse of the accumulated row operations yields generators
 of the cyclic summands of k^n viewed as a k[X]-module via A, and their
 iterates under A assemble an invertible T with T^-1 * A * T = R.  Every
 step is a rational operation in the entries of A, and the operation count
-is polynomial in n.
+is polynomial in n.  The pair (R, T) is certified by A * T == T * R with
+det T != 0, so no inverse is ever formed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import ChainViolation, DegreeZero, NonSquare, NotMonic
+from .errors import (
+    BasisFailure,
+    ChainViolation,
+    DegreeZero,
+    DimensionMismatch,
+    NonSquare,
+    NotMonic,
+)
 from .fields import Field
 from .matrix import Matrix, block_diagonal
 from .poly import Polynomial
@@ -227,7 +235,7 @@ def _diagonalize(field: Field, d: list[list[list]], track: bool):
                 if best is not None and best[0] == 1:
                     break
             if best is None:
-                raise AssertionError("singular polynomial matrix in normal-form reduction")
+                raise BasisFailure("singular polynomial matrix in normal-form reduction")
             _, bi, bj = best
             if bi != t:
                 d[t], d[bi] = d[bi], d[t]
@@ -277,33 +285,61 @@ def _diagonalize(field: Field, d: list[list[list]], track: bool):
     return [d[t][t] for t in range(m)], winv
 
 
+def _chain(field: Field, diag: list[list], n: int) -> RationalNormalForm:
+    """The chain read off a diagonal d_1 | d_2 | ..., largest factor first."""
+    factors = [Polynomial._raw(field, c) for c in reversed(diag) if len(c) > 1]
+    degrees = sum(f.degree for f in factors)
+    if degrees != n:
+        raise BasisFailure(f"invariant factors have total degree {degrees}, expected {n}")
+    return RationalNormalForm(factors)
+
+
 def invariant_factors(a: Matrix) -> RationalNormalForm:
     """The unique chain (P_1, ..., P_r), P_{i+1} | P_i, of the class of a."""
     if not a.is_square:
         raise NonSquare("invariant factors need a square matrix")
-    field = a.field
-    diag, _ = _diagonalize(field, _char_matrix(a), track=False)
-    factors = [Polynomial._raw(field, c) for c in reversed(diag) if len(c) > 1]
-    assert sum(f.degree for f in factors) == a.nrows
-    return RationalNormalForm(factors)
+    diag, _ = _diagonalize(a.field, _char_matrix(a), track=False)
+    return _chain(a.field, diag, a.nrows)
 
 
-def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix]:
-    """(R, T) with T invertible and T^-1 * A * T = R, R the normal form of a."""
+def similarity_defect(a: Matrix, r: Matrix, t: Matrix) -> str | None:
+    """Why T fails to show T^-1 * A * T = R, or None when it does.
+
+    The certificate is det T != 0 together with A * T == T * R; no inverse
+    is formed.  Raises DimensionMismatch when T is invertible but A is not
+    of T's size.
+    """
+    if not t.is_invertible():
+        return "transform is singular"
+    if (a.nrows, a.ncols) != (t.nrows, t.ncols):
+        raise DimensionMismatch(
+            f"transform is {t.nrows}x{t.ncols} but the matrix is {a.nrows}x{a.ncols}"
+        )
+    if (r.nrows, r.ncols) != (t.nrows, t.ncols) or a * t != t * r:
+        return "conjugation does not reproduce the claimed form"
+    return None
+
+
+def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
+    """(R, T, chain): the normal form R of a, an invertible T with
+    T^-1 * A * T = R, and the invariant factors of a.
+
+    One diagonalization yields all three; the result is certified by
+    :func:`similarity_defect` and BasisFailure is raised if it fails.
+    """
     if not a.is_square:
         raise NonSquare("normal-form transform needs a square matrix")
     field = a.field
     n = a.nrows
     diag, winv = _diagonalize(field, _char_matrix(a), track=True)
+    chain = _chain(field, diag, n)
     add, zero = field.add, field.zero
 
     columns = []
-    factors = []
     for t in range(n - 1, -1, -1):
         deg = len(diag[t]) - 1
         if deg == 0:
             continue
-        factors.append(Polynomial._raw(field, diag[t]))
         # Generator of the cyclic summand with annihilator diag[t]: evaluate
         # column t of winv at A against the standard basis (Horner on vectors).
         v = [zero] * n
@@ -322,8 +358,9 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix]:
             col = a.mul_vector_raw(col)
             columns.append(col)
 
-    assert len(columns) == n
     t_mat = Matrix._raw(field, [[col[i] for col in columns] for i in range(n)])
-    r_mat = block_diagonal([companion(f) for f in factors])
-    assert t_mat.inverse() * a * t_mat == r_mat
-    return r_mat, t_mat
+    r_mat = assemble_rnf_matrix(chain)
+    defect = similarity_defect(a, r_mat, t_mat)
+    if defect is not None:
+        raise BasisFailure(f"normal-form transform failed its certificate: {defect}")
+    return r_mat, t_mat, chain

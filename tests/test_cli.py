@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from matcanon import GF, Matrix, QQ
+import matcanon.cli
+import matcanon.rnf
+from matcanon import GF, BasisFailure, Matrix, QQ, rnf_transform
 from matcanon.cli import main
 from matcanon.fileio import format_matrix, format_pair
 
@@ -49,6 +51,21 @@ class TestRnfCommand:
         code, payload = run_json(capsys, "rnf", id2, "--verify")
         assert code == 0 and payload["verified"] is True
 
+    def test_diagonalizes_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "a.mat"
+        path.write_text(format_matrix(Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]])))
+        calls = []
+        diagonalize = matcanon.rnf._diagonalize
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("track"))
+            return diagonalize(*args, **kwargs)
+
+        monkeypatch.setattr(matcanon.rnf, "_diagonalize", counting)
+        code, payload = run_json(capsys, "rnf", str(path), "--verify")
+        assert code == 0 and payload["verified"] is True
+        assert calls == [True]
+
     def test_text_output(self, capsys, id2):
         code, out = run(capsys, "rnf", id2)
         assert code == 0
@@ -60,7 +77,7 @@ class TestVerifyCommand:
     def test_ok_and_tampered(self, capsys, tmp_path):
         a = Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]])
         from matcanon import rnf_transform
-        r, t = rnf_transform(a)
+        r, t, _ = rnf_transform(a)
         pa, pr, pt = tmp_path / "a.mat", tmp_path / "r.mat", tmp_path / "t.mat"
         pa.write_text(format_matrix(a))
         pr.write_text(format_matrix(r))
@@ -75,6 +92,42 @@ class TestVerifyCommand:
         pt.write_text(format_matrix(tampered))
         code, payload = run_json(capsys, "verify", str(pa), str(pr), str(pt))
         assert code == 1 and payload["status"] == "mismatch"
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Write A, R, T to files; any of them may be replaced per test."""
+        a = Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]])
+        r, t = rnf_transform(a)[:2]
+
+        def write(a=a, r=r, t=t):
+            paths = []
+            for name, m in (("a", a), ("r", r), ("t", t)):
+                path = tmp_path / f"{name}.mat"
+                path.write_text(format_matrix(m))
+                paths.append(str(path))
+            return paths
+        return write
+
+    @pytest.mark.parametrize("t", [
+        Matrix(GF(5), [[1, 2, 0], [2, 4, 0], [0, 0, 1]]),
+        Matrix(GF(5), [[1, 0], [0, 1], [0, 0]]),
+    ], ids=["singular", "non-square"])
+    def test_singular_transform(self, capsys, files, t):
+        code, payload = run_json(capsys, "verify", *files(t=t))
+        assert code == 1 and payload["status"] == "mismatch"
+        assert payload["reason"] == "transform is singular"
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 2)])
+    def test_claimed_form_of_other_shape(self, capsys, files, shape):
+        r = Matrix(GF(5), [[int(i == j) for j in range(shape[1])] for i in range(shape[0])])
+        code, payload = run_json(capsys, "verify", *files(r=r))
+        assert code == 1 and payload["status"] == "mismatch"
+        assert payload["reason"] == "conjugation does not reproduce the claimed form"
+
+    def test_transform_of_other_size(self, capsys, files):
+        t = Matrix.identity(GF(5), 2)
+        code, payload = run_json(capsys, "verify", *files(r=t, t=t))
+        assert code == 2 and payload["error"] == "DimensionMismatch"
 
 
 class TestAffineCommands:
@@ -179,6 +232,30 @@ class TestErrorsAndDeterminism:
         _, first = run(capsys, "rnf", id2, "--format", "json")
         _, second = run(capsys, "rnf", id2, "--format", "json")
         assert first == second
+
+    def test_composite_modulus_refused(self, capsys, id2):
+        code, payload = run_json(capsys, "rnf", id2, "--field", "GF", "318665857834031151167461")
+        assert code == 2 and payload["error"] == "ParseError"
+
+    def test_internal_error_exit_three(self, capsys, id2, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(matcanon.cli, "_cmd_rnf", broken)
+        code = main(["rnf", id2, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out) == {
+            "status": "internal", "error": "RuntimeError", "message": "boom"}
+        assert "RuntimeError: boom" in captured.err
+
+    def test_basis_failure_exit_two(self, capsys, id2, monkeypatch):
+        def broken(args):
+            raise BasisFailure("no basis")
+
+        monkeypatch.setattr(matcanon.cli, "_cmd_rnf", broken)
+        code, payload = run_json(capsys, "rnf", id2)
+        assert code == 2 and payload["error"] == "BasisFailure"
 
     def test_usage_error_exit_two(self, id2):
         with pytest.raises(SystemExit) as exc:

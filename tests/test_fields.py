@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from matcanon import GF, QQ, DivisionByZero, FieldMismatch, sqrt_if_exists
+from matcanon.fields import _is_prime
 
 
 def brute_force_roots(p, x):
@@ -65,6 +66,17 @@ class TestCanonicalForm:
             GF(1)
         assert GF(2).characteristic == 2
         assert GF(7919).characteristic == 7919
+
+    def test_strong_pseudoprimes_rejected(self):
+        psi12 = 318665857834031151167461  # 399165290221 * 798330580441
+        psi13 = 3317044064679887385961981
+        assert not _is_prime(psi12)
+        for n in (psi12, psi13):
+            with pytest.raises(ValueError):
+                GF(n)
+
+    def test_large_prime_accepted(self):
+        assert GF(2**61 - 1).characteristic == 2**61 - 1
 
     def test_characteristic_query(self):
         assert QQ.characteristic == 0

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+import matcanon.pairs
 from matcanon import (
     GF,
     QQ,
+    BasisFailure,
     DegenerateComposite,
     DegenerateDiagonal,
     DimensionMismatch,
@@ -296,6 +298,13 @@ class TestReduceToQ:
     def test_not_in_y(self):
         pair = sl2(QQ, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
         with pytest.raises(NotInY):
+            reduce_to_q(pair)
+
+    def test_missing_eigenvector_is_a_basis_failure(self, monkeypatch):
+        field = GF(7)
+        pair = QForm(field(1), field(2), field(4)).realize()
+        monkeypatch.setattr(matcanon.pairs, "_eigenvector_raw", lambda m, lam: None)
+        with pytest.raises(BasisFailure):
             reduce_to_q(pair)
 
 

@@ -1,9 +1,16 @@
 """Rational normal form: companions, invariant factors, transforms."""
 
+import ast
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import matcanon
 from matcanon import (
     GF,
     QQ,
@@ -20,6 +27,7 @@ from matcanon import (
     invariant_factors,
     partition_of,
     rnf_transform,
+    similarity_defect,
 )
 from matcanon.bruteforce import conjugation_orbit
 
@@ -161,13 +169,13 @@ class TestTransform:
     def test_already_normal_form(self):
         chain = RationalNormalForm([P(QQ, -2, 1, 1)])
         a = assemble_rnf_matrix(chain)
-        r, t = rnf_transform(a)
+        r, t, _ = rnf_transform(a)
         assert r == a
         assert t.inverse() * a * t == r
 
     def test_known_diagonal(self):
         a = Matrix(QQ, [[0, 0], [0, 1]])
-        r, t = rnf_transform(a)
+        r, t, _ = rnf_transform(a)
         assert r == Matrix(QQ, [[0, 0], [1, 1]])  # companion of X^2 - X
         assert t.inverse() * a * t == r
 
@@ -179,7 +187,7 @@ class TestTransform:
             r0 = companion(p)
             g = rand_invertible(GF(7), degree, rng)
             a = g * r0 * g.inverse()
-            r, t = rnf_transform(a)
+            r, t, _ = rnf_transform(a)
             assert r == r0
             assert t.is_invertible()
             assert t.inverse() * a * t == r
@@ -190,10 +198,74 @@ class TestTransform:
         for _ in range(15):
             n = rng.randint(1, 5)
             a = rand_matrix(field, n, rng)
-            r, t = rnf_transform(a)
+            r, t, _ = rnf_transform(a)
             assert not t.det().is_zero()
             assert t.inverse() * a * t == r
             assert r == assemble_rnf_matrix(invariant_factors(a))
+
+
+class TestOneDiagonalization:
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)])
+    def test_chain_matches_invariant_factors(self, field):
+        rng = random.Random(43)
+        for _ in range(15):
+            a = rand_matrix(field, rng.randint(1, 5), rng)
+            assert rnf_transform(a)[2] == invariant_factors(a)
+
+    def test_chain_matches_on_known_forms(self):
+        known = [
+            assemble_rnf_matrix(RationalNormalForm([P(QQ, -2, 1, 1)])),
+            Matrix(QQ, [[0, 0], [0, 1]]),
+            Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]]),
+            Matrix.identity(GF(7), 3),
+        ]
+        for a in known:
+            assert rnf_transform(a)[2] == invariant_factors(a)
+
+
+class TestCertificate:
+    def test_reasons(self):
+        a = Matrix(QQ, [[0, 0], [0, 1]])
+        r, t, _ = rnf_transform(a)
+        assert similarity_defect(a, r, t) is None
+        assert similarity_defect(a, r, Matrix.zeros(QQ, 2, 2)) == "transform is singular"
+        assert similarity_defect(a, a, t) == "conjugation does not reproduce the claimed form"
+        assert similarity_defect(a, Matrix.identity(QQ, 3), t) == (
+            "conjugation does not reproduce the claimed form"
+        )
+
+    def test_failure_raises_under_optimize(self):
+        """The certificate is ordinary code, so ``python -O`` keeps it."""
+        script = textwrap.dedent("""
+            import sys
+            from matcanon import GF, BasisFailure, Matrix, rnf_transform
+            if __debug__:
+                sys.exit("not running under -O")
+            # A broken generator step: every iterate under A is zero.
+            Matrix.mul_vector_raw = lambda self, v: [self.field.zero] * self.nrows
+            try:
+                rnf_transform(Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]]))
+            except BasisFailure as exc:
+                print("BasisFailure:", exc)
+            else:
+                sys.exit("no BasisFailure")
+        """)
+        src = str(Path(matcanon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("BasisFailure: ")
+
+    def test_no_assert_statements_in_package(self):
+        package = Path(matcanon.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestPartitionOf:
