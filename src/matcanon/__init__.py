@@ -40,7 +40,7 @@ from .errors import (
     TraceNonzero,
 )
 from .fields import GF, QQ, Field, PrimeField, Rationals, Scalar, sqrt_if_exists
-from .matrix import Matrix, block_diagonal
+from .matrix import Matrix, block_diagonal, similarity_defect
 from .pairs import (
     InvariantTriple,
     PairPoint,
@@ -65,7 +65,6 @@ from .rnf import (
     invariant_factors,
     partition_of,
     rnf_transform,
-    similarity_defect,
 )
 
 __version__ = "0.1.0"

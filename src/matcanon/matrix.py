@@ -3,7 +3,8 @@
 Entries are stored row-major as raw field values in nested tuples, so
 matrices are immutable and hashable.  Elimination-based routines (rank,
 kernel, inverse, determinant) pivot on the first nonzero entry in column
-order, which makes every output deterministic.
+order, which makes every output deterministic.  ``similarity_defect`` is
+the one certificate for every change of basis the package returns.
 """
 
 from __future__ import annotations
@@ -316,3 +317,21 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
             rows[offset + i][offset:offset + b.ncols] = row
         offset += b.nrows
     return Matrix._raw(field, rows)
+
+
+def similarity_defect(a: Matrix, r: Matrix, t: Matrix) -> str | None:
+    """Why T fails to show T^-1 * A * T = R, or None when it does.
+
+    The certificate is det T != 0 together with A * T == T * R; no inverse
+    is formed.  Raises DimensionMismatch when T is invertible but A is not
+    of T's size.
+    """
+    if not t.is_invertible():
+        return "transform is singular"
+    if (a.nrows, a.ncols) != (t.nrows, t.ncols):
+        raise DimensionMismatch(
+            f"transform is {t.nrows}x{t.ncols} but the matrix is {a.nrows}x{a.ncols}"
+        )
+    if (r.nrows, r.ncols) != (t.nrows, t.ncols) or a * t != t * r:
+        return "conjugation does not reproduce the claimed form"
+    return None

@@ -23,11 +23,10 @@ from .errors import (
     NotInW,
     NotInY,
     RootsMissingInField,
-    SingularMatrix,
     TraceNonzero,
 )
 from .fields import Field, Scalar, sqrt_if_exists
-from .matrix import Matrix, block_diagonal
+from .matrix import Matrix, block_diagonal, similarity_defect
 
 
 class Sl2Pair:
@@ -176,15 +175,20 @@ def q_points(y: InvariantTriple) -> list[QForm]:
     return points
 
 
+def _leading_one(m: Matrix) -> Matrix:
+    """m scaled so that its first nonzero entry, in row order, is 1."""
+    field = m.field
+    first = next((x for row in m._rows for x in row if not field.is_zero(x)), None)
+    if first is None:
+        raise BasisFailure("zero intertwiner where a generator was expected")
+    return m.scale(field.inv(first))
+
+
 def _eigenvector_raw(m: Matrix, lam: Scalar) -> Matrix | None:
     """Canonical eigenvector for eigenvalue lam, first nonzero entry 1."""
     shifted = m - Matrix.identity(m.field, m.nrows).scale(lam)
     _, kernel = shifted.rank_and_kernel()
-    if not kernel:
-        return None
-    v = kernel[0]
-    first = next(x for x in v.column_raw(0) if not m.field.is_zero(x))
-    return v.scale(m.field.inv(first))
+    return _leading_one(kernel[0]) if kernel else None
 
 
 def common_eigenvector(pair: Sl2Pair) -> Matrix | None:
@@ -210,9 +214,7 @@ def common_eigenvector(pair: Sl2Pair) -> Matrix | None:
             stacked = Matrix._raw(field, list(sa._rows) + list(sb._rows))
             _, kernel = stacked.rank_and_kernel()
             if kernel:
-                v = kernel[0]
-                first = next(x for x in v.column_raw(0) if not field.is_zero(x))
-                return v.scale(field.inv(first))
+                return _leading_one(kernel[0])
     return None
 
 
@@ -220,7 +222,9 @@ def reduce_to_q(pair: Sl2Pair) -> tuple[Matrix, QForm]:
     """Change of basis g and the point q of Q with g^-1 * pair * g = q.
 
     The sheet is fixed deterministically: a11 is the canonical (first)
-    square root of -x1 and b11 the canonical square root of -x3.
+    square root of -x1 and b11 the canonical square root of -x3.  g is
+    certified against both members of q by :func:`similarity_defect`, and
+    BasisFailure is raised if it fails.
     """
     y = invariants(pair)
     if g_value(y).is_zero():
@@ -237,21 +241,17 @@ def reduce_to_q(pair: Sl2Pair) -> tuple[Matrix, QForm]:
     if v1 is None or w1 is None:
         raise BasisFailure("an eigenvector of the reduction is missing")
     # A*w1 = x*v1 - a11*w1 with x != 0 (otherwise w1 would be a common
-    # eigenvector, impossible over Y); rescale v1 by x.
-    u = pair.a * w1 + w1.scale(a11)
+    # eigenvector, impossible over Y); x is u's entry at v1's leading 1.
     field = pair.field
-    i0 = next(i for i in range(2) if not field.is_zero(v1.column_raw(0)[i]))
-    x = Scalar(field, field.div(u.column_raw(0)[i0], v1.column_raw(0)[i0]))
-    if x.is_zero() or u != v1.scale(x):
-        raise BasisFailure("A*w1 + a11*w1 is not a nonzero multiple of v1")
+    u = (pair.a * w1 + w1.scale(a11)).column_raw(0)
+    x = u[0] if not field.is_zero(v1.column_raw(0)[0]) else u[1]
     g = Matrix.from_columns(field, [v1.scale(x).column_raw(0), w1.column_raw(0)])
-    gi = g.inverse()
-    qa, qb = gi * pair.a * g, gi * pair.b * g
-    if qa != Matrix(field, [[a11, 1], [0, -a11]]):
-        raise BasisFailure("the reduced first member is not in Q")
-    q = QForm(a11, qb[0, 0], qb[1, 0])
-    if qb != Matrix(field, [[q.b11, 0], [q.b21, -q.b11]]):
-        raise BasisFailure("the reduced second member is not in Q")
+    q = QForm(a11, b11, y.x2 - b11 * a11 * 2)
+    target = q.realize()
+    for member, normal in ((pair.a, target.a), (pair.b, target.b)):
+        defect = similarity_defect(member, normal, g)
+        if defect is not None:
+            raise BasisFailure(f"reduction to Q failed its certificate: {defect}")
     return g, q
 
 
@@ -359,14 +359,6 @@ def simple_pair(n: int, field: Field) -> PairPoint:
     return PairPoint(s1, Matrix._raw(field, s2_rows))
 
 
-def _leading_one(m: Matrix) -> Matrix:
-    field = m.field
-    first = next((x for row in m._rows for x in row if not field.is_zero(x)), None)
-    if first is None:
-        raise BasisFailure("zero intertwiner where a generator was expected")
-    return m.scale(field.inv(first))
-
-
 def split_off_simple(m: PairPoint) -> tuple[PairPoint, Matrix]:
     """Split one copy of the fixed simple pair off m.
 
@@ -374,9 +366,11 @@ def split_off_simple(m: PairPoint) -> tuple[PairPoint, Matrix]:
     the two generators; then the basis (f*e_1, ..., f*e_{n-2}, y1, y2),
     with y1, y2 spanning ker g, turns m into the exact block diagonal
     s (+) t and the 2x2 tail t is returned together with the basis matrix.
+    The basis is certified against s (+) t by :func:`similarity_defect`,
+    and BasisFailure is raised if it fails.
     """
-    n = m.size
-    s = simple_pair(n, m.field)
+    n, field = m.size, m.field
+    s = simple_pair(n, field)
     maps_in = intertwiners(s, m)
     maps_out = intertwiners(m, s)
     if len(maps_in) != 1 or len(maps_out) != 1:
@@ -390,19 +384,21 @@ def split_off_simple(m: PairPoint) -> tuple[PairPoint, Matrix]:
     _, kernel = g.rank_and_kernel()
     if len(kernel) != 2:
         raise BasisFailure(f"ker g has dimension {len(kernel)}, expected 2")
-    columns = [f.column_raw(j) for j in range(n - 2)]
-    columns += [v.column_raw(0) for v in kernel]
-    h = Matrix.from_columns(m.field, columns)
-    try:
-        hi = h.inverse()
-    except SingularMatrix as exc:
-        raise BasisFailure("assembled basis is not invertible") from exc
+    ys = [v.column_raw(0) for v in kernel]
+    h = Matrix.from_columns(field, [f.column_raw(j) for j in range(n - 2)] + ys)
+    # y_k is 1 at its own free column (its last nonzero entry) and 0 at the
+    # other's, so m_i * Y = Y * t_i puts t_i in the rows of m_i * Y at the
+    # free columns; the certificate of h decides whether that holds.
+    free = [max(i for i, x in enumerate(col) if not field.is_zero(x)) for col in ys]
+    y = Matrix.from_columns(field, ys)
     tails = []
-    for mi, si in ((m.m1, s.m1), (m.m2, s.m2)):
-        c = hi * mi * h
-        if c.submatrix(0, n - 2, 0, n - 2) != si:
-            raise BasisFailure("leading block does not reproduce the simple pair")
-        if not c.submatrix(n - 2, n, 0, n - 2).is_zero() or not c.submatrix(0, n - 2, n - 2, n).is_zero():
-            raise BasisFailure("off-diagonal blocks did not vanish")
-        tails.append(c.submatrix(n - 2, n, n - 2, n))
-    return PairPoint(tails[0], tails[1]), h
+    for mi in (m.m1, m.m2):
+        my = (mi * y)._rows
+        tails.append(Matrix._raw(field, [my[i] for i in free]))
+    tail = PairPoint(tails[0], tails[1])
+    target = s.direct_sum(tail)
+    for mi, ti in ((m.m1, target.m1), (m.m2, target.m2)):
+        defect = similarity_defect(mi, ti, h)
+        if defect is not None:
+            raise BasisFailure(f"splitting basis failed its certificate: {defect}")
+    return tail, h

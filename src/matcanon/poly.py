@@ -53,10 +53,6 @@ class Polynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.field.one
 
-    def coefficient(self, k: int) -> Scalar:
-        value = self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
-        return Scalar(self.field, value)
-
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
             if other.field != self.field:

@@ -19,12 +19,11 @@ from .errors import (
     BasisFailure,
     ChainViolation,
     DegreeZero,
-    DimensionMismatch,
     NonSquare,
     NotMonic,
 )
 from .fields import Field
-from .matrix import Matrix, block_diagonal
+from .matrix import Matrix, block_diagonal, similarity_defect
 from .poly import Polynomial
 
 
@@ -300,24 +299,6 @@ def invariant_factors(a: Matrix) -> RationalNormalForm:
         raise NonSquare("invariant factors need a square matrix")
     diag, _ = _diagonalize(a.field, _char_matrix(a), track=False)
     return _chain(a.field, diag, a.nrows)
-
-
-def similarity_defect(a: Matrix, r: Matrix, t: Matrix) -> str | None:
-    """Why T fails to show T^-1 * A * T = R, or None when it does.
-
-    The certificate is det T != 0 together with A * T == T * R; no inverse
-    is formed.  Raises DimensionMismatch when T is invertible but A is not
-    of T's size.
-    """
-    if not t.is_invertible():
-        return "transform is singular"
-    if (a.nrows, a.ncols) != (t.nrows, t.ncols):
-        raise DimensionMismatch(
-            f"transform is {t.nrows}x{t.ncols} but the matrix is {a.nrows}x{a.ncols}"
-        )
-    if (r.nrows, r.ncols) != (t.nrows, t.ncols) or a * t != t * r:
-        return "conjugation does not reproduce the claimed form"
-    return None
 
 
 def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:

@@ -2,18 +2,15 @@
 
 These decide similarity questions by trying every invertible matrix, so
 they are independent of the elimination-based algorithms and serve as
-ground truth in tests and the self-test.  Guarded against blow-up: the
-full entry space p^(n^2) must stay small.
+ground truth in the tests.  Guarded against blow-up: the full entry
+space p^(n^2) must stay small.
 """
 
 from __future__ import annotations
 
 from itertools import product as _cartesian
 
-from .errors import FieldMismatch
-from .fields import PrimeField
-from .matrix import Matrix
-from .pairs import PairPoint
+from matcanon import FieldMismatch, Matrix, PairPoint, PrimeField
 
 _ENUMERATION_LIMIT = 5_000_000
 
@@ -43,16 +40,6 @@ def invertible_matrices(field: PrimeField, n: int) -> tuple[Matrix, ...]:
         cached = tuple(m for m in all_matrices(field, n) if m.is_invertible())
         _gl_cache[key] = cached
     return cached
-
-
-def similar_by_enumeration(a: Matrix, b: Matrix) -> Matrix | None:
-    """Some invertible g with g^-1 * a * g = b, or None."""
-    if a.field != b.field:
-        raise FieldMismatch("matrices must share one field")
-    for g in invertible_matrices(a.field, a.nrows):
-        if a * g == g * b:
-            return g
-    return None
 
 
 def simultaneously_similar(m: PairPoint, m2: PairPoint) -> Matrix | None:

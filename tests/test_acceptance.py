@@ -38,7 +38,7 @@ from matcanon import (
     to_affine,
     to_rnf,
 )
-from matcanon.bruteforce import all_matrices, conjugation_orbit, simultaneously_similar
+from bruteforce import all_matrices, conjugation_orbit, simultaneously_similar
 
 from helpers import iter_partitions, rand_invertible, rand_matrix, rand_monic
 

@@ -40,6 +40,14 @@ class TestScalarArithmetic:
         assert GF(5)(3) + 4 == GF(5)(2)
         assert 2 * QQ("1/2") == QQ(1)
 
+    def test_reflected_sub_and_div(self):
+        assert 3 - QQ("1/2") == QQ("5/2")
+        assert 3 - GF(5)(4) == GF(5)(4)
+        assert 1 / QQ("-2/3") == QQ("-3/2")
+        assert 1 / GF(7)(3) == GF(7)(5)
+        with pytest.raises(DivisionByZero):
+            1 / GF(7)(0)
+
 
 class TestCanonicalForm:
     def test_rationals_lowest_terms(self):

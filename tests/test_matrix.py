@@ -43,6 +43,19 @@ class TestBasics:
         assert n ** 2 == Matrix.zeros(QQ, 2, 2)
         assert n ** 0 == Matrix.identity(QQ, 2)
 
+    def test_negation(self):
+        a = Matrix(GF(7), [[1, 0], [3, 6]])
+        assert -a == Matrix(GF(7), [[6, 0], [4, 1]])
+        assert a + (-a) == Matrix.zeros(GF(7), 2, 2)
+
+    def test_negative_power_inverts(self):
+        # Oracle by hand: the shear [[1, 1], [0, 1]] has inverse [[1, -1], [0, 1]].
+        a = Matrix(QQ, [[1, 1], [0, 1]])
+        assert a ** -1 == Matrix(QQ, [[1, -1], [0, 1]])
+        assert a ** -3 == Matrix(QQ, [[1, -3], [0, 1]])
+        with pytest.raises(SingularMatrix):
+            Matrix(QQ, [[1, 2], [2, 4]]) ** -1
+
     def test_nonsquare_trace(self):
         with pytest.raises(NonSquare):
             Matrix(QQ, [[1, 2]]).trace()

@@ -32,7 +32,7 @@ from matcanon import (
     simple_pair,
     split_off_simple,
 )
-from matcanon.bruteforce import invertible_matrices, simultaneously_similar
+from bruteforce import invertible_matrices, simultaneously_similar
 
 from helpers import rand_invertible
 
@@ -307,6 +307,27 @@ class TestReduceToQ:
         with pytest.raises(BasisFailure):
             reduce_to_q(pair)
 
+    # Both eigenvectors of this pair are coordinate axes, so swapping the
+    # entries of one gives the other axis, which is not an eigenvector;
+    # doubling v1 breaks the leading 1 that the rescale by x relies on.
+    @pytest.mark.parametrize("member, spoil", [
+        ("a", lambda v: Matrix(v.field, [[v[1, 0]], [v[0, 0]]])),
+        ("b", lambda v: Matrix(v.field, [[v[1, 0]], [v[0, 0]]])),
+        ("a", lambda v: v.scale(2)),
+    ], ids=["swap-v1", "swap-w1", "double-v1"])
+    def test_spoiled_eigenvector_fails_the_certificate(self, monkeypatch, member, spoil):
+        field = GF(7)
+        pair = QForm(field(1), field(2), field(4)).realize()
+        eigenvector = matcanon.pairs._eigenvector_raw
+
+        def corrupt(m, lam):
+            v = eigenvector(m, lam)
+            return spoil(v) if m is getattr(pair, member) else v
+
+        monkeypatch.setattr(matcanon.pairs, "_eigenvector_raw", corrupt)
+        with pytest.raises(BasisFailure, match="certificate"):
+            reduce_to_q(pair)
+
 
 class TestHomDimension:
     def test_simple_endomorphisms(self):
@@ -435,6 +456,21 @@ class TestSplitOff:
             # the split-off tail commutes with nothing from s: Hom vanishes
             assert hom_dimension(s, tail) == 0
             assert hom_dimension(tail, s) == 0
+
+    def test_corrupt_basis_fails_the_certificate(self, monkeypatch):
+        field = GF(11)
+        m = simple_pair(4, field).direct_sum(self.qform_point(field, 1, 2, 4))
+        leading_one = matcanon.pairs._leading_one
+
+        def corrupt(x):
+            x = leading_one(x)
+            if x.nrows > x.ncols:  # f, whose columns open the basis: spoil one entry
+                x = x + Matrix.from_columns(field, [[0, 0, 0, 1], [0, 0, 0, 0]])
+            return x
+
+        monkeypatch.setattr(matcanon.pairs, "_leading_one", corrupt)
+        with pytest.raises(BasisFailure, match="certificate"):
+            split_off_simple(m)
 
     def test_extra_copy_rejected(self):
         field = GF(11)

@@ -38,6 +38,11 @@ class TestDivmod:
         q, r = divmod(P(QQ, 5), P(QQ, 0, 1))
         assert q.is_zero() and r == P(QQ, 5)
 
+    def test_floordiv_is_the_quotient(self):
+        f, g = P(GF(2), 1, 1, 1), P(GF(2), 1, 1)
+        assert f // g == P(GF(2), 0, 1)
+        assert P(QQ, -1, 0, 1) // P(QQ, -1, 1) == P(QQ, 1, 1)
+
 
 class TestProduct:
     def test_difference_of_squares(self):
@@ -63,6 +68,17 @@ class TestProduct:
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatch):
             product([P(QQ, 1, 1), P(GF(5), 1, 1)])
+
+    def test_power(self):
+        # Oracle by hand: (X + 1)^3 = X^3 + 3X^2 + 3X + 1, and X^3 + 1 over GF(3).
+        assert P(QQ, 1, 1) ** 3 == P(QQ, 1, 3, 3, 1)
+        assert P(GF(3), 1, 1) ** 3 == P(GF(3), 1, 0, 0, 1)
+        assert P(QQ, 2, 5) ** 0 == P(QQ, 1)
+        assert Polynomial(QQ) ** 2 == Polynomial(QQ)
+
+    def test_negative_power_refused(self):
+        with pytest.raises(ValueError):
+            P(QQ, 1, 1) ** -1
 
     def test_monic_times_monic_is_monic(self):
         rng = random.Random(11)

@@ -29,7 +29,7 @@ from matcanon import (
     rnf_transform,
     similarity_defect,
 )
-from matcanon.bruteforce import conjugation_orbit
+from bruteforce import conjugation_orbit
 
 from helpers import (
     charpoly_oracle,
@@ -235,20 +235,49 @@ class TestCertificate:
         )
 
     def test_failure_raises_under_optimize(self):
-        """The certificate is ordinary code, so ``python -O`` keeps it."""
+        """The certificate is ordinary code, so ``python -O`` keeps it, for the
+        normal-form transform and for both pair changes of basis."""
         script = textwrap.dedent("""
             import sys
-            from matcanon import GF, BasisFailure, Matrix, rnf_transform
+            import matcanon.pairs as pairs
+            from matcanon import (GF, BasisFailure, Matrix, QForm, reduce_to_q,
+                                  rnf_transform, simple_pair, split_off_simple)
             if __debug__:
                 sys.exit("not running under -O")
+
+            def expect_failure(label, call, *args):
+                try:
+                    call(*args)
+                except BasisFailure as exc:
+                    print(label, "BasisFailure:", exc)
+                else:
+                    sys.exit(f"{label}: no BasisFailure")
+
             # A broken generator step: every iterate under A is zero.
+            mul_vector_raw = Matrix.mul_vector_raw
             Matrix.mul_vector_raw = lambda self, v: [self.field.zero] * self.nrows
-            try:
-                rnf_transform(Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]]))
-            except BasisFailure as exc:
-                print("BasisFailure:", exc)
-            else:
-                sys.exit("no BasisFailure")
+            expect_failure("rnf", rnf_transform, Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]]))
+            Matrix.mul_vector_raw = mul_vector_raw
+
+            # Eigenvectors without leading entry 1: x rescales v1 wrongly.
+            field = GF(7)
+            eigenvector = pairs._eigenvector_raw
+            pairs._eigenvector_raw = lambda m, lam: eigenvector(m, lam).scale(2)
+            expect_failure("reduce", reduce_to_q, QForm(field(1), field(2), field(4)).realize())
+            pairs._eigenvector_raw = eigenvector
+
+            # A generator f of Hom(S, M) with one wrong entry.
+            field = GF(11)
+            leading_one = pairs._leading_one
+            spoil = Matrix.from_columns(field, [[0, 0, 0, 1], [0, 0, 0, 0]])
+
+            def spoiled(x):
+                x = leading_one(x)
+                return x + spoil if x.nrows > x.ncols else x
+
+            pairs._leading_one = spoiled
+            tail = QForm(field(1), field(2), field(4)).realize().to_point()
+            expect_failure("split", split_off_simple, simple_pair(4, field).direct_sum(tail))
         """)
         src = str(Path(matcanon.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -256,7 +285,8 @@ class TestCertificate:
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("BasisFailure: ")
+        labels = [line.split(" BasisFailure: ")[0] for line in proc.stdout.splitlines()]
+        assert labels == ["rnf", "reduce", "split"], proc.stdout
 
     def test_no_assert_statements_in_package(self):
         package = Path(matcanon.__file__).resolve().parent
