@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul as _mul
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
@@ -81,6 +82,8 @@ class Field:
 
     # Raw-value interface implemented by subclasses:
     #   zero, one, canon, add, sub, mul, neg, inv, div, is_zero, sort_key, sqrt
+    # and the two row primitives every matrix product and elimination runs on:
+    #   dot(xs, ys) = sum of x*y, reduced once;  submul(xs, f, ys) = [x - f*y]
 
 
 class Rationals(Field):
@@ -126,6 +129,14 @@ class Rationals(Field):
     @staticmethod
     def neg(a):
         return -a
+
+    @staticmethod
+    def dot(xs, ys):
+        return sum(map(_mul, xs, ys), Fraction(0))
+
+    @staticmethod
+    def submul(xs, f, ys):
+        return [x - f * y for x, y in zip(xs, ys)]
 
     @staticmethod
     def is_zero(a) -> bool:
@@ -280,6 +291,14 @@ class PrimeField(Field):
 
     def neg(self, a):
         return -a % self.p
+
+    def dot(self, xs, ys):
+        # Delayed reduction: exact integer products, one % p per dot product.
+        return sum(map(_mul, xs, ys)) % self.p
+
+    def submul(self, xs, f, ys):
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(xs, ys)]
 
     @staticmethod
     def is_zero(a) -> bool:

@@ -2,8 +2,10 @@
 
 Entries are stored row-major as raw field values in nested tuples, so
 matrices are immutable and hashable.  Elimination-based routines (rank,
-kernel, inverse, determinant) pivot on the first nonzero entry in column
-order, which makes every output deterministic.  ``similarity_defect`` is
+kernel, inverse, determinant) share one forward elimination pass that
+pivots on the first nonzero entry in column order, which makes every
+output deterministic.  Products and eliminations run on the field's two
+row primitives, ``dot`` and ``submul``.  ``similarity_defect`` is
 the one certificate for every change of basis the package returns.
 """
 
@@ -123,17 +125,9 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         field = self.field
-        add, mul, zero = field.add, field.mul, field.zero
+        dot = field.dot
         cols = list(zip(*other._rows))
-        out = []
-        for row in self._rows:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
+        out = [[dot(row, col) for col in cols] for row in self._rows]
         return Matrix._raw(field, out)
 
     def __pow__(self, k: int):
@@ -156,15 +150,8 @@ class Matrix:
         return Matrix._raw(self.field, [[mul(x, c) for x in row] for row in self._rows])
 
     def mul_vector_raw(self, v: Sequence) -> list:
-        field = self.field
-        add, mul, zero = field.add, field.mul, field.zero
-        out = []
-        for row in self._rows:
-            acc = zero
-            for a, b in zip(row, v):
-                acc = add(acc, mul(a, b))
-            out.append(acc)
-        return out
+        dot = self.field.dot
+        return [dot(row, v) for row in self._rows]
 
     def transpose(self) -> "Matrix":
         return Matrix._raw(self.field, list(zip(*self._rows)))
@@ -184,90 +171,102 @@ class Matrix:
 
     # -- elimination-based routines -------------------------------------
 
-    def _echelon(self, rows: list[list]) -> tuple[int, list[int]]:
-        """In-place reduced row echelon form; returns (rank, pivot columns)."""
+    def _forward(self, rows: list[list]) -> tuple[list[int], int]:
+        """In-place forward elimination to row echelon form.
+
+        Pivot rows are neither normalized nor cleared above; each row below
+        a pivot is updated from the pivot column on.  Returns the pivot
+        columns and the number of row swaps.
+        """
         field = self.field
-        sub, mul, is_zero = field.sub, field.mul, field.is_zero
+        mul, inv, is_zero, submul = field.mul, field.inv, field.is_zero, field.submul
         nrows, ncols = len(rows), len(rows[0])
         pivots: list[int] = []
+        swaps = 0
         r = 0
         for c in range(ncols):
+            if r == nrows:
+                break
             pivot_row = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
             if pivot_row is None:
                 continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv_p = field.inv(rows[r][c])
-            rows[r] = [mul(x, inv_p) for x in rows[r]]
-            for i in range(nrows):
-                if i != r and not is_zero(rows[i][c]):
-                    factor = rows[i][c]
-                    rows[i] = [sub(x, mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+            if pivot_row != r:
+                rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+                swaps += 1
+            prow = rows[r][c:]
+            inv_p = inv(prow[0])
+            # Rows r+1 .. pivot_row are zero in column c after the swap.
+            for i in range(pivot_row + 1, nrows):
+                row = rows[i]
+                x = row[c]
+                if not is_zero(x):
+                    row[c:] = submul(row[c:], mul(x, inv_p), prow)
             pivots.append(c)
             r += 1
-            if r == nrows:
-                break
-        return r, pivots
+        return pivots, swaps
 
     def rank(self) -> int:
-        rows = [list(row) for row in self._rows]
-        rank, _ = self._echelon(rows)
-        return rank
+        pivots, _ = self._forward([list(row) for row in self._rows])
+        return len(pivots)
 
     def rank_and_kernel(self) -> tuple[int, list["Matrix"]]:
         """Rank and a deterministic basis of the right null space.
 
         Each kernel vector is returned as an ncols x 1 matrix; the basis
         vector for free column f has entry 1 there and zeros in the other
-        free columns, so rank + len(basis) == ncols always holds.
+        free columns, so rank + len(basis) == ncols always holds.  It is
+        found by back substitution on the forward pass.
         """
         field = self.field
+        zero, one, neg, mul, dot = field.zero, field.one, field.neg, field.mul, field.dot
         rows = [list(row) for row in self._rows]
-        rank, pivots = self._echelon(rows)
+        pivots, _ = self._forward(rows)
+        inv_pivots = [field.inv(rows[r][c]) for r, c in enumerate(pivots)]
         pivot_set = set(pivots)
         basis = []
         for free in range(self.ncols):
             if free in pivot_set:
                 continue
-            v = [field.zero] * self.ncols
-            v[free] = field.one
-            for r, c in enumerate(pivots):
-                v[c] = field.neg(rows[r][free])
+            v = [zero] * self.ncols
+            v[free] = one
+            for r in range(len(pivots) - 1, -1, -1):
+                c = pivots[r]
+                v[c] = neg(mul(dot(rows[r][c + 1:], v[c + 1:]), inv_pivots[r]))
             basis.append(Matrix._raw(field, [[x] for x in v]))
-        return rank, basis
+        return len(pivots), basis
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise NonSquare("inverse needs a square matrix")
         field = self.field
+        mul, is_zero, submul = field.mul, field.is_zero, field.submul
         n = self.nrows
         one, zero = field.one, field.zero
         aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(self._rows)]
-        _, pivots = self._echelon(aug)
+        pivots, _ = self._forward(aug)
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is not invertible")
+        for r in range(n - 1, -1, -1):
+            row = aug[r]
+            inv_p = field.inv(row[r])
+            row[r:] = [mul(x, inv_p) for x in row[r:]]
+            for i in range(r):
+                x = aug[i][r]
+                if not is_zero(x):
+                    aug[i][r:] = submul(aug[i][r:], x, row[r:])
         return Matrix._raw(field, [row[n:] for row in aug])
 
     def det(self) -> Scalar:
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
         field = self.field
-        sub, mul, div, is_zero = field.sub, field.mul, field.div, field.is_zero
         rows = [list(row) for row in self._rows]
-        n = self.nrows
-        det = field.one
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if not is_zero(rows[i][c])), None)
-            if pivot_row is None:
-                return Scalar(field, field.zero)
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                det = field.neg(det)
-            pivot = rows[c][c]
-            det = mul(det, pivot)
-            for i in range(c + 1, n):
-                if not is_zero(rows[i][c]):
-                    factor = div(rows[i][c], pivot)
-                    rows[i] = [sub(x, mul(factor, y)) for x, y in zip(rows[i], rows[c])]
+        pivots, swaps = self._forward(rows)
+        if len(pivots) < self.nrows:
+            return Scalar(field, field.zero)
+        det = field.neg(field.one) if swaps % 2 else field.one
+        for i in range(self.nrows):
+            det = field.mul(det, rows[i][i])
         return Scalar(field, det)
 
     def is_invertible(self) -> bool:

@@ -314,7 +314,7 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     n = a.nrows
     diag, winv = _diagonalize(field, _char_matrix(a), track=True)
     chain = _chain(field, diag, n)
-    add, zero = field.add, field.zero
+    add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
 
     columns = []
     for t in range(n - 1, -1, -1):
@@ -333,7 +333,13 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
                 u = a.mul_vector_raw(u)
                 u[j] = add(u[j], c)
             v = [add(x, y) for x, y in zip(v, u)]
-        col = v
+        # Any nonzero multiple generates the same summand; first nonzero
+        # entry 1 fixes T and keeps its entries small over Q.
+        first = next((x for x in v if not is_zero(x)), None)
+        if first is None:
+            raise BasisFailure("zero generator of a cyclic summand")
+        inv_first = field.inv(first)
+        col = [mul(x, inv_first) for x in v]
         columns.append(col)
         for _ in range(deg - 1):
             col = a.mul_vector_raw(col)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from matcanon import Matrix, Polynomial
 
@@ -96,3 +97,83 @@ def minimal_polynomial_oracle(a: Matrix) -> Polynomial:
             assert not lead.is_zero(), "dependence among lower powers was missed"
             return Polynomial(field, [(v[k, 0] / lead).value for k in range(d)] + [1])
     raise AssertionError("no annihilator up to degree n; impossible")
+
+
+# ---------------------------------------------------------------------------
+# Reference elimination: the full Gauss-Jordan reduction that matcanon used
+# before its one forward pass, kept as an oracle for rank, kernel and inverse.
+# ---------------------------------------------------------------------------
+
+
+def gauss_jordan(field, rows: list[list]) -> list[int]:
+    """In-place reduced row echelon form of raw rows; returns the pivot columns.
+
+    Pivots are the first nonzero entry in column order; every pivot row is
+    normalized and its column cleared above and below.
+    """
+    sub, mul, is_zero = field.sub, field.mul, field.is_zero
+    nrows, ncols = len(rows), len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv_p = field.inv(rows[r][c])
+        rows[r] = [mul(x, inv_p) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not is_zero(rows[i][c]):
+                factor = rows[i][c]
+                rows[i] = [sub(x, mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def reference_rank_and_kernel(a: Matrix) -> tuple[int, list[list]]:
+    """Rank and the kernel basis (1 at its free column, 0 at the others),
+    read off the reduced row echelon form, as raw column lists."""
+    field = a.field
+    rows = [list(row) for row in a._rows]
+    pivots = gauss_jordan(field, rows)
+    basis = []
+    for free in range(a.ncols):
+        if free in pivots:
+            continue
+        v = [field.zero] * a.ncols
+        v[free] = field.one
+        for r, c in enumerate(pivots):
+            v[c] = field.neg(rows[r][free])
+        basis.append(v)
+    return len(pivots), basis
+
+
+def reference_inverse(a: Matrix) -> Matrix | None:
+    """Inverse from the reduced form of [A | I], or None when A is singular."""
+    field, n = a.field, a.nrows
+    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
+           for i, row in enumerate(a._rows)]
+    if gauss_jordan(field, aug) != list(range(n)):
+        return None
+    return Matrix._raw(field, [row[n:] for row in aug])
+
+
+def permutation_sign(perm) -> int:
+    """+1 or -1 by the parity of the inversions of perm."""
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def leibniz_det(a: Matrix):
+    """Raw determinant as the signed sum over all permutations (small n only)."""
+    field = a.field
+    total = field.zero
+    for perm in permutations(range(a.nrows)):
+        term = field.one
+        for i, j in enumerate(perm):
+            term = field.mul(term, a._rows[i][j])
+        total = field.add(total, term) if permutation_sign(perm) > 0 else field.sub(total, term)
+    return total

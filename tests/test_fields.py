@@ -178,3 +178,56 @@ class TestScalarProperties:
         if x.is_zero():
             return
         assert x * x.inverse() == x.field(1)
+
+
+MERSENNE_61 = 2 ** 61 - 1
+
+
+class TestRowPrimitives:
+    """Field.dot and Field.submul against the one-operation-at-a-time loop."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(10007), GF(MERSENNE_61)], ids=str)
+    def test_empty_inputs(self, field):
+        zero = field.dot([], [])
+        assert zero == field.zero and type(zero) is type(field.zero)
+        assert field.submul([], field.one, []) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 10007, MERSENNE_61]), st.data())
+    def test_prime_field_matches_loop(self, p, data):
+        field = GF(p)
+        residues = st.integers(0, p - 1)
+        n = data.draw(st.integers(0, 12))
+        xs = data.draw(st.lists(residues, min_size=n, max_size=n))
+        ys = data.draw(st.lists(residues, min_size=n, max_size=n))
+        f = data.draw(residues)
+        acc = field.zero
+        for x, y in zip(xs, ys):
+            acc = field.add(acc, field.mul(x, y))
+        dot = field.dot(xs, ys)
+        assert dot == acc and 0 <= dot < p
+        out = field.submul(xs, f, ys)
+        assert out == [field.sub(x, field.mul(f, y)) for x, y in zip(xs, ys)]
+        assert all(0 <= v < p for v in out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rationals_match_loop(self, data):
+        fractions = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 50))
+        n = data.draw(st.integers(0, 10))
+        xs = data.draw(st.lists(fractions, min_size=n, max_size=n))
+        ys = data.draw(st.lists(fractions, min_size=n, max_size=n))
+        f = data.draw(fractions)
+        acc = QQ.zero
+        for x, y in zip(xs, ys):
+            acc = QQ.add(acc, QQ.mul(x, y))
+        dot = QQ.dot(xs, ys)
+        assert dot == acc and isinstance(dot, Fraction)
+        assert QQ.submul(xs, f, ys) == [x - f * y for x, y in zip(xs, ys)]
+
+    def test_near_word_size_modulus(self):
+        p = MERSENNE_61
+        field = GF(p)
+        xs, ys = [p - 1] * 4, [p - 2] * 4
+        assert field.dot(xs, ys) == 4 * 2 % p
+        assert field.submul(xs, p - 1, ys) == [(p - 1 - (p - 1) * (p - 2)) % p] * 4

@@ -1,6 +1,7 @@
 """Exact matrix algebra: products, inverses, rank/kernel, block assembly."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -16,7 +17,14 @@ from matcanon import (
     block_diagonal,
 )
 
-from helpers import rand_invertible, rand_matrix
+from helpers import (
+    leibniz_det,
+    permutation_sign,
+    rand_invertible,
+    rand_matrix,
+    reference_inverse,
+    reference_rank_and_kernel,
+)
 
 
 class TestBasics:
@@ -163,3 +171,64 @@ class TestDeterminant:
     def test_invertibility_flag(self):
         assert Matrix(QQ, [[2]]).is_invertible()
         assert not Matrix(QQ, [[1, 1], [1, 1]]).is_invertible()
+
+
+ELIM_FIELDS = [GF(2), GF(3), GF(10007), QQ]
+
+
+def elimination_cases(field, seed, max_n=5):
+    """Zero, random and rank-deficient matrices of the shapes elimination
+    meets: tall 2N x N (the intertwiner systems), wide N x 2N, square, 1 x 1."""
+    rng = random.Random(seed)
+    shapes = [(1, 1)]
+    for n in range(1, max_n + 1):
+        shapes += [(2 * n, n), (n, 2 * n), (n, n)]
+    for nrows, ncols in shapes:
+        yield Matrix.zeros(field, nrows, ncols)
+        yield rand_matrix(field, nrows, rng, ncols)
+        k = rng.randint(1, min(nrows, ncols))
+        yield rand_matrix(field, nrows, rng, k) * rand_matrix(field, k, rng, ncols)
+
+
+@pytest.mark.parametrize("field", ELIM_FIELDS, ids=str)
+class TestAgainstGaussJordan:
+    """The forward pass with back substitution against full Gauss-Jordan."""
+
+    def test_rank_and_kernel_basis(self, field):
+        for seed in range(4):
+            for a in elimination_cases(field, seed):
+                rank, kernel = a.rank_and_kernel()
+                ref_rank, ref_basis = reference_rank_and_kernel(a)
+                assert rank == ref_rank == a.rank()
+                assert [v.column_raw(0) for v in kernel] == ref_basis
+
+    def test_det_and_invertibility(self, field):
+        for seed in range(4):
+            for a in elimination_cases(field, seed):
+                if a.is_square:
+                    det = leibniz_det(a)
+                    assert a.det().value == det
+                    assert a.is_invertible() == (not field.is_zero(det))
+
+    def test_det_of_permutation_matrices(self, field):
+        signs = set()
+        for n in range(1, 6):
+            for perm in permutations(range(n)):
+                p = Matrix(field, [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+                sign = permutation_sign(perm)
+                signs.add(sign)
+                assert p.det() == field(sign)
+        assert signs == {1, -1}
+
+    def test_inverse(self, field):
+        for seed in range(4):
+            for a in elimination_cases(field, seed):
+                if not a.is_square:
+                    continue
+                ref = reference_inverse(a)
+                if ref is None:
+                    assert not a.is_invertible()
+                    with pytest.raises(SingularMatrix):
+                        a.inverse()
+                else:
+                    assert a.inverse() == ref

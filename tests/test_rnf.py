@@ -204,6 +204,33 @@ class TestTransform:
             assert r == assemble_rnf_matrix(invariant_factors(a))
 
 
+class TestTransformRule:
+    """Each cyclic generator, the first column of its companion block in T,
+    is scaled to first nonzero entry 1."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=str)
+    def test_generators_lead_with_one(self, field):
+        rng = random.Random(47)
+        for _ in range(15):
+            a = rand_matrix(field, rng.randint(1, 6), rng)
+            _, t, chain = rnf_transform(a)
+            start = 0
+            for factor in chain:
+                column = t.column_raw(start)
+                assert next(x for x in column if not field.is_zero(x)) == field.one
+                start += factor.degree
+
+    def test_dense_rational_transform_stays_small(self):
+        # The benchmark's fixed dense Q matrix of size 10; unscaled
+        # generators gave T entries of 1401 bits.
+        rng = random.Random("exact-q/dense-10")
+        a = Matrix(QQ, [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)])
+        _, t, _ = rnf_transform(a)
+        bits = max(max(x.numerator.bit_length(), x.denominator.bit_length())
+                   for row in t._rows for x in row)
+        assert bits <= 128
+
+
 class TestOneDiagonalization:
     @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)])
     def test_chain_matches_invariant_factors(self, field):
@@ -235,11 +262,13 @@ class TestCertificate:
         )
 
     def test_failure_raises_under_optimize(self):
-        """The certificate is ordinary code, so ``python -O`` keeps it, for the
-        normal-form transform and for both pair changes of basis."""
+        """The certificate and the zero-generator check are ordinary code, so
+        ``python -O`` keeps them, for the normal-form transform and for both
+        pair changes of basis."""
         script = textwrap.dedent("""
             import sys
             import matcanon.pairs as pairs
+            import matcanon.rnf as rnf
             from matcanon import (GF, BasisFailure, Matrix, QForm, reduce_to_q,
                                   rnf_transform, simple_pair, split_off_simple)
             if __debug__:
@@ -258,6 +287,13 @@ class TestCertificate:
             Matrix.mul_vector_raw = lambda self, v: [self.field.zero] * self.nrows
             expect_failure("rnf", rnf_transform, Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]]))
             Matrix.mul_vector_raw = mul_vector_raw
+
+            # A zero generator: the inverse row operations are all zero.
+            diagonalize = rnf._diagonalize
+            rnf._diagonalize = lambda field, d, track: (
+                diagonalize(field, d, track)[0], [[[]] * len(d) for _ in d])
+            expect_failure("zero generator", rnf_transform, Matrix(GF(5), [[1, 2], [3, 4]]))
+            rnf._diagonalize = diagonalize
 
             # Eigenvectors without leading entry 1: x rescales v1 wrongly.
             field = GF(7)
@@ -286,7 +322,8 @@ class TestCertificate:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         labels = [line.split(" BasisFailure: ")[0] for line in proc.stdout.splitlines()]
-        assert labels == ["rnf", "reduce", "split"], proc.stdout
+        assert labels == ["rnf", "zero generator", "reduce", "split"], proc.stdout
+        assert "zero generator of a cyclic summand" in proc.stdout.splitlines()[1]
 
     def test_no_assert_statements_in_package(self):
         package = Path(matcanon.__file__).resolve().parent
