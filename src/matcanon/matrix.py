@@ -4,23 +4,29 @@ Entries are stored row-major as raw field values in nested tuples, so
 matrices are immutable and hashable.  Elimination-based routines (rank,
 kernel, inverse, determinant) share one forward elimination pass that
 pivots on the first nonzero entry in column order, which makes every
-output deterministic.  Products and eliminations run on the field's two
-row primitives, ``dot`` and ``submul``.  ``similarity_defect`` is
-the one certificate for every change of basis the package returns.
+output deterministic.  Over Q, rank and kernel run that pass modulo
+word-size primes and return only a kernel basis proved exactly over Q.
+Products and eliminations run on the field's two row primitives, ``dot``
+and ``submul``.  ``similarity_defect`` is the one certificate for every
+change of basis the package returns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
+from math import isqrt, lcm
+from operator import mul as _mul
 
 from .errors import (
+    BasisFailure,
     DimensionMismatch,
     EmptyInput,
     FieldMismatch,
     NonSquare,
     SingularMatrix,
 )
-from .fields import Field, Scalar
+from .fields import GF, Field, Scalar, _is_prime
 
 
 class Matrix:
@@ -171,69 +177,28 @@ class Matrix:
 
     # -- elimination-based routines -------------------------------------
 
-    def _forward(self, rows: list[list]) -> tuple[list[int], int]:
-        """In-place forward elimination to row echelon form.
-
-        Pivot rows are neither normalized nor cleared above; each row below
-        a pivot is updated from the pivot column on.  Returns the pivot
-        columns and the number of row swaps.
-        """
+    def _rank_and_kernel_raw(self, kernel: bool) -> tuple[int, list[list]]:
+        """Rank and, when asked for, the raw kernel basis: the one place that
+        picks between elimination over GF(p) and the modular method over Q."""
         field = self.field
-        mul, inv, is_zero, submul = field.mul, field.inv, field.is_zero, field.submul
-        nrows, ncols = len(rows), len(rows[0])
-        pivots: list[int] = []
-        swaps = 0
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            pivot_row = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-                swaps += 1
-            prow = rows[r][c:]
-            inv_p = inv(prow[0])
-            # Rows r+1 .. pivot_row are zero in column c after the swap.
-            for i in range(pivot_row + 1, nrows):
-                row = rows[i]
-                x = row[c]
-                if not is_zero(x):
-                    row[c:] = submul(row[c:], mul(x, inv_p), prow)
-            pivots.append(c)
-            r += 1
-        return pivots, swaps
+        if not field.characteristic:
+            return _rational_rank_and_kernel(self._rows)
+        rows = [list(row) for row in self._rows]
+        pivots, _ = _forward(field, rows)
+        return len(pivots), _back_substitute(field, rows, pivots) if kernel else []
 
     def rank(self) -> int:
-        pivots, _ = self._forward([list(row) for row in self._rows])
-        return len(pivots)
+        return self._rank_and_kernel_raw(kernel=False)[0]
 
     def rank_and_kernel(self) -> tuple[int, list["Matrix"]]:
         """Rank and a deterministic basis of the right null space.
 
         Each kernel vector is returned as an ncols x 1 matrix; the basis
         vector for free column f has entry 1 there and zeros in the other
-        free columns, so rank + len(basis) == ncols always holds.  It is
-        found by back substitution on the forward pass.
+        free columns, so rank + len(basis) == ncols always holds.
         """
-        field = self.field
-        zero, one, neg, mul, dot = field.zero, field.one, field.neg, field.mul, field.dot
-        rows = [list(row) for row in self._rows]
-        pivots, _ = self._forward(rows)
-        inv_pivots = [field.inv(rows[r][c]) for r, c in enumerate(pivots)]
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            v = [zero] * self.ncols
-            v[free] = one
-            for r in range(len(pivots) - 1, -1, -1):
-                c = pivots[r]
-                v[c] = neg(mul(dot(rows[r][c + 1:], v[c + 1:]), inv_pivots[r]))
-            basis.append(Matrix._raw(field, [[x] for x in v]))
-        return len(pivots), basis
+        rank, basis = self._rank_and_kernel_raw(kernel=True)
+        return rank, [Matrix._raw(self.field, [[x] for x in v]) for v in basis]
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -243,7 +208,7 @@ class Matrix:
         n = self.nrows
         one, zero = field.one, field.zero
         aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(self._rows)]
-        pivots, _ = self._forward(aug)
+        pivots, _ = _forward(field, aug)
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is not invertible")
         for r in range(n - 1, -1, -1):
@@ -261,7 +226,7 @@ class Matrix:
             raise NonSquare("determinant needs a square matrix")
         field = self.field
         rows = [list(row) for row in self._rows]
-        pivots, swaps = self._forward(rows)
+        pivots, swaps = _forward(field, rows)
         if len(pivots) < self.nrows:
             return Scalar(field, field.zero)
         det = field.neg(field.one) if swaps % 2 else field.one
@@ -294,6 +259,188 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
+
+
+def _forward(field: Field, rows: list[list]) -> tuple[list[int], int]:
+    """In-place forward elimination to row echelon form.
+
+    Pivot rows are neither normalized nor cleared above; each row below
+    a pivot is updated from the pivot column on.  Returns the pivot
+    columns and the number of row swaps.
+    """
+    mul, inv, is_zero, submul = field.mul, field.inv, field.is_zero, field.submul
+    nrows, ncols = len(rows), len(rows[0])
+    pivots: list[int] = []
+    swaps = 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            swaps += 1
+        prow = rows[r][c:]
+        inv_p = inv(prow[0])
+        # Rows r+1 .. pivot_row are zero in column c after the swap.
+        for i in range(pivot_row + 1, nrows):
+            row = rows[i]
+            x = row[c]
+            if not is_zero(x):
+                row[c:] = submul(row[c:], mul(x, inv_p), prow)
+        pivots.append(c)
+        r += 1
+    return pivots, swaps
+
+
+def _back_substitute(field: Field, rows: list[list], pivots: list[int]) -> list[list]:
+    """Kernel basis of a forward-eliminated matrix, one vector per free
+    column: 1 there, 0 at the other free columns."""
+    zero, one, neg, mul, dot = field.zero, field.one, field.neg, field.mul, field.dot
+    ncols = len(rows[0])
+    inv_pivots = [field.inv(rows[r][c]) for r, c in enumerate(pivots)]
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[free] = one
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            v[c] = neg(mul(dot(rows[r][c + 1:], v[c + 1:]), inv_pivots[r]))
+        basis.append(v)
+    return basis
+
+
+# -- rank and kernel over Q, modulo primes ---------------------------------
+
+_PRIMES: list[int] = []
+
+
+def _prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2**62; the sequence is found once."""
+    while len(_PRIMES) <= i:
+        q = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
+        while not _is_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[i]
+
+
+def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | None:
+    """The fractions a/b with |a|, b <= sqrt(m/2) congruent to the residues
+    modulo m, or None when some residue has none.
+
+    The running common denominator d of the entries so far is tried
+    first: x*d mod m is usually within the bound.  Otherwise the
+    half-extended Euclidean algorithm finds a/b (Wang 1981).  None as soon
+    as d passes the bound as well: the true denominators all divide one
+    minor, and so does their lcm.
+    """
+    bound = isqrt((m - 1) // 2)  # 2 * bound**2 < m: such a fraction is unique
+    half = m // 2
+    d = 1
+    out = []
+    for x in residues:
+        y = x * d % m
+        if y > half:
+            y -= m
+        if -bound <= y <= bound:
+            out.append(Fraction(y, d))
+            continue
+        r0, r1, t0, t1 = m, x, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        if not t1 or abs(t1) > bound:
+            return None
+        f = Fraction(r1, t1)
+        d = lcm(d, f.denominator)
+        if d > bound:
+            return None
+        out.append(f)
+    return out
+
+
+def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list]]:
+    """Rank and kernel basis over Q by elimination modulo primes.
+
+    Each row is scaled to integers, which changes neither the rank nor the
+    kernel.  Modulo each prime of the fixed sequence (``_prime``) the
+    forward pass gives a pivot pattern and back substitution a kernel
+    basis.  Primes that share the best pattern seen (most pivots, then the
+    earliest pivot columns one by one) are combined by CRT; a worse
+    pattern is skipped and a better one restarts the combination.  The
+    pivot entries are lifted by rational reconstruction, and the result is
+    returned once every vector v satisfies rows * v == 0 in integers.
+
+    That check is the proof: ncols - r_p independent vectors in the kernel
+    give rank_Q <= r_p, and r_p <= rank_Q always holds, so the rank is
+    r_p, and the basis with 1 at its own free column and 0 at the others
+    is unique.  With H the Hadamard bound of the integer rows, the primes
+    with the true pattern succeed once their product exceeds 2*H**2 and
+    the other primes divide one nonzero minor, so their product is at
+    most H.  A product of primes beyond 2*H**3 with no proved basis is
+    therefore a bug and raises BasisFailure.
+    """
+    ints = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (scale // x.denominator) for x in row])
+    ncols = len(ints[0])
+    h2 = 1
+    for row in ints:
+        h2 *= max(1, sum(x * x for x in row))
+    stop = 4 * h2 ** 3  # (2*H**3)**2: go on while the primes tried multiply to at most 2*H**3
+    zero, one = Fraction(0), Fraction(1)
+    best = None
+    tried = 1
+    i = 0
+    while tried * tried <= stop:
+        p = _prime(i)
+        i += 1
+        tried *= p
+        field = GF(p)
+        reduced = [[x % p for x in row] for row in ints]
+        pivots, _ = _forward(field, reduced)
+        if len(pivots) == ncols:
+            return ncols, []
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        residues = [v[c] for v in _back_substitute(field, reduced, pivots) for c in pivots]
+        if best is None or key < best:
+            best, lifted, modulus = key, residues, p
+        else:
+            inv_m = pow(modulus, -1, p)
+            lifted = [x + modulus * ((r - x) * inv_m % p) for x, r in zip(lifted, residues)]
+            modulus *= p
+        entries = _rational_reconstruction(lifted, modulus)
+        if entries is None:
+            continue
+        pivot_set = set(pivots)
+        free_cols = [c for c in range(ncols) if c not in pivot_set]
+        basis = []
+        for k, free in enumerate(free_cols):
+            v = [zero] * ncols
+            v[free] = one
+            for c, x in zip(pivots, entries[k * len(pivots):(k + 1) * len(pivots)]):
+                v[c] = x
+            basis.append(v)
+        if all(_annihilates(ints, v) for v in basis):
+            return len(pivots), basis
+    raise BasisFailure("no kernel basis over Q passed the exact check within the prime bound")
+
+
+def _annihilates(ints: list[list[int]], v: list[Fraction]) -> bool:
+    """rows * v == 0 for integer rows, in integer arithmetic."""
+    d = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (d // x.denominator) for x in v]
+    return not any(sum(map(_mul, row, w)) for row in ints)
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:

@@ -321,18 +321,16 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
         deg = len(diag[t]) - 1
         if deg == 0:
             continue
-        # Generator of the cyclic summand with annihilator diag[t]: evaluate
-        # column t of winv at A against the standard basis (Horner on vectors).
+        # Generator of the cyclic summand with annihilator diag[t]: the sum of
+        # winv[j][t](A) * e_j, one Horner pass over the coefficient index k
+        # (v = A*v, then v[j] += coefficient k of winv[j][t]).
+        ws = [winv[j][t] for j in range(n)]
+        top = max(map(len, ws)) - 1
         v = [zero] * n
-        for j in range(n):
-            w = winv[j][t]
-            if not w:
-                continue
-            u = [zero] * n
-            for c in reversed(w):
-                u = a.mul_vector_raw(u)
-                u[j] = add(u[j], c)
-            v = [add(x, y) for x, y in zip(v, u)]
+        for k in range(top, -1, -1):
+            if k < top:
+                v = a.mul_vector_raw(v)
+            v = [add(x, w[k]) if k < len(w) else x for x, w in zip(v, ws)]
         # Any nonzero multiple generates the same summand; first nonzero
         # entry 1 fixes T and keeps its entries small over Q.
         first = next((x for x in v if not is_zero(x)), None)

@@ -1,10 +1,12 @@
 """Exact matrix algebra: products, inverses, rank/kernel, block assembly."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+import matcanon.matrix
 from matcanon import (
     GF,
     QQ,
@@ -16,6 +18,8 @@ from matcanon import (
     SingularMatrix,
     block_diagonal,
 )
+from matcanon.fields import _is_prime
+from matcanon.matrix import _prime
 
 from helpers import (
     leibniz_det,
@@ -232,3 +236,110 @@ class TestAgainstGaussJordan:
                         a.inverse()
                 else:
                     assert a.inverse() == ref
+
+
+def modular_primes_used(monkeypatch, a):
+    """rank_and_kernel of a, and the indices of the primes it reduced modulo."""
+    used = []
+    prime = matcanon.matrix._prime
+
+    def recording(i):
+        used.append(i)
+        return prime(i)
+
+    monkeypatch.setattr(matcanon.matrix, "_prime", recording)
+    return a.rank_and_kernel(), used
+
+
+def assert_matches_reference(a):
+    rank, kernel = a.rank_and_kernel()
+    ref_rank, ref_basis = reference_rank_and_kernel(a)
+    assert rank == ref_rank == a.rank()
+    assert [v.column_raw(0) for v in kernel] == ref_basis
+    assert all(type(x) is Fraction for v in kernel for x in v.column_raw(0))
+
+
+class TestModularRankKernel:
+    """Rank and kernel over Q run modulo primes; the results must be those
+    of exact Gauss-Jordan elimination, including for unlucky primes."""
+
+    p0, p1 = _prime(0), _prime(1)
+
+    def test_prime_sequence(self):
+        primes = [_prime(i) for i in range(6)]
+        assert primes[0] == 2 ** 62 - 57
+        assert primes == sorted(set(primes), reverse=True)
+        assert all(_is_prime(p) for p in primes)
+        assert not any(_is_prime(q) for q in range(primes[-1] + 1, 2 ** 62) if q not in primes)
+
+    def test_unlucky_prime_drops_the_rank(self, monkeypatch):
+        a = Matrix(QQ, [[self.p0, 0], [0, 1]])
+        (rank, kernel), used = modular_primes_used(monkeypatch, a)
+        assert (rank, kernel) == (2, [])
+        assert used == [0, 1]
+        b = Matrix(QQ, [[self.p0, 0, self.p0], [1, 1, 1], [2, 2, 2]])
+        (rank, kernel), used = modular_primes_used(monkeypatch, b)
+        assert rank == 2 and used[:2] == [0, 1]
+        assert_matches_reference(b)
+
+    def test_unlucky_prime_shifts_the_pivots(self, monkeypatch):
+        a = Matrix(QQ, [[self.p0, 1]])
+        (rank, kernel), used = modular_primes_used(monkeypatch, a)
+        assert rank == 1
+        assert kernel == [Matrix(QQ, [[Fraction(-1, self.p0)], [1]])]
+        assert used[0] == 0 and len(used) > 1
+        assert_matches_reference(a)
+
+    def test_unlucky_prime_after_a_good_one_is_skipped(self, monkeypatch):
+        # -1/p1 needs three good primes; p1 comes second and moves the pivot,
+        # so it must be skipped without discarding p0.
+        a = Matrix(QQ, [[self.p1, 1]])
+        (rank, kernel), used = modular_primes_used(monkeypatch, a)
+        assert rank == 1 and kernel == [Matrix(QQ, [[Fraction(-1, self.p1)], [1]])]
+        assert used == [0, 1, 2, 3]
+
+    def test_two_unlucky_primes(self, monkeypatch):
+        # det = p0 * p1: both first primes lose a pivot; the third is good.
+        a = Matrix(QQ, [[self.p0, 0, 0], [0, self.p1, 0], [1, 1, 1]])
+        assert leibniz_det(a) == self.p0 * self.p1
+        (rank, kernel), used = modular_primes_used(monkeypatch, a)
+        assert (rank, kernel) == (3, []) and used == [0, 1, 2]
+        # With one more column the rank stays 3 modulo p0 and p1 but the
+        # pivots move right; -1/p0 and -1/p1 need several good primes.
+        b = Matrix(QQ, [[self.p0, 0, 0, 1], [0, self.p1, 0, 1], [0, 0, 1, 1]])
+        (rank, kernel), used = modular_primes_used(monkeypatch, b)
+        assert rank == 3 and used[:2] == [0, 1] and len(used) > 3
+        assert kernel == [Matrix(QQ, [[Fraction(-1, self.p0)], [Fraction(-1, self.p1)], [-1], [1]])]
+
+    def test_large_entries_need_several_primes(self, monkeypatch):
+        rng = random.Random(29)
+        big = 1 << 200
+        for nrows, ncols, k in ((4, 6, 3), (6, 4, 3), (5, 5, 4)):
+            left = Matrix(QQ, [[rng.randint(-big, big) for _ in range(k)] for _ in range(nrows)])
+            right = Matrix(QQ, [[rng.randint(-big, big) for _ in range(ncols)] for _ in range(k)])
+            a = left * right
+            (rank, _), used = modular_primes_used(monkeypatch, a)
+            assert rank == k and len(used) > 2
+            assert_matches_reference(a)
+
+    def test_hilbert_matrix(self, monkeypatch):
+        # The kernel of [H | I] for the 12 x 12 Hilbert matrix H is spanned
+        # by the columns of -H^-1 over e_j, whose entries reach 2^50.
+        n = 12
+        a = Matrix(QQ, [[Fraction(1, i + j + 1) for j in range(n)] + [int(i == j) for j in range(n)]
+                        for i in range(n)])
+        (rank, kernel), used = modular_primes_used(monkeypatch, a)
+        assert rank == n and len(kernel) == n and len(used) > 1
+        assert_matches_reference(a)
+        h = a.submatrix(0, n, 0, n)
+        assert Matrix.from_columns(QQ, [v.column_raw(0)[:n] for v in kernel]) == -h.inverse()
+
+    def test_mixed_denominators_and_shapes(self):
+        rng = random.Random(31)
+        for nrows, ncols in ((1, 1), (1, 5), (5, 1), (3, 9), (9, 3), (8, 8), (12, 6), (6, 12)):
+            assert_matches_reference(Matrix.zeros(QQ, nrows, ncols))
+            dens = [rng.choice((1, 2, 3, 7, 10, 1 << 40, 10 ** 15 + 37)) for _ in range(ncols)]
+            a = Matrix(QQ, [[Fraction(rng.randint(-99, 99), d) for d in dens] for _ in range(nrows)])
+            assert_matches_reference(a)
+            k = rng.randint(1, min(nrows, ncols))
+            assert_matches_reference(rand_matrix(QQ, nrows, rng, k) * a.submatrix(0, k, 0, ncols))

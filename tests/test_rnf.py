@@ -263,8 +263,8 @@ class TestCertificate:
 
     def test_failure_raises_under_optimize(self):
         """The certificate and the zero-generator check are ordinary code, so
-        ``python -O`` keeps them, for the normal-form transform and for both
-        pair changes of basis."""
+        ``python -O`` keeps them, for the normal-form transform, for both
+        pair changes of basis and for the exact check of a kernel over Q."""
         script = textwrap.dedent("""
             import sys
             import matcanon.pairs as pairs
@@ -314,6 +314,20 @@ class TestCertificate:
             pairs._leading_one = spoiled
             tail = QForm(field(1), field(2), field(4)).realize().to_point()
             expect_failure("split", split_off_simple, simple_pair(4, field).direct_sum(tail))
+
+            # A spoiled rational reconstruction over Q: every lifted entry is
+            # off by one, so no kernel basis passes the exact check.
+            import matcanon.matrix as matrix
+            from matcanon import QQ
+            reconstruct = matrix._rational_reconstruction
+
+            def spoiled_reconstruction(residues, m):
+                entries = reconstruct(residues, m)
+                return None if entries is None else [x + 1 for x in entries]
+
+            matrix._rational_reconstruction = spoiled_reconstruction
+            expect_failure("kernel", Matrix(QQ, [[1, 2, 3], [2, 4, 6]]).rank_and_kernel)
+            expect_failure("rank", Matrix(QQ, [[3, 1, 4, 1], [5, 9, 2, 6], [8, 10, 6, 7]]).rank)
         """)
         src = str(Path(matcanon.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -322,7 +336,7 @@ class TestCertificate:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         labels = [line.split(" BasisFailure: ")[0] for line in proc.stdout.splitlines()]
-        assert labels == ["rnf", "zero generator", "reduce", "split"], proc.stdout
+        assert labels == ["rnf", "zero generator", "reduce", "split", "kernel", "rank"], proc.stdout
         assert "zero generator of a cyclic summand" in proc.stdout.splitlines()[1]
 
     def test_no_assert_statements_in_package(self):

@@ -1,0 +1,78 @@
+"""An independent oracle beyond brute force: sympy, a test-only dependency.
+
+Rank and kernel over Q of the intertwiner systems of split pairs come from
+sympy's own Gauss-Jordan elimination, and invariant factors over Q from
+sympy's Smith form over QQ[x].  The module is skipped without sympy.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from matcanon import QQ, QForm, hom_dimension, invariant_factors, simple_pair  # noqa: E402
+from matcanon.pairs import _intertwiner_system  # noqa: E402
+
+from helpers import rand_invertible, rand_matrix  # noqa: E402
+
+
+def to_sympy(rows):
+    return [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+
+
+def split_instance(n, rng):
+    """S(n-2) (+) T for a Q-form pair T, conjugated by a random invertible matrix."""
+    t = QForm(QQ(rng.randint(1, 5)), QQ(rng.randint(1, 5)), QQ(rng.randint(1, 5))).realize()
+    g = rand_invertible(QQ, n, rng)
+    return simple_pair(n, QQ).direct_sum(t.to_point()).conjugated_by(g)
+
+
+def sympy_rank_and_kernel(rows):
+    """Rank and kernel basis (1 at its free column, 0 at the others) read off
+    sympy's reduced row echelon form over QQ."""
+    nrows, ncols = len(rows), len(rows[0])
+    dm = DomainMatrix.from_list_sympy(nrows, ncols, to_sympy(rows)).convert_to(sympy.QQ)
+    rref, pivots = dm.rref(method="GJ")
+    entries = rref.to_list()
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x = entries[r][free]
+            v[c] = -Fraction(int(x.numerator), int(x.denominator))
+        basis.append(v)
+    return len(pivots), basis
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_intertwiner_system_rank_and_kernel(n):
+    m = split_instance(n, random.Random(n))
+    system = _intertwiner_system(m, m)
+    rank, kernel = system.rank_and_kernel()
+    assert (rank, [v.column_raw(0) for v in kernel]) == sympy_rank_and_kernel(system._rows)
+    assert system.rank() == rank == n * n - 2
+
+
+def test_endomorphisms_of_a_split_instance():
+    m = split_instance(10, random.Random(10))
+    assert hom_dimension(m, m) == 2
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_invariant_factors_against_smith_form(n):
+    x = sympy.Symbol("x")
+    a = rand_matrix(QQ, n, random.Random(1000 + n))
+    entries = to_sympy(a._rows)
+    char = sympy.Matrix(n, n, lambda i, j: (x if i == j else 0) - entries[i][j])
+    theirs = [sympy.Poly(f.as_expr(), x).monic() for f in sympy_invariant_factors(char, domain=sympy.QQ[x])]
+    theirs = [f for f in theirs if f.degree() > 0]
+    ours = invariant_factors(a)
+    assert [[Fraction(int(c.numerator), int(c.denominator)) for c in reversed(f.all_coeffs())]
+            for f in reversed(theirs)] == [list(f.coeffs) for f in ours]
