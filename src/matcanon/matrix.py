@@ -178,8 +178,13 @@ class Matrix:
     # -- elimination-based routines -------------------------------------
 
     def _rank_and_kernel_raw(self, kernel: bool) -> tuple[int, list[list]]:
-        """Rank and, when asked for, the raw kernel basis: the one place that
-        picks between elimination over GF(p) and the modular method over Q."""
+        """Rank and raw kernel basis: the one place that picks between
+        elimination over GF(p) and the modular method over Q.
+
+        Over Q the kernel is always computed, since its exact check is what
+        proves the rank; ``kernel`` only spares the back substitution over
+        GF(p).
+        """
         field = self.field
         if not field.characteristic:
             return _rational_rank_and_kernel(self._rows)
@@ -332,25 +337,13 @@ def _prime(i: int) -> int:
 
 def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | None:
     """The fractions a/b with |a|, b <= sqrt(m/2) congruent to the residues
-    modulo m, or None when some residue has none.
-
-    The running common denominator d of the entries so far is tried
-    first: x*d mod m is usually within the bound.  Otherwise the
-    half-extended Euclidean algorithm finds a/b (Wang 1981).  None as soon
-    as d passes the bound as well: the true denominators all divide one
-    minor, and so does their lcm.
+    modulo m, found by the half-extended Euclidean algorithm (Wang 1981),
+    or None when some residue has none.  Such a fraction is unique; a
+    wrong one is left to the exact check of the caller.
     """
     bound = isqrt((m - 1) // 2)  # 2 * bound**2 < m: such a fraction is unique
-    half = m // 2
-    d = 1
     out = []
     for x in residues:
-        y = x * d % m
-        if y > half:
-            y -= m
-        if -bound <= y <= bound:
-            out.append(Fraction(y, d))
-            continue
         r0, r1, t0, t1 = m, x, 0, 1
         while r1 > bound:
             q = r0 // r1
@@ -358,11 +351,7 @@ def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | No
             t0, t1 = t1, t0 - q * t1
         if not t1 or abs(t1) > bound:
             return None
-        f = Fraction(r1, t1)
-        d = lcm(d, f.denominator)
-        if d > bound:
-            return None
-        out.append(f)
+        out.append(Fraction(r1, t1))
     return out
 
 
