@@ -10,11 +10,26 @@ field methods, so they never pay for wrapper allocation in inner loops.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 from operator import mul as _mul
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
+
+_INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """The value of the ASCII decimal literal ``[+-]?[0-9]+``.
+
+    Raises ValueError for anything else, including the underscores,
+    surrounding whitespace and non-ASCII digits that ``int`` accepts.
+    """
+    if not _INT_LITERAL.fullmatch(text):
+        raise ValueError(f"bad integer literal {text!r}")
+    return int(text)
+
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to every base in _MR_WITNESSES
@@ -81,7 +96,7 @@ class Field:
         return ops
 
     # Raw-value interface implemented by subclasses:
-    #   zero, one, canon, add, sub, mul, neg, inv, div, is_zero, sort_key, sqrt
+    #   zero, one, canon, add, sub, mul, neg, inv, div, is_zero, sqrt
     # and the two row primitives every matrix product and elimination runs on:
     #   dot(xs, ys) = sum of x*y, reduced once;  submul(xs, f, ys) = [x - f*y]
 
@@ -108,8 +123,8 @@ class Rationals(Field):
             try:
                 if "/" in text:
                     num, den = text.split("/")
-                    return Fraction(int(num, 10), int(den, 10))
-                return Fraction(int(text, 10))
+                    return Fraction(parse_int(num), parse_int(den))
+                return Fraction(parse_int(text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad rational literal {value!r}") from exc
         raise ParseError(f"cannot interpret {value!r} as a rational")
@@ -151,10 +166,6 @@ class Rationals(Field):
         if not b:
             raise DivisionByZero("division by zero")
         return a / b
-
-    @staticmethod
-    def sort_key(a):
-        return a
 
     def sqrt(self, a):
         """Distinct square roots of ``a``, positive first, or None."""
@@ -275,7 +286,7 @@ class PrimeField(Field):
             return value % self.p
         if isinstance(value, str):
             try:
-                return int(value.strip(), 10) % self.p
+                return parse_int(value.strip()) % self.p
             except ValueError as exc:
                 raise ParseError(f"bad GF({self.p}) literal {value!r}") from exc
         raise ParseError(f"cannot interpret {value!r} as an element of {self}")
@@ -313,10 +324,6 @@ class PrimeField(Field):
         if b == 0:
             raise DivisionByZero("division by zero")
         return a * pow(b, self.p - 2, self.p) % self.p
-
-    @staticmethod
-    def sort_key(a):
-        return a
 
     def sqrt(self, a):
         """Distinct square roots of ``a``, smallest residue first, or None."""
@@ -519,9 +526,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.field.is_zero(self.value)
-
-    def sort_key(self):
-        return self.field.sort_key(self.value)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):

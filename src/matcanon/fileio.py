@@ -12,7 +12,7 @@ field.
 from __future__ import annotations
 
 from .errors import FieldMismatch, ParseError
-from .fields import GF, QQ, Field
+from .fields import GF, QQ, Field, parse_int
 from .matrix import Matrix
 
 
@@ -34,7 +34,7 @@ class _Tokens:
     def next_int(self, what: str) -> int:
         word = self.next(what)
         try:
-            return int(word, 10)
+            return parse_int(word)
         except ValueError as exc:
             raise ParseError(f"expected an integer for {what}, got {word!r}") from exc
 
@@ -48,7 +48,7 @@ def parse_field_words(words: list[str]) -> Field:
         return QQ
     if len(words) == 2 and words[0] == "GF":
         try:
-            p = int(words[1], 10)
+            p = parse_int(words[1])
         except ValueError as exc:
             raise ParseError(f"bad prime {words[1]!r}") from exc
         try:

@@ -29,43 +29,69 @@ from .fields import Field, Scalar, sqrt_if_exists
 from .matrix import Matrix, block_diagonal, similarity_defect
 
 
-class Sl2Pair:
-    """A pair of 2x2 trace-zero matrices over one field."""
+class PairPoint:
+    """A pair (m1, m2) of n x n matrices: a module over two free generators."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("m1", "m2")
+
+    def __init__(self, m1: Matrix, m2: Matrix):
+        if not m1.is_square or not m2.is_square or m1.nrows != m2.nrows:
+            raise DimensionMismatch("pair members must be square of equal size")
+        if m1.field != m2.field:
+            raise FieldMismatch("pair members must share one field")
+        self.m1 = m1
+        self.m2 = m2
+
+    @property
+    def field(self) -> Field:
+        return self.m1.field
+
+    @property
+    def size(self) -> int:
+        return self.m1.nrows
+
+    def direct_sum(self, other: "PairPoint") -> "PairPoint":
+        return PairPoint(
+            block_diagonal([self.m1, other.m1]),
+            block_diagonal([self.m2, other.m2]),
+        )
+
+    def conjugated_by(self, g: Matrix) -> "PairPoint":
+        gi = g.inverse()
+        return type(self)(gi * self.m1 * g, gi * self.m2 * g)
+
+    def __eq__(self, other):
+        if isinstance(other, PairPoint):
+            return self.m1 == other.m1 and self.m2 == other.m2
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m1, self.m2))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.size}x{self.size} over {self.field})"
+
+
+class Sl2Pair(PairPoint):
+    """A pair of 2x2 trace-zero matrices over one field; a and b name m1 and m2."""
+
+    __slots__ = ()
 
     def __init__(self, a: Matrix, b: Matrix):
         for m in (a, b):
             if (m.nrows, m.ncols) != (2, 2):
                 raise DimensionMismatch("pair members must be 2x2")
-        if a.field != b.field:
-            raise FieldMismatch("pair members must share one field")
+        super().__init__(a, b)
         if not a.trace().is_zero() or not b.trace().is_zero():
             raise TraceNonzero("pair members must have trace zero")
-        self.a = a
-        self.b = b
 
     @property
-    def field(self) -> Field:
-        return self.a.field
+    def a(self) -> Matrix:
+        return self.m1
 
-    def conjugated_by(self, g: Matrix) -> "Sl2Pair":
-        gi = g.inverse()
-        return Sl2Pair(gi * self.a * g, gi * self.b * g)
-
-    def to_point(self) -> "PairPoint":
-        return PairPoint(self.a, self.b)
-
-    def __eq__(self, other):
-        if isinstance(other, Sl2Pair):
-            return self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"Sl2Pair(over {self.field})"
+    @property
+    def b(self) -> Matrix:
+        return self.m2
 
 
 class InvariantTriple:
@@ -137,14 +163,10 @@ class QForm:
         return f"QForm({self.a11}, {self.b11}, {self.b21})"
 
 
-def _det2(m: Matrix) -> Scalar:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
 def invariants(pair: Sl2Pair) -> InvariantTriple:
     """(det A, tr AB, det B); unchanged under simultaneous conjugation."""
     ab = pair.a * pair.b
-    return InvariantTriple(_det2(pair.a), ab.trace(), _det2(pair.b))
+    return InvariantTriple(pair.a.det(), ab.trace(), pair.b.det())
 
 
 def g_value(y: InvariantTriple) -> Scalar:
@@ -171,24 +193,19 @@ def q_points(y: InvariantTriple) -> list[QForm]:
         for a11 in roots_a
         for b11 in roots_b
     ]
-    points.sort(key=lambda q: (q.a11.sort_key(), q.b11.sort_key()))
+    points.sort(key=lambda q: (q.a11.value, q.b11.value))
     return points
 
 
-def _leading_one(m: Matrix) -> Matrix:
-    """m scaled so that its first nonzero entry, in row order, is 1."""
+def _leading_one(m: Matrix, column: int | None = None) -> Matrix:
+    """m scaled so that its first nonzero entry is 1: in row order, or down
+    one column when ``column`` is given."""
     field = m.field
-    first = next((x for row in m._rows for x in row if not field.is_zero(x)), None)
+    entries = m.column_raw(column) if column is not None else (x for row in m._rows for x in row)
+    first = next((x for x in entries if not field.is_zero(x)), None)
     if first is None:
         raise BasisFailure("zero intertwiner where a generator was expected")
     return m.scale(field.inv(first))
-
-
-def _eigenvector_raw(m: Matrix, lam: Scalar) -> Matrix | None:
-    """Canonical eigenvector for eigenvalue lam, first nonzero entry 1."""
-    shifted = m - Matrix.identity(m.field, m.nrows).scale(lam)
-    _, kernel = shifted.rank_and_kernel()
-    return _leading_one(kernel[0]) if kernel else None
 
 
 def common_eigenvector(pair: Sl2Pair) -> Matrix | None:
@@ -196,25 +213,22 @@ def common_eigenvector(pair: Sl2Pair) -> Matrix | None:
 
     Eigenvalue candidates of each member are the square roots of minus its
     determinant; both members must have eigenvalues in the field.  The
-    candidates are scanned in canonical root order and the first common
-    eigendirection found is returned, normalized to leading entry 1.
+    candidates are scanned in canonical root order, and the first nonzero
+    Hom((lam, mu), pair) from a 1x1 pair gives the eigendirection,
+    normalized to leading entry 1.
     """
-    roots_a = sqrt_if_exists(-_det2(pair.a))
-    roots_b = sqrt_if_exists(-_det2(pair.b))
+    roots_a = sqrt_if_exists(-pair.a.det())
+    roots_b = sqrt_if_exists(-pair.b.det())
     if roots_a is None or roots_b is None:
         raise EigenvaluesMissingInField(
             "pair members have no eigenvalues in the working field"
         )
     field = pair.field
-    ident = Matrix.identity(field, 2)
     for lam in roots_a:
-        sa = pair.a - ident.scale(lam)
         for mu in roots_b:
-            sb = pair.b - ident.scale(mu)
-            stacked = Matrix._raw(field, list(sa._rows) + list(sb._rows))
-            _, kernel = stacked.rank_and_kernel()
-            if kernel:
-                return _leading_one(kernel[0])
+            maps = intertwiners(PairPoint(Matrix(field, [[lam]]), Matrix(field, [[mu]])), pair)
+            if maps:
+                return _leading_one(maps[0])
     return None
 
 
@@ -222,9 +236,11 @@ def reduce_to_q(pair: Sl2Pair) -> tuple[Matrix, QForm]:
     """Change of basis g and the point q of Q with g^-1 * pair * g = q.
 
     The sheet is fixed deterministically: a11 is the canonical (first)
-    square root of -x1 and b11 the canonical square root of -x3.  g is
-    certified against both members of q by :func:`similarity_defect`, and
-    BasisFailure is raised if it fails.
+    square root of -x1 and b11 the canonical square root of -x3.  Over Y
+    the pair is absolutely simple, so Hom(q, pair) is one-dimensional; g is
+    its generator, scaled so that the first nonzero entry of its second
+    column is 1.  g is certified against both members of q by
+    :func:`similarity_defect`, and BasisFailure is raised if it fails.
     """
     y = invariants(pair)
     if g_value(y).is_zero():
@@ -236,18 +252,12 @@ def reduce_to_q(pair: Sl2Pair) -> tuple[Matrix, QForm]:
             f"square roots of {-y.x1} and {-y.x3} are needed in {y.field}"
         )
     a11, b11 = roots_a[0], roots_b[0]
-    v1 = _eigenvector_raw(pair.a, a11)
-    w1 = _eigenvector_raw(pair.b, -b11)
-    if v1 is None or w1 is None:
-        raise BasisFailure("an eigenvector of the reduction is missing")
-    # A*w1 = x*v1 - a11*w1 with x != 0 (otherwise w1 would be a common
-    # eigenvector, impossible over Y); x is u's entry at v1's leading 1.
-    field = pair.field
-    u = (pair.a * w1 + w1.scale(a11)).column_raw(0)
-    x = u[0] if not field.is_zero(v1.column_raw(0)[0]) else u[1]
-    g = Matrix.from_columns(field, [v1.scale(x).column_raw(0), w1.column_raw(0)])
     q = QForm(a11, b11, y.x2 - b11 * a11 * 2)
     target = q.realize()
+    maps = intertwiners(target, pair)
+    if len(maps) != 1:
+        raise BasisFailure(f"Hom(q, pair) has dimension {len(maps)}, expected 1")
+    g = _leading_one(maps[0], column=1)
     for member, normal in ((pair.a, target.a), (pair.b, target.b)):
         defect = similarity_defect(member, normal, g)
         if defect is not None:
@@ -258,49 +268,6 @@ def reduce_to_q(pair: Sl2Pair) -> tuple[Matrix, QForm]:
 # ---------------------------------------------------------------------------
 # Pairs of arbitrary size: Hom spaces and splitting off the fixed simple.
 # ---------------------------------------------------------------------------
-
-
-class PairPoint:
-    """A pair (m1, m2) of n x n matrices: a module over two free generators."""
-
-    __slots__ = ("m1", "m2")
-
-    def __init__(self, m1: Matrix, m2: Matrix):
-        if not m1.is_square or not m2.is_square or m1.nrows != m2.nrows:
-            raise DimensionMismatch("pair members must be square of equal size")
-        if m1.field != m2.field:
-            raise FieldMismatch("pair members must share one field")
-        self.m1 = m1
-        self.m2 = m2
-
-    @property
-    def field(self) -> Field:
-        return self.m1.field
-
-    @property
-    def size(self) -> int:
-        return self.m1.nrows
-
-    def direct_sum(self, other: "PairPoint") -> "PairPoint":
-        return PairPoint(
-            block_diagonal([self.m1, other.m1]),
-            block_diagonal([self.m2, other.m2]),
-        )
-
-    def conjugated_by(self, g: Matrix) -> "PairPoint":
-        gi = g.inverse()
-        return PairPoint(gi * self.m1 * g, gi * self.m2 * g)
-
-    def __eq__(self, other):
-        if isinstance(other, PairPoint):
-            return self.m1 == other.m1 and self.m2 == other.m2
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m1, self.m2))
-
-    def __repr__(self):
-        return f"PairPoint({self.size}x{self.size} over {self.field})"
 
 
 def _intertwiner_system(m: PairPoint, m2: PairPoint) -> Matrix:

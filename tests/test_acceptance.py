@@ -227,10 +227,9 @@ def test_criterion_7_fiber_census():
                     assert len(set(points)) == 4
                     realized = [q.realize() for q in points]
                     assert all(invariants(pair) == y for pair in realized)
-                    as_points = [pair.to_point() for pair in realized]
                     for i in range(4):
                         for j in range(i + 1, 4):
-                            assert simultaneously_similar(as_points[i], as_points[j]) is not None
+                            assert simultaneously_similar(realized[i], realized[j]) is not None
         assert admissible > 0
 
         two = GF(2)
@@ -305,7 +304,7 @@ def test_criterion_9_split_off():
                 a, b, c = (rng.randint(1, 10) for _ in range(3))
                 if (4 * a * b + c) % 11 != 0:
                     break
-            t = QForm(field(a), field(b), field(c)).realize().to_point()
+            t = QForm(field(a), field(b), field(c)).realize()
             g0 = rand_invertible(field, 4, rng)
             m = s.direct_sum(t).conjugated_by(g0)
             tail, h = split_off_simple(m)

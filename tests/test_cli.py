@@ -189,7 +189,7 @@ class TestPairsCommands:
         from matcanon import QForm, simple_pair
         field = GF(11)
         s = simple_pair(4, field)
-        t = QForm(field(1), field(2), field(4)).realize().to_point()
+        t = QForm(field(1), field(2), field(4)).realize()
         m = s.direct_sum(t)
         path = tmp_path / "m.mat"
         path.write_text(format_pair(m.m1, m.m2))
@@ -226,6 +226,23 @@ class TestErrorsAndDeterminism:
         path = tmp_path / "bad.mat"
         path.write_text("field Q\n2 2\n1 2 3\n")
         code, payload = run_json(capsys, "rnf", str(path))
+        assert code == 2 and payload["error"] == "ParseError"
+
+    @pytest.mark.parametrize("text", [
+        "field GF 1_0007\n1 1\n1\n",
+        "field Q\n1 1\n\u0663\n",
+        "field Q\n1_0 1\n" + "1 " * 10,
+    ])
+    def test_integer_literal_refused(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.mat"
+        path.write_text(text, encoding="utf-8")
+        code, payload = run_json(capsys, "rnf", str(path))
+        assert code == 2 and payload["error"] == "ParseError"
+
+    def test_integer_literal_refused_in_options(self, capsys, id2):
+        code, payload = run_json(capsys, "rnf", id2, "--field", "GF", "1_3")
+        assert code == 2 and payload["error"] == "ParseError"
+        code, payload = run_json(capsys, "pairs", "fiber", "1_0", "1", "1", "--field", "GF", "7")
         assert code == 2 and payload["error"] == "ParseError"
 
     def test_json_byte_determinism(self, capsys, id2):

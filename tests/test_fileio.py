@@ -95,3 +95,40 @@ class TestPairFormat:
         text = "field GF 5\n1 1\n1\n1 1\n2\n"
         a, b = parse_pair_text(text)
         assert a.field == b.field == GF(5)
+
+
+class TestIntegerLiterals:
+    """Integers are ASCII [+-]?[0-9]+: no underscores, no non-ASCII digits."""
+
+    @pytest.mark.parametrize("text", [
+        "field GF 1_0007\n1 1\n1\n",
+        "field Q\n1 1\n\u0663\n",
+        "field GF 7\n1 1\n\u0663\n",
+        "field Q\n1_0 1\n" + "1 " * 10,
+        "field Q\n1 \uff11\n1\n",
+        "field Q\n1 1\n1_0/3\n",
+        "field Q\n1 1\n3/\u0663\n",
+        "field Q\n1 1\n+-3\n",
+        "field GF 7\n1 1\n0x1\n",
+        "field GF 7\n1 1\n\u00b2\n",
+    ])
+    def test_refused(self, text):
+        with pytest.raises(ParseError):
+            parse_matrix_text(text)
+
+    def test_signs_accepted(self):
+        assert parse_matrix_text("field Q 1 2 -3/+4 +5") == Matrix(QQ, [["-3/4", 5]])
+        assert parse_matrix_text("field GF +7 1 1 +9") == Matrix(GF(7), [[2]])
+
+    @pytest.mark.parametrize("field, text", [
+        (QQ, "1_0"), (QQ, "\u0663"), (QQ, "1/2_0"), (GF(7), "1_0"), (GF(7), "\u0663"),
+    ])
+    def test_field_literals_refused(self, field, text):
+        with pytest.raises(ParseError):
+            field(text)
+
+    def test_field_words_refused(self):
+        with pytest.raises(ParseError):
+            parse_field_words(["GF", "1_3"])
+        with pytest.raises(ParseError):
+            parse_field_words(["GF", "\u0661\u0663"])

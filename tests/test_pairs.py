@@ -13,6 +13,7 @@ from matcanon import (
     DegenerateDiagonal,
     DimensionMismatch,
     EigenvaluesMissingInField,
+    FieldMismatch,
     InvariantTriple,
     Matrix,
     NotInW,
@@ -78,6 +79,42 @@ class TestInvariants:
     def test_trace_enforced(self):
         with pytest.raises(TraceNonzero):
             sl2(QQ, [[1, 0], [0, 0]], [[0, 0], [0, 0]])
+
+
+class TestSl2Pair:
+    def test_is_a_pair_point(self):
+        field = GF(7)
+        pair = QForm(field(1), field(2), field(4)).realize()
+        point = PairPoint(pair.a, pair.b)
+        assert isinstance(pair, PairPoint)
+        assert (pair.m1, pair.m2) == (pair.a, pair.b)
+        assert pair == point and hash(pair) == hash(point)
+
+    def test_conjugate_stays_sl2(self):
+        field = GF(7)
+        pair = QForm(field(1), field(2), field(4)).realize()
+        g = Matrix(field, [[2, 5], [3, 1]])
+        conjugate = pair.conjugated_by(g)
+        assert type(conjugate) is Sl2Pair
+        assert conjugate.a == g.inverse() * pair.a * g
+
+    def test_members_read_only(self):
+        pair = sl2(QQ, [[1, 0], [0, -1]], [[0, 1], [0, 0]])
+        with pytest.raises(AttributeError):
+            pair.a = pair.b
+
+    @pytest.mark.parametrize("a, b", [
+        (Matrix(QQ, [[0]]), Matrix(QQ, [[0]])),
+        (Matrix.zeros(QQ, 3, 3), Matrix.zeros(QQ, 3, 3)),
+        (Matrix.zeros(QQ, 2, 2), Matrix.zeros(QQ, 2, 3)),
+    ])
+    def test_size_enforced(self, a, b):
+        with pytest.raises(DimensionMismatch):
+            Sl2Pair(a, b)
+
+    def test_one_field(self):
+        with pytest.raises(FieldMismatch):
+            Sl2Pair(Matrix.zeros(QQ, 2, 2), Matrix.zeros(GF(7), 2, 2))
 
 
 class TestGValue:
@@ -300,33 +337,78 @@ class TestReduceToQ:
         with pytest.raises(NotInY):
             reduce_to_q(pair)
 
-    def test_missing_eigenvector_is_a_basis_failure(self, monkeypatch):
+    def test_missing_intertwiner_is_a_basis_failure(self, monkeypatch):
         field = GF(7)
         pair = QForm(field(1), field(2), field(4)).realize()
-        monkeypatch.setattr(matcanon.pairs, "_eigenvector_raw", lambda m, lam: None)
-        with pytest.raises(BasisFailure):
+        monkeypatch.setattr(matcanon.pairs, "intertwiners", lambda m, m2: [])
+        with pytest.raises(BasisFailure, match="dimension 0"):
             reduce_to_q(pair)
 
-    # Both eigenvectors of this pair are coordinate axes, so swapping the
-    # entries of one gives the other axis, which is not an eigenvector;
-    # doubling v1 breaks the leading 1 that the rescale by x relies on.
-    @pytest.mark.parametrize("member, spoil", [
-        ("a", lambda v: Matrix(v.field, [[v[1, 0]], [v[0, 0]]])),
-        ("b", lambda v: Matrix(v.field, [[v[1, 0]], [v[0, 0]]])),
-        ("a", lambda v: v.scale(2)),
+    # The columns of g are eigenvectors of A (v1, scaled) and of B (w1),
+    # both coordinate axes for this pair, so swapping the entries of one
+    # gives the other axis, which is not an eigenvector; doubling v1 breaks
+    # the superdiagonal 1 of q.
+    @pytest.mark.parametrize("column, spoil", [
+        (0, lambda x, y: (y, x)),
+        (1, lambda x, y: (y, x)),
+        (0, lambda x, y: (x * 2, y * 2)),
     ], ids=["swap-v1", "swap-w1", "double-v1"])
-    def test_spoiled_eigenvector_fails_the_certificate(self, monkeypatch, member, spoil):
+    def test_spoiled_eigenvector_fails_the_certificate(self, monkeypatch, column, spoil):
         field = GF(7)
         pair = QForm(field(1), field(2), field(4)).realize()
-        eigenvector = matcanon.pairs._eigenvector_raw
+        intertwiners = matcanon.pairs.intertwiners
 
-        def corrupt(m, lam):
-            v = eigenvector(m, lam)
-            return spoil(v) if m is getattr(pair, member) else v
+        def corrupt(m, m2):
+            f = intertwiners(m, m2)[0]
+            rows = [[f[i, j] for j in range(2)] for i in range(2)]
+            rows[0][column], rows[1][column] = spoil(rows[0][column], rows[1][column])
+            return [Matrix(field, rows)]
 
-        monkeypatch.setattr(matcanon.pairs, "_eigenvector_raw", corrupt)
+        monkeypatch.setattr(matcanon.pairs, "intertwiners", corrupt)
         with pytest.raises(BasisFailure, match="certificate"):
             reduce_to_q(pair)
+
+
+# g of reduce_to_q and the vector of common_eigenvector as an independent
+# construction gives them: g = [x*v1 | w1] from the eigenvector kernels of
+# A for a11 and of B for -b11, each scaled to leading entry 1.
+# (field, A, B, g): in the rows marked w1 = (0, 1) the second column of g
+# starts with a zero, so its normalization skips past it.
+PINNED_REDUCTIONS = [
+    (GF(2), [[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]]),
+    (GF(2), [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1, 1], [1, 0]]),
+    (GF(2), [[0, 1], [1, 0]], [[1, 0], [1, 1]], [[1, 0], [1, 1]]),  # w1 = (0, 1)
+    (GF(7), [[6, 4], [0, 1]], [[1, 4], [6, 6]], [[4, 1], [2, 1]]),
+    (GF(7), [[6, 4], [0, 1]], [[2, 0], [3, 5]], [[4, 0], [2, 1]]),  # w1 = (0, 1)
+    (GF(7), [[1, 1], [0, 6]], [[2, 0], [4, 5]], [[1, 0], [0, 1]]),  # w1 = (0, 1)
+    (QQ, [["16/11", "3/11"], ["-45/11", "-16/11"]], [["8/11", "-15/11"], ["-28/11", "-8/11"]],
+     [[3, 1], [-5, 2]]),
+    (QQ, [["-7/6", "5/18"], [-4, "7/6"]], [[3, "-11/4"], [0, -3]], [["-2/33", 1], ["-4/11", "24/11"]]),
+    (QQ, [["1/2", "1/2"], ["3/2", "-1/2"]], [[2, 0], [10, -2]], [["1/2", 0], ["1/2", 1]]),  # w1 = (0, 1)
+]
+
+# (field, A, B, common eigenvector or None)
+PINNED_EIGENVECTORS = [
+    (GF(2), [[1, 1], [0, 1]], [[0, 1], [0, 0]], [1, 0]),
+    (GF(7), [[3, 1], [0, 4]], [[2, 5], [0, 5]], [1, 0]),
+    (GF(7), [[0, 0], [1, 0]], [[3, 0], [2, 4]], [0, 1]),
+    (GF(7), [[3, 0], [1, 4]], [[4, 2], [1, 3]], [1, 6]),
+    (QQ, [[2, 0], [1, -2]], [[-3, 0], [4, 3]], [0, 1]),
+    (QQ, [[34, 77], [-15, -34]], [[89, 203], [-39, -89]], [1, "-3/7"]),
+    (QQ, [[5, -12], [2, -5]], [[1, -3], [0, -1]], None),
+]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("field, a, b, g", PINNED_REDUCTIONS)
+    def test_reduce_to_q(self, field, a, b, g):
+        got, _ = reduce_to_q(sl2(field, a, b))
+        assert got == Matrix(field, g)
+
+    @pytest.mark.parametrize("field, a, b, v", PINNED_EIGENVECTORS)
+    def test_common_eigenvector(self, field, a, b, v):
+        got = common_eigenvector(sl2(field, a, b))
+        assert got == (None if v is None else Matrix(field, [[x] for x in v]))
 
 
 class TestHomDimension:
@@ -341,7 +423,7 @@ class TestHomDimension:
     def test_simple_versus_qform(self):
         field = QQ
         s = simple_pair(4, field)
-        t = QForm(field(1), field(1), field(1)).realize().to_point()
+        t = QForm(field(1), field(1), field(1)).realize()
         assert hom_dimension(s, t) == 0
         assert hom_dimension(t, s) == 0
 
@@ -417,7 +499,7 @@ class TestSimplePair:
 
 class TestSplitOff:
     def qform_point(self, field, a, b, c):
-        return QForm(field(a), field(b), field(c)).realize().to_point()
+        return QForm(field(a), field(b), field(c)).realize()
 
     def test_block_diagonal_fixed_point(self):
         field = GF(11)

@@ -295,12 +295,14 @@ class TestCertificate:
             expect_failure("zero generator", rnf_transform, Matrix(GF(5), [[1, 2], [3, 4]]))
             rnf._diagonalize = diagonalize
 
-            # Eigenvectors without leading entry 1: x rescales v1 wrongly.
+            # An intertwiner with its first column doubled: g breaks the
+            # superdiagonal 1 of q.
             field = GF(7)
-            eigenvector = pairs._eigenvector_raw
-            pairs._eigenvector_raw = lambda m, lam: eigenvector(m, lam).scale(2)
+            intertwiners = pairs.intertwiners
+            double = Matrix(field, [[2, 0], [0, 1]])
+            pairs.intertwiners = lambda m, m2: [f * double for f in intertwiners(m, m2)]
             expect_failure("reduce", reduce_to_q, QForm(field(1), field(2), field(4)).realize())
-            pairs._eigenvector_raw = eigenvector
+            pairs.intertwiners = intertwiners
 
             # A generator f of Hom(S, M) with one wrong entry.
             field = GF(11)
@@ -312,7 +314,7 @@ class TestCertificate:
                 return x + spoil if x.nrows > x.ncols else x
 
             pairs._leading_one = spoiled
-            tail = QForm(field(1), field(2), field(4)).realize().to_point()
+            tail = QForm(field(1), field(2), field(4)).realize()
             expect_failure("split", split_off_simple, simple_pair(4, field).direct_sum(tail))
 
             # A spoiled rational reconstruction over Q: every lifted entry is

@@ -28,7 +28,7 @@ def split_instance(n, rng):
     """S(n-2) (+) T for a Q-form pair T, conjugated by a random invertible matrix."""
     t = QForm(QQ(rng.randint(1, 5)), QQ(rng.randint(1, 5)), QQ(rng.randint(1, 5))).realize()
     g = rand_invertible(QQ, n, rng)
-    return simple_pair(n, QQ).direct_sum(t.to_point()).conjugated_by(g)
+    return simple_pair(n, QQ).direct_sum(t).conjugated_by(g)
 
 
 def sympy_rank_and_kernel(rows):
