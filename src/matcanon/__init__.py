@@ -26,7 +26,6 @@ from .errors import (
     DegreeZero,
     DimensionMismatch,
     DivisionByZero,
-    EigenvaluesMissingInField,
     EmptyInput,
     FieldMismatch,
     MatcanonError,

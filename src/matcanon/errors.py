@@ -61,10 +61,6 @@ class RootsMissingInField(MatcanonError):
     """A required square root does not exist in the working field."""
 
 
-class EigenvaluesMissingInField(MatcanonError):
-    """Eigenvalues of the given matrices do not lie in the working field."""
-
-
 class NotInW(MatcanonError):
     """Hom-dimension gates for splitting off the fixed simple pair failed."""
 

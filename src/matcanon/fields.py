@@ -96,9 +96,12 @@ class Field:
         return ops
 
     # Raw-value interface implemented by subclasses:
-    #   zero, one, canon, add, sub, mul, neg, inv, div, is_zero, sqrt
+    #   zero, one, canon, add, sub, mul, neg, inv, is_zero, sqrt
     # and the two row primitives every matrix product and elimination runs on:
     #   dot(xs, ys) = sum of x*y, reduced once;  submul(xs, f, ys) = [x - f*y]
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
 
 
 class Rationals(Field):
@@ -161,11 +164,6 @@ class Rationals(Field):
         if not a:
             raise DivisionByZero("inverse of zero")
         return 1 / a
-
-    def div(self, a, b):
-        if not b:
-            raise DivisionByZero("division by zero")
-        return a / b
 
     def sqrt(self, a):
         """Distinct square roots of ``a``, positive first, or None."""
@@ -319,11 +317,6 @@ class PrimeField(Field):
         if a == 0:
             raise DivisionByZero("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        return a * pow(b, self.p - 2, self.p) % self.p
 
     def sqrt(self, a):
         """Distinct square roots of ``a``, smallest residue first, or None."""

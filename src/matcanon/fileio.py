@@ -6,7 +6,8 @@ not significant).  Rational entries are written `num/den` or `num`.
 A pair file is two such matrix blocks concatenated.  When a caller
 supplies a field override it must agree with the header; a block may omit
 the header entirely, in which case the override is the sole source of the
-field.
+field.  Without an override, the second block of a pair must agree with
+the first.
 """
 
 from __future__ import annotations
@@ -69,9 +70,7 @@ def _parse_block(tokens: _Tokens, override: Field | None) -> Matrix:
         name = tokens.next("field name")
         field = parse_field_words([name, tokens.next("field modulus")] if name == "GF" else [name])
         if override is not None and override != field:
-            raise FieldMismatch(
-                f"file declares {field} but {override} was requested"
-            )
+            raise FieldMismatch(f"block declares {field} but {override} is required")
     elif override is not None:
         field = override
     else:
@@ -100,8 +99,6 @@ def parse_pair_text(text: str, override: Field | None = None) -> tuple[Matrix, M
     second = _parse_block(tokens, override if override is not None else first.field)
     if not tokens.exhausted():
         raise ParseError(f"trailing input after pair: {tokens.peek()!r}")
-    if first.field != second.field:
-        raise FieldMismatch("pair members declare different fields")
     return first, second
 
 

@@ -177,23 +177,20 @@ class Matrix:
 
     # -- elimination-based routines -------------------------------------
 
-    def _rank_and_kernel_raw(self, kernel: bool) -> tuple[int, list[list]]:
+    def _rank_and_kernel_raw(self) -> tuple[int, list[list]]:
         """Rank and raw kernel basis: the one place that picks between
-        elimination over GF(p) and the modular method over Q.
-
-        Over Q the kernel is always computed, since its exact check is what
-        proves the rank; ``kernel`` only spares the back substitution over
-        GF(p).
+        the forward pass plus back substitution over GF(p) and the modular
+        method over Q.
         """
         field = self.field
         if not field.characteristic:
             return _rational_rank_and_kernel(self._rows)
         rows = [list(row) for row in self._rows]
         pivots, _ = _forward(field, rows)
-        return len(pivots), _back_substitute(field, rows, pivots) if kernel else []
+        return len(pivots), _back_substitute(field, rows, pivots)
 
     def rank(self) -> int:
-        return self._rank_and_kernel_raw(kernel=False)[0]
+        return self._rank_and_kernel_raw()[0]
 
     def rank_and_kernel(self) -> tuple[int, list["Matrix"]]:
         """Rank and a deterministic basis of the right null space.
@@ -202,7 +199,7 @@ class Matrix:
         vector for free column f has entry 1 there and zeros in the other
         free columns, so rank + len(basis) == ncols always holds.
         """
-        rank, basis = self._rank_and_kernel_raw(kernel=True)
+        rank, basis = self._rank_and_kernel_raw()
         return rank, [Matrix._raw(self.field, [[x] for x in v]) for v in basis]
 
     def inverse(self) -> "Matrix":

@@ -18,7 +18,6 @@ from .errors import (
     DegenerateComposite,
     DegenerateDiagonal,
     DimensionMismatch,
-    EigenvaluesMissingInField,
     FieldMismatch,
     NotInW,
     NotInY,
@@ -174,6 +173,22 @@ def g_value(y: InvariantTriple) -> Scalar:
     return y.x1 * y.x3 * (y.x2 * y.x2 - y.x1 * y.x3 * 4)
 
 
+def _roots(y: InvariantTriple) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
+    """The square roots of -x1 and of -x3, each canonical root first.
+
+    They fix the sheets of Q over y, and for a trace-zero pair they are the
+    eigenvalues of its members.  Raises RootsMissingInField if either is
+    missing in the field.
+    """
+    roots_a = sqrt_if_exists(-y.x1)
+    roots_b = sqrt_if_exists(-y.x3)
+    if roots_a is None or roots_b is None:
+        raise RootsMissingInField(
+            f"square roots of {-y.x1} and {-y.x3} are needed in {y.field}"
+        )
+    return roots_a, roots_b
+
+
 def q_points(y: InvariantTriple) -> list[QForm]:
     """All points of Q in the fibre over y, sorted by (a11, b11).
 
@@ -182,12 +197,7 @@ def q_points(y: InvariantTriple) -> list[QForm]:
     """
     if g_value(y).is_zero():
         raise NotInY(f"{y!r} lies outside Y")
-    roots_a = sqrt_if_exists(-y.x1)
-    roots_b = sqrt_if_exists(-y.x3)
-    if roots_a is None or roots_b is None:
-        raise RootsMissingInField(
-            f"square roots of {-y.x1} and {-y.x3} are needed in {y.field}"
-        )
+    roots_a, roots_b = _roots(y)
     points = [
         QForm(a11, b11, y.x2 - b11 * a11 * 2)
         for a11 in roots_a
@@ -212,17 +222,12 @@ def common_eigenvector(pair: Sl2Pair) -> Matrix | None:
     """A simultaneous eigenvector of the pair (as a 2x1 matrix), or None.
 
     Eigenvalue candidates of each member are the square roots of minus its
-    determinant; both members must have eigenvalues in the field.  The
-    candidates are scanned in canonical root order, and the first nonzero
-    Hom((lam, mu), pair) from a 1x1 pair gives the eigendirection,
-    normalized to leading entry 1.
+    determinant; RootsMissingInField is raised unless both members have
+    eigenvalues in the field.  The candidates are scanned in canonical
+    root order, and the first nonzero Hom((lam, mu), pair) from a 1x1 pair
+    gives the eigendirection, normalized to leading entry 1.
     """
-    roots_a = sqrt_if_exists(-pair.a.det())
-    roots_b = sqrt_if_exists(-pair.b.det())
-    if roots_a is None or roots_b is None:
-        raise EigenvaluesMissingInField(
-            "pair members have no eigenvalues in the working field"
-        )
+    roots_a, roots_b = _roots(invariants(pair))
     field = pair.field
     for lam in roots_a:
         for mu in roots_b:
@@ -245,12 +250,7 @@ def reduce_to_q(pair: Sl2Pair) -> tuple[Matrix, QForm]:
     y = invariants(pair)
     if g_value(y).is_zero():
         raise NotInY(f"{y!r} lies outside Y")
-    roots_a = sqrt_if_exists(-y.x1)
-    roots_b = sqrt_if_exists(-y.x3)
-    if roots_a is None or roots_b is None:
-        raise EigenvaluesMissingInField(
-            f"square roots of {-y.x1} and {-y.x3} are needed in {y.field}"
-        )
+    roots_a, roots_b = _roots(y)
     a11, b11 = roots_a[0], roots_b[0]
     q = QForm(a11, b11, y.x2 - b11 * a11 * 2)
     target = q.realize()
@@ -292,9 +292,8 @@ def _intertwiner_system(m: PairPoint, m2: PairPoint) -> Matrix:
 
 
 def hom_dimension(m: PairPoint, m2: PairPoint) -> int:
-    """dim Hom(M, M2) = n*n2 - rank of the intertwiner system."""
-    system = _intertwiner_system(m, m2)
-    return m.size * m2.size - system.rank()
+    """dim Hom(M, M2): the number of basis maps :func:`intertwiners` returns."""
+    return len(intertwiners(m, m2))
 
 
 def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:

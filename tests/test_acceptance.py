@@ -20,7 +20,6 @@ from matcanon import (
     QForm,
     RationalNormalForm,
     RootsMissingInField,
-    EigenvaluesMissingInField,
     Sl2Pair,
     affine_point,
     common_eigenvector,
@@ -280,7 +279,7 @@ def test_criterion_8_common_eigenvector_dichotomy():
                 ]
                 try:
                     got = common_eigenvector(pair)
-                except EigenvaluesMissingInField:
+                except RootsMissingInField:
                     assert not eigen_directions(a) or not eigen_directions(b)
                     assert not common
                     continue

@@ -181,6 +181,14 @@ class TestPairsCommands:
         assert code == 0
         assert payload["q_form"] == {"a11": "1", "b11": "2", "b21": "4"}
 
+    def test_reduce_missing_roots(self, capsys, tmp_path):
+        # (4, 2, 6) lies in Y over GF(7), but -x1 = 3 has no square root.
+        path = tmp_path / "pair.mat"
+        path.write_text(format_pair(Matrix(GF(7), [[0, 1], [3, 0]]), Matrix(GF(7), [[1, 0], [2, 6]])))
+        code, payload = run_json(capsys, "pairs", "reduce", str(path))
+        assert code == 2 and payload["error"] == "RootsMissingInField"
+        assert run_json(capsys, "pairs", "fiber", "4", "2", "6", "--field", "GF", "7") == (code, payload)
+
     def test_hom(self, capsys, tmp_path, qpair7):
         code, payload = run_json(capsys, "pairs", "hom", qpair7, qpair7)
         assert code == 0 and payload["hom_dimension"] == 1
@@ -221,6 +229,15 @@ class TestErrorsAndDeterminism:
     def test_field_override_mismatch(self, capsys, id2):
         code, payload = run_json(capsys, "rnf", id2, "--field", "GF", "5")
         assert code == 2 and payload["error"] == "FieldMismatch"
+
+    def test_field_mismatch_messages(self, capsys, tmp_path, id2):
+        code, payload = run_json(capsys, "rnf", id2, "--field", "GF", "5")
+        assert (code, payload["message"]) == (2, "block declares Q but GF(5) is required")
+        path = tmp_path / "pair.mat"
+        path.write_text("field GF 3\n1 1\n1\nfield GF 5\n1 1\n1\n")
+        code, payload = run_json(capsys, "pairs", "invariants", str(path))
+        assert code == 2 and payload["error"] == "FieldMismatch"
+        assert payload["message"] == "block declares GF(5) but GF(3) is required"
 
     def test_parse_error_named(self, capsys, tmp_path):
         path = tmp_path / "bad.mat"

@@ -48,6 +48,15 @@ class TestScalarArithmetic:
         with pytest.raises(DivisionByZero):
             1 / GF(7)(0)
 
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+    def test_division_is_product_with_inverse(self, field):
+        for a in range(-3, 4):
+            for b in (-2, -1, 1, 3):
+                assert field(a) / field(b) == field(a) * field(b).inverse()
+        for divide in (lambda: field(2) / 0, lambda: 2 / field(0)):
+            with pytest.raises(DivisionByZero, match="^inverse of zero$"):
+                divide()
+
 
 class TestCanonicalForm:
     def test_rationals_lowest_terms(self):

@@ -12,9 +12,9 @@ from matcanon import (
     DegenerateComposite,
     DegenerateDiagonal,
     DimensionMismatch,
-    EigenvaluesMissingInField,
     FieldMismatch,
     InvariantTriple,
+    MatcanonError,
     Matrix,
     NotInW,
     NotInY,
@@ -249,7 +249,7 @@ class TestCommonEigenvector:
     def test_eigenvalues_missing(self):
         # A = [[0,-1],[1,0]] has det 1, and -1 is a non-residue mod 7.
         pair = sl2(GF(7), [[0, 6], [1, 0]], [[0, 0], [0, 0]])
-        with pytest.raises(EigenvaluesMissingInField):
+        with pytest.raises(RootsMissingInField):
             common_eigenvector(pair)
 
     def test_exhaustive_gf3_against_direction_oracle(self):
@@ -277,7 +277,7 @@ class TestCommonEigenvector:
                 oracle = [v for v in directions if is_eigen(a, v) and is_eigen(b, v)]
                 try:
                     got = common_eigenvector(pair)
-                except EigenvaluesMissingInField:
+                except RootsMissingInField:
                     # no k-rational eigenvalues for some member: the oracle
                     # must agree that that member has no eigendirection
                     assert not all(
@@ -336,6 +336,41 @@ class TestReduceToQ:
         pair = sl2(QQ, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
         with pytest.raises(NotInY):
             reduce_to_q(pair)
+
+    def test_missing_roots_one_error(self):
+        # (4, 2, 6) lies in Y over GF(7), but -x1 = 3 is a non-residue.
+        pair = sl2(GF(7), [[0, 1], [3, 0]], [[1, 0], [2, 6]])
+        y = invariants(pair)
+        assert y == triple(GF(7), 4, 2, 6)
+        messages = set()
+        for compute, arg in ((q_points, y), (reduce_to_q, pair), (common_eigenvector, pair)):
+            with pytest.raises(RootsMissingInField) as info:
+                compute(arg)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    def test_every_gf3_pair_agrees_with_q_points(self):
+        """For each of the 27 x 27 trace-zero pairs over GF(3), reduce_to_q
+        lands in the fibre q_points lists, or both raise the same class."""
+        field = GF(3)
+        members = [
+            Matrix(field, [[a, b], [c, -a]])
+            for a in range(3) for b in range(3) for c in range(3)
+        ]
+        refused = set()
+        for a in members:
+            for b in members:
+                pair = Sl2Pair(a, b)
+                try:
+                    points = q_points(invariants(pair))
+                except MatcanonError as exc:
+                    with pytest.raises(MatcanonError) as info:
+                        reduce_to_q(pair)
+                    assert type(info.value) is type(exc)
+                    refused.add(type(exc))
+                    continue
+                assert reduce_to_q(pair)[1] in points
+        assert refused == {NotInY, RootsMissingInField}
 
     def test_missing_intertwiner_is_a_basis_failure(self, monkeypatch):
         field = GF(7)
