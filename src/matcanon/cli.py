@@ -165,7 +165,7 @@ def _cmd_pairs_fiber(args) -> Report:
 def _cmd_pairs_reduce(args) -> Report:
     pair = _pair_from_file(args.pair, _field_override(args))
     g, q = reduce_to_q(pair)
-    y = invariants(pair)
+    y = q.invariants()  # q is conjugate to the pair: the same triple, no second pass
     return Report("ok", {
         "field": field_label(pair.field),
         "triple": [str(y.x1), str(y.x2), str(y.x3)],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul as _mul
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
@@ -150,7 +150,11 @@ class Rationals(Field):
 
     @staticmethod
     def dot(xs, ys):
-        return sum(map(_mul, xs, ys), Fraction(0))
+        # Exact integer products over one common denominator, normalized once.
+        terms = [(x.numerator * y.numerator, x.denominator * y.denominator)
+                 for x, y in zip(xs, ys) if x and y]
+        den = lcm(*[d for _, d in terms])
+        return Fraction(sum(n * (den // d) for n, d in terms), den)
 
     @staticmethod
     def submul(xs, f, ys):
@@ -316,7 +320,7 @@ class PrimeField(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def sqrt(self, a):
         """Distinct square roots of ``a``, smallest residue first, or None."""
@@ -398,9 +402,9 @@ class PrimeField(Field):
                 raise DivisionByZero("polynomial division by zero")
             r = list(f)
             dg = len(g) - 1
-            ilead = pow(g[-1], p - 2, p)
             if len(r) - 1 < dg:
                 return [], strip(r)
+            ilead = pow(g[-1], -1, p)
             q = [0] * (len(r) - dg)
             for k in range(len(r) - 1, dg - 1, -1):
                 c = r[k] % p
@@ -418,7 +422,7 @@ class PrimeField(Field):
             lead = f[-1]
             if lead == 1:
                 return list(f)
-            il = pow(lead, p - 2, p)
+            il = pow(lead, -1, p)
             return [c * il % p for c in f]
 
         return PolyOps(padd, psub, pmul, pscale, pdivmod, pmonic, pneg)

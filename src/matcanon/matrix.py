@@ -237,7 +237,8 @@ class Matrix:
         return Scalar(field, det)
 
     def is_invertible(self) -> bool:
-        return self.is_square and not self.det().is_zero()
+        # Full rank; over Q the rank is proved modulo primes with no Fractions.
+        return self.is_square and self.rank() == self.nrows
 
     # -- misc ------------------------------------------------------------
 
@@ -332,13 +333,26 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
+def _crt(lifted: list[int], m: int, residues: list[int], p: int) -> tuple[list[int], int]:
+    """The values modulo m*p that are the lifted values modulo m and the
+    residues modulo p, and m*p."""
+    inv_m = pow(m, -1, p)
+    return [x + m * ((r - x) * inv_m % p) for x, r in zip(lifted, residues)], m * p
+
+
+def _reconstruction_bound(m: int) -> int:
+    """The largest B with 2 * B**2 < m: a fraction a/b with |a|, b <= B is
+    the only one of that size with its residue modulo m."""
+    return isqrt((m - 1) // 2)
+
+
 def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | None:
     """The fractions a/b with |a|, b <= sqrt(m/2) congruent to the residues
     modulo m, found by the half-extended Euclidean algorithm (Wang 1981),
     or None when some residue has none.  Such a fraction is unique; a
     wrong one is left to the exact check of the caller.
     """
-    bound = isqrt((m - 1) // 2)  # 2 * bound**2 < m: such a fraction is unique
+    bound = _reconstruction_bound(m)
     out = []
     for x in residues:
         r0, r1, t0, t1 = m, x, 0, 1
@@ -402,9 +416,7 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
         if best is None or key < best:
             best, lifted, modulus = key, residues, p
         else:
-            inv_m = pow(modulus, -1, p)
-            lifted = [x + modulus * ((r - x) * inv_m % p) for x, r in zip(lifted, residues)]
-            modulus *= p
+            lifted, modulus = _crt(lifted, modulus, residues, p)
         entries = _rational_reconstruction(lifted, modulus)
         if entries is None:
             continue

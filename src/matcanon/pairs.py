@@ -150,6 +150,12 @@ class QForm:
         b = Matrix(field, [[self.b11, 0], [self.b21, -self.b11]])
         return Sl2Pair(a, b)
 
+    def invariants(self) -> InvariantTriple:
+        """The triple of the realized pair, read off the coordinates:
+        (-a11^2, 2*a11*b11 + b21, -b11^2)."""
+        return InvariantTriple(-(self.a11 * self.a11), self.a11 * self.b11 * 2 + self.b21,
+                               -(self.b11 * self.b11))
+
     def __eq__(self, other):
         if isinstance(other, QForm):
             return (self.a11, self.b11, self.b21) == (other.a11, other.b11, other.b21)

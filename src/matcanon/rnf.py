@@ -9,11 +9,19 @@ iterates under A assemble an invertible T with T^-1 * A * T = R.  Every
 step is a rational operation in the entries of A, and the operation count
 is polynomial in n.  The pair (R, T) is certified by A * T == T * R with
 det T != 0, so no inverse is ever formed.
+
+Over Q the same diagonalization and generators run modulo word-size
+primes instead of on Fractions.  Each run records its decisions; the
+primes that decide alike are combined by CRT, the values are lifted by
+rational reconstruction, and the first lift that passes the certificate
+over Q is returned, by ``rnf_transform`` and (its chain) by
+``invariant_factors``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import lcm
 
 from .errors import (
     BasisFailure,
@@ -22,8 +30,16 @@ from .errors import (
     NonSquare,
     NotMonic,
 )
-from .fields import Field
-from .matrix import Matrix, block_diagonal, similarity_defect
+from .fields import GF, QQ, Field
+from .matrix import (
+    Matrix,
+    _crt,
+    _prime,
+    _rational_reconstruction,
+    _reconstruction_bound,
+    block_diagonal,
+    similarity_defect,
+)
 from .poly import Polynomial
 
 
@@ -187,19 +203,23 @@ def _char_matrix(a: Matrix) -> list[list[list]]:
     return out
 
 
-def _diagonalize(field: Field, d: list[list[list]], track: bool):
+def _diagonalize(field: Field, d: list[list[list]], track: bool, trace: list | None = None):
     """Reduce a square polynomial matrix to diagonal form d_1 | d_2 | ...
 
     Returns (diagonal coefficient lists, winv) where winv is the inverse of
     the accumulated row-operation product (or None when not tracked).  The
     diagonal entries are monic; the input must be nonsingular over k(X),
-    which holds for every characteristic matrix.
+    which holds for every characteristic matrix.  Every decision the
+    reduction takes (each pivot (len, i, j), each dirty flag, each
+    offender) is appended to ``trace`` when one is given.
     """
     ops = field.poly_ops()
     padd, psub, pmul, pdivmod, pscale = ops.add, ops.sub, ops.mul, ops.divmod, ops.scale
     one, neg_one = field.one, field.neg(field.one)
     m = len(d)
     winv = None
+    if trace is None:
+        trace = []
     if track:
         winv = [[[one] if i == j else [] for j in range(m)] for i in range(m)]
 
@@ -235,6 +255,7 @@ def _diagonalize(field: Field, d: list[list[list]], track: bool):
                     break
             if best is None:
                 raise BasisFailure("singular polynomial matrix in normal-form reduction")
+            trace.append(best)
             _, bi, bj = best
             if bi != t:
                 d[t], d[bi] = d[bi], d[t]
@@ -260,6 +281,7 @@ def _diagonalize(field: Field, d: list[list[list]], track: bool):
                     col_addmul(j, t, q)
                     if r:
                         dirty = True
+            trace.append(dirty)
             if dirty:
                 continue
             offender = None
@@ -271,6 +293,7 @@ def _diagonalize(field: Field, d: list[list[list]], track: bool):
                         break
                 if offender is not None:
                     break
+            trace.append(offender)
             if offender is None:
                 break
             row_addmul(t, offender, [neg_one])
@@ -297,8 +320,61 @@ def invariant_factors(a: Matrix) -> RationalNormalForm:
     """The unique chain (P_1, ..., P_r), P_{i+1} | P_i, of the class of a."""
     if not a.is_square:
         raise NonSquare("invariant factors need a square matrix")
+    if not a.field.characteristic:
+        return _rational_rnf_transform(a)[2]
     diag, _ = _diagonalize(a.field, _char_matrix(a), track=False)
     return _chain(a.field, diag, a.nrows)
+
+
+def _generators(a: Matrix, diag: list[list], winv) -> tuple[list[list], list[int]] | None:
+    """The generator of each cyclic summand, largest annihilator first, and
+    the index of its first nonzero entry; None if a generator is zero.
+
+    The generator of the summand with annihilator diag[t] is the sum of
+    winv[j][t](A) * e_j, taken in one Horner pass over the coefficient
+    index k (v = A*v, then v[j] += coefficient k of winv[j][t]).  Any
+    nonzero multiple generates the same summand; first nonzero entry 1
+    fixes T and keeps its entries small over Q.
+    """
+    field = a.field
+    n = a.nrows
+    add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
+    generators, firsts = [], []
+    for t in range(n - 1, -1, -1):
+        if len(diag[t]) == 1:
+            continue
+        ws = [winv[j][t] for j in range(n)]
+        top = max(map(len, ws)) - 1
+        v = [zero] * n
+        for k in range(top, -1, -1):
+            if k < top:
+                v = a.mul_vector_raw(v)
+            v = [add(x, w[k]) if k < len(w) else x for x, w in zip(v, ws)]
+        first = next((k for k, x in enumerate(v) if not is_zero(x)), None)
+        if first is None:
+            return None
+        inv_first = field.inv(v[first])
+        generators.append([mul(x, inv_first) for x in v])
+        firsts.append(first)
+    return generators, firsts
+
+
+def _assemble(
+    a: Matrix, diag: list[list], generators: list[list]
+) -> tuple[Matrix, Matrix, RationalNormalForm]:
+    """(R, T, chain): the columns of T are each generator followed by its
+    iterates under A, one block per invariant factor."""
+    field = a.field
+    n = a.nrows
+    chain = _chain(field, diag, n)
+    columns = []
+    for v, factor in zip(generators, chain):
+        columns.append(v)
+        for _ in range(factor.degree - 1):
+            v = a.mul_vector_raw(v)
+            columns.append(v)
+    t_mat = Matrix._raw(field, [[col[i] for col in columns] for i in range(n)])
+    return assemble_rnf_matrix(chain), t_mat, chain
 
 
 def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
@@ -307,45 +383,104 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
 
     One diagonalization yields all three; the result is certified by
     :func:`similarity_defect` and BasisFailure is raised if it fails.
+    Over Q the diagonalization runs modulo primes (see
+    :func:`_rational_rnf_transform`).
     """
     if not a.is_square:
         raise NonSquare("normal-form transform needs a square matrix")
     field = a.field
-    n = a.nrows
+    if not field.characteristic:
+        return _rational_rnf_transform(a)
     diag, winv = _diagonalize(field, _char_matrix(a), track=True)
-    chain = _chain(field, diag, n)
-    add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
-
-    columns = []
-    for t in range(n - 1, -1, -1):
-        deg = len(diag[t]) - 1
-        if deg == 0:
-            continue
-        # Generator of the cyclic summand with annihilator diag[t]: the sum of
-        # winv[j][t](A) * e_j, one Horner pass over the coefficient index k
-        # (v = A*v, then v[j] += coefficient k of winv[j][t]).
-        ws = [winv[j][t] for j in range(n)]
-        top = max(map(len, ws)) - 1
-        v = [zero] * n
-        for k in range(top, -1, -1):
-            if k < top:
-                v = a.mul_vector_raw(v)
-            v = [add(x, w[k]) if k < len(w) else x for x, w in zip(v, ws)]
-        # Any nonzero multiple generates the same summand; first nonzero
-        # entry 1 fixes T and keeps its entries small over Q.
-        first = next((x for x in v if not is_zero(x)), None)
-        if first is None:
-            raise BasisFailure("zero generator of a cyclic summand")
-        inv_first = field.inv(first)
-        col = [mul(x, inv_first) for x in v]
-        columns.append(col)
-        for _ in range(deg - 1):
-            col = a.mul_vector_raw(col)
-            columns.append(col)
-
-    t_mat = Matrix._raw(field, [[col[i] for col in columns] for i in range(n)])
-    r_mat = assemble_rnf_matrix(chain)
+    generators = _generators(a, diag, winv)
+    if generators is None:
+        raise BasisFailure("zero generator of a cyclic summand")
+    r_mat, t_mat, chain = _assemble(a, diag, generators[0])
     defect = similarity_defect(a, r_mat, t_mat)
     if defect is not None:
         raise BasisFailure(f"normal-form transform failed its certificate: {defect}")
     return r_mat, t_mat, chain
+
+
+def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
+    """(R, T, chain) of a matrix over Q, computed modulo primes.
+
+    For each prime p of the fixed sequence (``matrix._prime``) that divides
+    no denominator of A, the diagonalization and the generators run over
+    GF(p) on A mod p, and their trace is recorded: every decision of
+    ``_diagonalize`` and the first nonzero index of each generator.  If the
+    trace is the one of the same run over Q, then p divides no pivot lead
+    and no generator entry that the run divides by, so every value of the
+    run mod p is the image of its value over Q.  The primes of one trace
+    are combined by CRT, and at the counts of ``_lift_due`` the diagonal
+    and the generators are lifted by rational reconstruction.  The other
+    columns of T, the iterates of the generators, are then computed over
+    Q, and the lift is kept only if every entry of T lies within the
+    reconstruction bound: then it is exactly what lifting all of T would
+    give, and a generator lifted from too few primes, whose iterates fall
+    far outside the bound, is refused.  The first (R, T, chain) kept that
+    passes :func:`similarity_defect` over Q is returned; the certificate
+    proves T and the chain, which is unique.  The primes of the true trace
+    lift to the run over Q once their product passes twice the square of
+    its largest numerator or denominator, and only finitely many primes
+    change the trace, so the loop ends with no cap on the number of
+    primes.  A lift certified from too few primes or from another trace
+    would be another valid T; on the test and benchmark corpus T is always
+    the one of the run over Q.
+    """
+    n = a.nrows
+    den = lcm(*(x.denominator for row in a._rows for x in row))
+    groups: dict[tuple, tuple[list[int], int, int]] = {}  # trace -> (lifted values, modulus, primes)
+    i = 0
+    while True:
+        p = _prime(i)
+        i += 1
+        if den % p == 0:
+            continue
+        field = GF(p)
+        a_p = Matrix._raw(field, [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                                  for row in a._rows])
+        trace: list = []
+        diag, winv = _diagonalize(field, _char_matrix(a_p), track=True, trace=trace)
+        generators = _generators(a_p, diag, winv)
+        if generators is None:
+            continue  # p divides a whole generator over Q: another trace
+        vectors, firsts = generators
+        residues = [c for f in diag for c in f] + [x for v in vectors for x in v]
+        key = (tuple(trace), tuple(firsts))
+        if key in groups:
+            lifted, m, count = groups[key]
+            lifted, m = _crt(lifted, m, residues, p)
+            count += 1
+        else:
+            lifted, m, count = residues, p, 1
+        groups[key] = lifted, m, count
+        if not _lift_due(count):
+            continue
+        values = _rational_reconstruction(lifted, m)
+        if values is None:
+            continue
+        it = iter(values)
+        q_diag = [[next(it) for _ in f] for f in diag]
+        q_vectors = [[next(it) for _ in range(n)] for _ in vectors]
+        try:
+            r_mat, t_mat, chain = _assemble(a, q_diag, q_vectors)
+        except ChainViolation:
+            continue
+        bound = _reconstruction_bound(m)
+        if any(abs(x.numerator) > bound or x.denominator > bound for row in t_mat._rows for x in row):
+            continue
+        if similarity_defect(a, r_mat, t_mat) is None:
+            return r_mat, t_mat, chain
+
+
+def _lift_due(count: int) -> bool:
+    """Whether the values of a trace are lifted after its count-th prime:
+    after 1, 2, ..., 16, 18, 20, 22, 24, 27, 30, ... primes, each count an
+    eighth above the one before (rounded down, at least one more).  A lift
+    costs time quadratic in the bits of the modulus, so lifting after every
+    prime would cost time cubic in the number of primes."""
+    due = 1
+    while due < count:
+        due += max(1, due // 8)
+    return due == count

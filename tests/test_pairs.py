@@ -324,6 +324,18 @@ class TestReduceToQ:
             reduced = pair.conjugated_by(g)
             assert reduced == got.realize()
 
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+    def test_form_triple_is_pair_triple(self, field):
+        """q.invariants(), which `pairs reduce` reports, is the triple of
+        the pair it was reduced from."""
+        rng = random.Random(79)
+        q = QForm(field(1), field(1), field(1))
+        assert q.invariants() == invariants(q.realize())
+        for _ in range(5):
+            pair = q.realize().conjugated_by(rand_invertible(field, 2, rng))
+            _, got = reduce_to_q(pair)
+            assert got.invariants() == invariants(pair)
+
     def test_char_two(self):
         field = GF(2)
         q = QForm(field(1), field(1), field(1))

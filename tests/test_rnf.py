@@ -6,11 +6,13 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import matcanon
+import matcanon.rnf as rnf
 from matcanon import (
     GF,
     QQ,
@@ -29,6 +31,7 @@ from matcanon import (
     rnf_transform,
     similarity_defect,
 )
+from matcanon.matrix import _prime
 from bruteforce import conjugation_orbit
 
 from helpers import (
@@ -248,6 +251,71 @@ class TestOneDiagonalization:
         ]
         for a in known:
             assert rnf_transform(a)[2] == invariant_factors(a)
+
+
+def exact_transform(a):
+    """(R, T, chain) of the diagonalization and generators run over Q itself."""
+    diag, winv = rnf._diagonalize(QQ, rnf._char_matrix(a), track=True)
+    generators, _ = rnf._generators(a, diag, winv)
+    return rnf._assemble(a, diag, generators)
+
+
+class TestModularTransform:
+    """Over Q the chain and T are computed modulo primes, lifted, and
+    certified; they are exactly those of the same run over Q."""
+
+    def derogatory(self, rng):
+        parts = rng.choice([(3, 2, 1), (2, 2, 1, 1), (4, 2), (3, 3)])
+        factors = [rand_monic(QQ, parts[-1], rng)]
+        for part in reversed(parts[:-1]):
+            factors.insert(0, factors[0] * rand_monic(QQ, part - factors[0].degree, rng))
+        r = assemble_rnf_matrix(RationalNormalForm(factors))
+        g = rand_invertible(QQ, r.nrows, rng)
+        return g * r * g.inverse()
+
+    def test_matches_the_run_over_q(self):
+        rng = random.Random(53)
+        for k in range(24):
+            n = rng.randint(1, 10)
+            if k % 3 == 0:
+                a = Matrix(QQ, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            elif k % 3 == 1:
+                a = rand_matrix(QQ, n, rng)  # entries with denominators up to 9
+            else:
+                a = self.derogatory(rng)
+            expected = exact_transform(a)
+            assert rnf_transform(a) == expected
+            assert invariant_factors(a) == expected[2]
+
+    def test_bad_primes_are_skipped(self, monkeypatch):
+        p0 = _prime(0)
+        x = Polynomial.x(QQ)
+        used = []
+        diagonalize = rnf._diagonalize
+
+        def recording(field, d, track, trace=None):
+            used.append(field.characteristic)
+            return diagonalize(field, d, track, trace)
+
+        monkeypatch.setattr(rnf, "_diagonalize", recording)
+        cases = [
+            # Over Q the chain is (X^2); modulo p0 the matrix is 0, chain (X, X).
+            (Matrix(QQ, [[0, p0], [0, 0]]), [x * x], True),
+            (companion(x ** 3 - p0), [x ** 3 - p0], True),
+            # Modulo p0 the second step pivots elsewhere and the generator
+            # differs from the image of the one over Q.
+            (Matrix(QQ, [[2, 2, 0], [2, 0, 0], [0, p0, 3]]), None, True),
+            # p0 divides a denominator, so A has no image modulo p0.
+            (Matrix(QQ, [[Fraction(1, p0), 1], [2, 3]]), None, False),
+        ]
+        for a, chain, p0_tried in cases:
+            used.clear()
+            r, t, got = rnf_transform(a)
+            assert (r, t, got) == exact_transform(a)
+            if chain is not None:
+                assert list(got) == chain
+            assert (p0 in used) == p0_tried
+            assert used[-1] != p0
 
 
 class TestCertificate:

@@ -65,7 +65,7 @@ def test_endomorphisms_of_a_split_instance():
     assert hom_dimension(m, m) == 2
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
 def test_invariant_factors_against_smith_form(n):
     x = sympy.Symbol("x")
     a = rand_matrix(QQ, n, random.Random(1000 + n))
