@@ -6,6 +6,10 @@ kernel, inverse, determinant) share one forward elimination pass that
 pivots on the first nonzero entry in column order, which makes every
 output deterministic.  Over Q, rank and kernel run that pass modulo
 word-size primes and return only a kernel basis proved exactly over Q.
+``_modular_lift`` is the one driver of such computations modulo primes,
+here and in ``rnf``: it groups the primes by the decisions their runs
+took, combines each group by CRT, lifts it by rational reconstruction
+and returns the first lift that passes the caller's exact check.
 Products and eliminations run on the field's two row primitives, ``dot``
 and ``submul``.  ``similarity_defect`` is the one certificate for every
 change of basis the package returns.
@@ -318,7 +322,7 @@ def _back_substitute(field: Field, rows: list[list], pivots: list[int]) -> list[
     return basis
 
 
-# -- rank and kernel over Q, modulo primes ---------------------------------
+# -- computations over Q, modulo primes -------------------------------------
 
 _PRIMES: list[int] = []
 
@@ -366,26 +370,81 @@ def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | No
     return out
 
 
+def _modular_lift(image, accept, limit: int | None = None):
+    """The first accepted lift of a computation over Q run modulo primes.
+
+    For each prime p of the fixed sequence (``_prime``), ``image(p)`` runs
+    the computation over GF(p) and returns (key, residues), or None when p
+    is unusable.  The key names every decision the run took; the primes
+    of one key are combined by CRT, and at the counts of ``_lift_due`` their
+    values are lifted by rational reconstruction and passed to
+    ``accept(key, values, bound)``, with ``bound`` the reconstruction bound
+    of their modulus.  The first result of ``accept`` that is not None is
+    returned: ``accept`` runs the exact check over Q, which is the proof.
+    BasisFailure is raised once the product of the primes tried passes
+    ``limit``.
+    """
+    groups: dict = {}  # key -> (lifted values, modulus, primes)
+    tried = 1
+    i = 0
+    while limit is None or tried <= limit:
+        p = _prime(i)
+        i += 1
+        tried *= p
+        found = image(p)
+        if found is None:
+            continue
+        key, residues = found
+        if key in groups:
+            lifted, m, count = groups[key]
+            lifted, m = _crt(lifted, m, residues, p)
+            count += 1
+        else:
+            lifted, m, count = residues, p, 1
+        groups[key] = lifted, m, count
+        if not _lift_due(count):
+            continue
+        values = _rational_reconstruction(lifted, m)
+        if values is None:
+            continue
+        result = accept(key, values, _reconstruction_bound(m))
+        if result is not None:
+            return result
+    raise BasisFailure("no lift modulo primes passed the exact check within the prime bound")
+
+
+def _lift_due(count: int) -> bool:
+    """Whether the values of a key are lifted after its count-th prime:
+    after 1, 2, ..., 16, 18, 20, 22, 24, 27, 30, ... primes, each count an
+    eighth above the one before (rounded down, at least one more).  A lift
+    costs time quadratic in the bits of the modulus, so lifting after every
+    prime would cost time cubic in the number of primes."""
+    due = 1
+    while due < count:
+        due += max(1, due // 8)
+    return due == count
+
+
 def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list]]:
     """Rank and kernel basis over Q by elimination modulo primes.
 
     Each row is scaled to integers, which changes neither the rank nor the
-    kernel.  Modulo each prime of the fixed sequence (``_prime``) the
-    forward pass gives a pivot pattern and back substitution a kernel
-    basis.  Primes that share the best pattern seen (most pivots, then the
-    earliest pivot columns one by one) are combined by CRT; a worse
-    pattern is skipped and a better one restarts the combination.  The
-    pivot entries are lifted by rational reconstruction, and the result is
-    returned once every vector v satisfies rows * v == 0 in integers.
+    kernel.  Modulo each prime the forward pass gives the pivot columns,
+    the key of ``_modular_lift``, and back substitution a kernel basis,
+    whose pivot entries are lifted.  A lift is accepted once every vector
+    v satisfies rows * v == 0 in integers; a full-rank prime has no vector
+    to test.
 
     That check is the proof: ncols - r_p independent vectors in the kernel
     give rank_Q <= r_p, and r_p <= rank_Q always holds, so the rank is
     r_p, and the basis with 1 at its own free column and 0 at the others
     is unique.  With H the Hadamard bound of the integer rows, the primes
-    with the true pattern succeed once their product exceeds 2*H**2 and
-    the other primes divide one nonzero minor, so their product is at
-    most H.  A product of primes beyond 2*H**3 with no proved basis is
-    therefore a bug and raises BasisFailure.
+    with the true pivots succeed at the first count of ``_lift_due`` after
+    their product exceeds 2*H**2, at most an eighth more primes later
+    (none within the first 16), and the other primes divide one nonzero
+    minor, so their product is at most H.  A product of primes beyond
+    (2*H**3)**2 with no proved basis is therefore a bug and raises
+    BasisFailure.
     """
     ints = []
     for row in rows:
@@ -395,31 +454,15 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
     h2 = 1
     for row in ints:
         h2 *= max(1, sum(x * x for x in row))
-    stop = 4 * h2 ** 3  # (2*H**3)**2: go on while the primes tried multiply to at most 2*H**3
     zero, one = Fraction(0), Fraction(1)
-    best = None
-    tried = 1
-    i = 0
-    while tried * tried <= stop:
-        p = _prime(i)
-        i += 1
-        tried *= p
+
+    def image(p):
         field = GF(p)
         reduced = [[x % p for x in row] for row in ints]
         pivots, _ = _forward(field, reduced)
-        if len(pivots) == ncols:
-            return ncols, []
-        key = (-len(pivots), pivots)
-        if best is not None and key > best:
-            continue
-        residues = [v[c] for v in _back_substitute(field, reduced, pivots) for c in pivots]
-        if best is None or key < best:
-            best, lifted, modulus = key, residues, p
-        else:
-            lifted, modulus = _crt(lifted, modulus, residues, p)
-        entries = _rational_reconstruction(lifted, modulus)
-        if entries is None:
-            continue
+        return tuple(pivots), [v[c] for v in _back_substitute(field, reduced, pivots) for c in pivots]
+
+    def accept(pivots, entries, bound):
         pivot_set = set(pivots)
         free_cols = [c for c in range(ncols) if c not in pivot_set]
         basis = []
@@ -431,7 +474,9 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
             basis.append(v)
         if all(_annihilates(ints, v) for v in basis):
             return len(pivots), basis
-    raise BasisFailure("no kernel basis over Q passed the exact check within the prime bound")
+        return None
+
+    return _modular_lift(image, accept, limit=4 * h2 ** 3)
 
 
 def _annihilates(ints: list[list[int]], v: list[Fraction]) -> bool:

@@ -11,11 +11,11 @@ is polynomial in n.  The pair (R, T) is certified by A * T == T * R with
 det T != 0, so no inverse is ever formed.
 
 Over Q the same diagonalization and generators run modulo word-size
-primes instead of on Fractions.  Each run records its decisions; the
-primes that decide alike are combined by CRT, the values are lifted by
-rational reconstruction, and the first lift that passes the certificate
-over Q is returned, by ``rnf_transform`` and (its chain) by
-``invariant_factors``.
+primes instead of on Fractions, driven by ``matrix._modular_lift``: the
+primes whose runs decide alike are combined and lifted, and the first
+lift that passes the certificate over Q is returned.  ``invariant_factors``
+is the chain of ``rnf_transform`` on every field, so every chain is
+certified.
 """
 
 from __future__ import annotations
@@ -30,16 +30,8 @@ from .errors import (
     NonSquare,
     NotMonic,
 )
-from .fields import GF, QQ, Field
-from .matrix import (
-    Matrix,
-    _crt,
-    _prime,
-    _rational_reconstruction,
-    _reconstruction_bound,
-    block_diagonal,
-    similarity_defect,
-)
+from .fields import GF, Field
+from .matrix import Matrix, _modular_lift, block_diagonal, similarity_defect
 from .poly import Polynomial
 
 
@@ -203,25 +195,21 @@ def _char_matrix(a: Matrix) -> list[list[list]]:
     return out
 
 
-def _diagonalize(field: Field, d: list[list[list]], track: bool, trace: list | None = None):
+def _diagonalize(field: Field, d: list[list[list]]):
     """Reduce a square polynomial matrix to diagonal form d_1 | d_2 | ...
 
-    Returns (diagonal coefficient lists, winv) where winv is the inverse of
-    the accumulated row-operation product (or None when not tracked).  The
-    diagonal entries are monic; the input must be nonsingular over k(X),
-    which holds for every characteristic matrix.  Every decision the
-    reduction takes (each pivot (len, i, j), each dirty flag, each
-    offender) is appended to ``trace`` when one is given.
+    Returns (diagonal coefficient lists, winv, trace): winv is the inverse
+    of the accumulated row-operation product, and the trace lists every
+    decision the reduction took (each pivot (len, i, j), each dirty flag,
+    each offender).  The diagonal entries are monic; the input must be
+    nonsingular over k(X), which holds for every characteristic matrix.
     """
     ops = field.poly_ops()
     padd, psub, pmul, pdivmod, pscale = ops.add, ops.sub, ops.mul, ops.divmod, ops.scale
     one, neg_one = field.one, field.neg(field.one)
     m = len(d)
-    winv = None
-    if trace is None:
-        trace = []
-    if track:
-        winv = [[[one] if i == j else [] for j in range(m)] for i in range(m)]
+    winv = [[[one] if i == j else [] for j in range(m)] for i in range(m)]
+    trace = []
 
     def row_addmul(i, j, q):
         # row_i -= q * row_j; mirrored as col_j += q * col_i on winv.
@@ -229,10 +217,9 @@ def _diagonalize(field: Field, d: list[list[list]], track: bool, trace: list | N
         for k in range(m):
             if rowj[k]:
                 rowi[k] = psub(rowi[k], pmul(q, rowj[k]))
-        if track:
-            for k in range(m):
-                if winv[k][i]:
-                    winv[k][j] = padd(winv[k][j], pmul(q, winv[k][i]))
+        for k in range(m):
+            if winv[k][i]:
+                winv[k][j] = padd(winv[k][j], pmul(q, winv[k][i]))
 
     def col_addmul(j, i, q):
         # col_j -= q * col_i; right-side operation, nothing to mirror.
@@ -259,9 +246,8 @@ def _diagonalize(field: Field, d: list[list[list]], track: bool, trace: list | N
             _, bi, bj = best
             if bi != t:
                 d[t], d[bi] = d[bi], d[t]
-                if track:
-                    for k in range(m):
-                        winv[k][t], winv[k][bi] = winv[k][bi], winv[k][t]
+                for k in range(m):
+                    winv[k][t], winv[k][bi] = winv[k][bi], winv[k][t]
             if bj != t:
                 for k in range(m):
                     d[k][t], d[k][bj] = d[k][bj], d[k][t]
@@ -300,30 +286,18 @@ def _diagonalize(field: Field, d: list[list[list]], track: bool, trace: list | N
         lead = d[t][t][-1]
         if lead != one:
             d[t][t] = pscale(d[t][t], field.inv(lead))
-            if track:
-                for k in range(m):
-                    if winv[k][t]:
-                        winv[k][t] = pscale(winv[k][t], lead)
-    return [d[t][t] for t in range(m)], winv
-
-
-def _chain(field: Field, diag: list[list], n: int) -> RationalNormalForm:
-    """The chain read off a diagonal d_1 | d_2 | ..., largest factor first."""
-    factors = [Polynomial._raw(field, c) for c in reversed(diag) if len(c) > 1]
-    degrees = sum(f.degree for f in factors)
-    if degrees != n:
-        raise BasisFailure(f"invariant factors have total degree {degrees}, expected {n}")
-    return RationalNormalForm(factors)
+            for k in range(m):
+                if winv[k][t]:
+                    winv[k][t] = pscale(winv[k][t], lead)
+    return [d[t][t] for t in range(m)], winv, trace
 
 
 def invariant_factors(a: Matrix) -> RationalNormalForm:
-    """The unique chain (P_1, ..., P_r), P_{i+1} | P_i, of the class of a."""
+    """The unique chain (P_1, ..., P_r), P_{i+1} | P_i, of the class of a:
+    the certified chain of :func:`rnf_transform`."""
     if not a.is_square:
         raise NonSquare("invariant factors need a square matrix")
-    if not a.field.characteristic:
-        return _rational_rnf_transform(a)[2]
-    diag, _ = _diagonalize(a.field, _char_matrix(a), track=False)
-    return _chain(a.field, diag, a.nrows)
+    return rnf_transform(a)[2]
 
 
 def _generators(a: Matrix, diag: list[list], winv) -> tuple[list[list], list[int]] | None:
@@ -362,11 +336,16 @@ def _generators(a: Matrix, diag: list[list], winv) -> tuple[list[list], list[int
 def _assemble(
     a: Matrix, diag: list[list], generators: list[list]
 ) -> tuple[Matrix, Matrix, RationalNormalForm]:
-    """(R, T, chain): the columns of T are each generator followed by its
-    iterates under A, one block per invariant factor."""
+    """(R, T, chain): the chain is read off the diagonal d_1 | d_2 | ...,
+    largest factor first, and the columns of T are each generator followed
+    by its iterates under A, one block per invariant factor."""
     field = a.field
     n = a.nrows
-    chain = _chain(field, diag, n)
+    factors = [Polynomial._raw(field, c) for c in reversed(diag) if len(c) > 1]
+    degrees = sum(f.degree for f in factors)
+    if degrees != n:
+        raise BasisFailure(f"invariant factors have total degree {degrees}, expected {n}")
+    chain = RationalNormalForm(factors)
     columns = []
     for v, factor in zip(generators, chain):
         columns.append(v)
@@ -391,7 +370,7 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     field = a.field
     if not field.characteristic:
         return _rational_rnf_transform(a)
-    diag, winv = _diagonalize(field, _char_matrix(a), track=True)
+    diag, winv, _ = _diagonalize(field, _char_matrix(a))
     generators = _generators(a, diag, winv)
     if generators is None:
         raise BasisFailure("zero generator of a cyclic summand")
@@ -405,82 +384,57 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
 def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     """(R, T, chain) of a matrix over Q, computed modulo primes.
 
-    For each prime p of the fixed sequence (``matrix._prime``) that divides
-    no denominator of A, the diagonalization and the generators run over
-    GF(p) on A mod p, and their trace is recorded: every decision of
-    ``_diagonalize`` and the first nonzero index of each generator.  If the
-    trace is the one of the same run over Q, then p divides no pivot lead
-    and no generator entry that the run divides by, so every value of the
-    run mod p is the image of its value over Q.  The primes of one trace
-    are combined by CRT, and at the counts of ``_lift_due`` the diagonal
-    and the generators are lifted by rational reconstruction.  The other
-    columns of T, the iterates of the generators, are then computed over
-    Q, and the lift is kept only if every entry of T lies within the
-    reconstruction bound: then it is exactly what lifting all of T would
-    give, and a generator lifted from too few primes, whose iterates fall
-    far outside the bound, is refused.  The first (R, T, chain) kept that
-    passes :func:`similarity_defect` over Q is returned; the certificate
-    proves T and the chain, which is unique.  The primes of the true trace
-    lift to the run over Q once their product passes twice the square of
-    its largest numerator or denominator, and only finitely many primes
-    change the trace, so the loop ends with no cap on the number of
-    primes.  A lift certified from too few primes or from another trace
-    would be another valid T; on the test and benchmark corpus T is always
-    the one of the run over Q.
+    For each prime p that divides no denominator of A, the diagonalization
+    and the generators run over GF(p) on A mod p; the key of the run for
+    ``matrix._modular_lift`` is the length of each diagonal entry, the
+    trace of ``_diagonalize`` and the first nonzero index of each
+    generator.  If the key is the one of the same run over Q, then p
+    divides no pivot lead and no generator entry that the run divides by,
+    so every value of the run mod p is the image of its value over Q.  The
+    diagonal and the generators are lifted; the other columns of T, the
+    iterates of the generators, are then computed over Q, and the lift is
+    kept only if every entry of T lies within the reconstruction bound:
+    then it is exactly what lifting all of T would give, and a generator
+    lifted from too few primes, whose iterates fall far outside the bound,
+    is refused.  The first (R, T, chain) kept that passes
+    :func:`similarity_defect` over Q is returned; the certificate proves T
+    and the chain, which is unique.  The primes of the true key lift to
+    the run over Q once their product passes twice the square of its
+    largest numerator or denominator, and only finitely many primes change
+    the key, so the lift needs no limit on the primes.  A lift certified
+    from too few primes or from another key would be another valid T; on
+    the test and benchmark corpus T is always the one of the run over Q.
     """
     n = a.nrows
     den = lcm(*(x.denominator for row in a._rows for x in row))
-    groups: dict[tuple, tuple[list[int], int, int]] = {}  # trace -> (lifted values, modulus, primes)
-    i = 0
-    while True:
-        p = _prime(i)
-        i += 1
+
+    def image(p):
         if den % p == 0:
-            continue
+            return None
         field = GF(p)
         a_p = Matrix._raw(field, [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
                                   for row in a._rows])
-        trace: list = []
-        diag, winv = _diagonalize(field, _char_matrix(a_p), track=True, trace=trace)
+        diag, winv, trace = _diagonalize(field, _char_matrix(a_p))
         generators = _generators(a_p, diag, winv)
         if generators is None:
-            continue  # p divides a whole generator over Q: another trace
+            return None  # p divides a whole generator over Q: another key
         vectors, firsts = generators
-        residues = [c for f in diag for c in f] + [x for v in vectors for x in v]
-        key = (tuple(trace), tuple(firsts))
-        if key in groups:
-            lifted, m, count = groups[key]
-            lifted, m = _crt(lifted, m, residues, p)
-            count += 1
-        else:
-            lifted, m, count = residues, p, 1
-        groups[key] = lifted, m, count
-        if not _lift_due(count):
-            continue
-        values = _rational_reconstruction(lifted, m)
-        if values is None:
-            continue
+        key = (tuple(map(len, diag)), tuple(trace), tuple(firsts))
+        return key, [c for f in diag for c in f] + [x for v in vectors for x in v]
+
+    def accept(key, values, bound):
+        lengths, _, firsts = key
         it = iter(values)
-        q_diag = [[next(it) for _ in f] for f in diag]
-        q_vectors = [[next(it) for _ in range(n)] for _ in vectors]
+        q_diag = [[next(it) for _ in range(k)] for k in lengths]
+        q_vectors = [[next(it) for _ in range(n)] for _ in firsts]
         try:
             r_mat, t_mat, chain = _assemble(a, q_diag, q_vectors)
         except ChainViolation:
-            continue
-        bound = _reconstruction_bound(m)
+            return None
         if any(abs(x.numerator) > bound or x.denominator > bound for row in t_mat._rows for x in row):
-            continue
-        if similarity_defect(a, r_mat, t_mat) is None:
-            return r_mat, t_mat, chain
+            return None
+        if similarity_defect(a, r_mat, t_mat) is not None:
+            return None
+        return r_mat, t_mat, chain
 
-
-def _lift_due(count: int) -> bool:
-    """Whether the values of a trace are lifted after its count-th prime:
-    after 1, 2, ..., 16, 18, 20, 22, 24, 27, 30, ... primes, each count an
-    eighth above the one before (rounded down, at least one more).  A lift
-    costs time quadratic in the bits of the modulus, so lifting after every
-    prime would cost time cubic in the number of primes."""
-    due = 1
-    while due < count:
-        due += max(1, due // 8)
-    return due == count
+    return _modular_lift(image, accept)

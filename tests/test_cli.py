@@ -57,14 +57,14 @@ class TestRnfCommand:
         calls = []
         diagonalize = matcanon.rnf._diagonalize
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("track"))
-            return diagonalize(*args, **kwargs)
+        def counting(field, d):
+            calls.append(field)
+            return diagonalize(field, d)
 
         monkeypatch.setattr(matcanon.rnf, "_diagonalize", counting)
         code, payload = run_json(capsys, "rnf", str(path), "--verify")
         assert code == 0 and payload["verified"] is True
-        assert calls == [True]
+        assert calls == [GF(5)]
 
     def test_text_output(self, capsys, id2):
         code, out = run(capsys, "rnf", id2)

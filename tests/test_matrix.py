@@ -10,6 +10,7 @@ import matcanon.matrix
 from matcanon import (
     GF,
     QQ,
+    BasisFailure,
     DimensionMismatch,
     EmptyInput,
     FieldMismatch,
@@ -19,7 +20,7 @@ from matcanon import (
     block_diagonal,
 )
 from matcanon.fields import _is_prime
-from matcanon.matrix import _prime
+from matcanon.matrix import _modular_lift, _prime, _reconstruction_bound
 
 from helpers import (
     leibniz_det,
@@ -343,3 +344,53 @@ class TestModularRankKernel:
             assert_matches_reference(a)
             k = rng.randint(1, min(nrows, ncols))
             assert_matches_reference(rand_matrix(QQ, nrows, rng, k) * a.submatrix(0, k, 0, ncols))
+
+
+class TestModularLift:
+    """The one driver of computations over Q modulo primes, on a synthetic
+    computation whose runs take one of two decisions."""
+
+    values = {
+        "a": [Fraction(3 ** 80, 7), Fraction(-1, 2)],  # needs five primes
+        "b": [Fraction(-5 ** 60, 11)],  # needs five primes
+    }
+
+    def test_each_key_combines_its_own_primes(self):
+        # Primes alternate between the keys; the fourth prime is unusable.
+        seen, accepted = [], []
+
+        def image(p):
+            i = len(seen)
+            seen.append(p)
+            if i == 3:
+                return None
+            key = "ab"[i % 2]
+            return key, [x.numerator * pow(x.denominator, -1, p) % p for x in self.values[key]]
+
+        def accept(key, values, bound):
+            accepted.append((len(seen), key, values, bound))
+            return key if key == "b" and values == self.values[key] else None
+
+        assert _modular_lift(image, accept) == "b"
+        assert len(seen) == 12
+        primes = {"a": seen[0::2], "b": [seen[1]] + seen[5::2]}
+        for key in "ab":
+            calls = [(count, values, bound) for count, k, values, bound in accepted if k == key]
+            # Right from the fifth prime of the key on, never before.
+            assert [count for count, values, _ in calls if values == self.values[key]] == (
+                [9, 11] if key == "a" else [12])
+            modulus = 1
+            for p in primes[key]:
+                modulus *= p
+            assert calls[-1][2] == _reconstruction_bound(modulus)
+
+    def test_limit_raises(self):
+        seen = []
+
+        def image(p):
+            seen.append(p)
+            return "a", [1]
+
+        with pytest.raises(BasisFailure):
+            _modular_lift(image, lambda key, values, bound: None, limit=_prime(0) * _prime(1))
+        assert seen == [_prime(0), _prime(1), _prime(2)]

@@ -255,7 +255,7 @@ class TestOneDiagonalization:
 
 def exact_transform(a):
     """(R, T, chain) of the diagonalization and generators run over Q itself."""
-    diag, winv = rnf._diagonalize(QQ, rnf._char_matrix(a), track=True)
+    diag, winv, _ = rnf._diagonalize(QQ, rnf._char_matrix(a))
     generators, _ = rnf._generators(a, diag, winv)
     return rnf._assemble(a, diag, generators)
 
@@ -293,9 +293,9 @@ class TestModularTransform:
         used = []
         diagonalize = rnf._diagonalize
 
-        def recording(field, d, track, trace=None):
+        def recording(field, d):
             used.append(field.characteristic)
-            return diagonalize(field, d, track, trace)
+            return diagonalize(field, d)
 
         monkeypatch.setattr(rnf, "_diagonalize", recording)
         cases = [
@@ -331,14 +331,15 @@ class TestCertificate:
 
     def test_failure_raises_under_optimize(self):
         """The certificate and the zero-generator check are ordinary code, so
-        ``python -O`` keeps them, for the normal-form transform, for both
-        pair changes of basis and for the exact check of a kernel over Q."""
+        ``python -O`` keeps them, for the normal-form transform and its
+        chain, for both pair changes of basis and for the exact check of a
+        kernel over Q."""
         script = textwrap.dedent("""
             import sys
             import matcanon.pairs as pairs
             import matcanon.rnf as rnf
-            from matcanon import (GF, BasisFailure, Matrix, QForm, reduce_to_q,
-                                  rnf_transform, simple_pair, split_off_simple)
+            from matcanon import (GF, BasisFailure, Matrix, QForm, invariant_factors,
+                                  reduce_to_q, rnf_transform, simple_pair, split_off_simple)
             if __debug__:
                 sys.exit("not running under -O")
 
@@ -353,13 +354,16 @@ class TestCertificate:
             # A broken generator step: every iterate under A is zero.
             mul_vector_raw = Matrix.mul_vector_raw
             Matrix.mul_vector_raw = lambda self, v: [self.field.zero] * self.nrows
-            expect_failure("rnf", rnf_transform, Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]]))
+            broken = Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]])
+            expect_failure("rnf", rnf_transform, broken)
+            # The chain comes from the same certified run, so it fails too.
+            expect_failure("invariant factors", invariant_factors, broken)
             Matrix.mul_vector_raw = mul_vector_raw
 
             # A zero generator: the inverse row operations are all zero.
             diagonalize = rnf._diagonalize
-            rnf._diagonalize = lambda field, d, track: (
-                diagonalize(field, d, track)[0], [[[]] * len(d) for _ in d])
+            rnf._diagonalize = lambda field, d: (
+                diagonalize(field, d)[0], [[[]] * len(d) for _ in d], [])
             expect_failure("zero generator", rnf_transform, Matrix(GF(5), [[1, 2], [3, 4]]))
             rnf._diagonalize = diagonalize
 
@@ -406,8 +410,9 @@ class TestCertificate:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         labels = [line.split(" BasisFailure: ")[0] for line in proc.stdout.splitlines()]
-        assert labels == ["rnf", "zero generator", "reduce", "split", "kernel", "rank"], proc.stdout
-        assert "zero generator of a cyclic summand" in proc.stdout.splitlines()[1]
+        assert labels == ["rnf", "invariant factors", "zero generator", "reduce", "split",
+                          "kernel", "rank"], proc.stdout
+        assert "zero generator of a cyclic summand" in proc.stdout.splitlines()[2]
 
     def test_no_assert_statements_in_package(self):
         package = Path(matcanon.__file__).resolve().parent
