@@ -134,11 +134,7 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        field = self.field
-        dot = field.dot
-        cols = list(zip(*other._rows))
-        out = [[dot(row, col) for col in cols] for row in self._rows]
-        return Matrix._raw(field, out)
+        return Matrix._raw(self.field, _product(self.field, self._rows, other._rows))
 
     def __pow__(self, k: int):
         if not self.is_square:
@@ -210,21 +206,13 @@ class Matrix:
         if not self.is_square:
             raise NonSquare("inverse needs a square matrix")
         field = self.field
-        mul, is_zero, submul = field.mul, field.is_zero, field.submul
         n = self.nrows
         one, zero = field.one, field.zero
         aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(self._rows)]
         pivots, _ = _forward(field, aug)
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is not invertible")
-        for r in range(n - 1, -1, -1):
-            row = aug[r]
-            inv_p = field.inv(row[r])
-            row[r:] = [mul(x, inv_p) for x in row[r:]]
-            for i in range(r):
-                x = aug[i][r]
-                if not is_zero(x):
-                    aug[i][r:] = submul(aug[i][r:], x, row[r:])
+        _clear_above(field, aug, pivots)
         return Matrix._raw(field, [row[n:] for row in aug])
 
     def det(self) -> Scalar:
@@ -246,9 +234,6 @@ class Matrix:
 
     # -- misc ------------------------------------------------------------
 
-    def submatrix(self, row_start: int, row_stop: int, col_start: int, col_stop: int) -> "Matrix":
-        return Matrix._raw(self.field, [row[col_start:col_stop] for row in self._rows[row_start:row_stop]])
-
     def __eq__(self, other):
         if isinstance(other, Matrix):
             return self.field == other.field and self._rows == other._rows
@@ -266,6 +251,12 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
+
+
+def _product(field: Field, x: Sequence[Sequence], y: Sequence[Sequence]) -> list[list]:
+    """The product of two matrices given by their raw rows."""
+    cols = list(zip(*y))
+    return [[field.dot(row, col) for col in cols] for row in x]
 
 
 def _forward(field: Field, rows: list[list]) -> tuple[list[int], int]:
@@ -300,6 +291,21 @@ def _forward(field: Field, rows: list[list]) -> tuple[list[int], int]:
         pivots.append(c)
         r += 1
     return pivots, swaps
+
+
+def _clear_above(field: Field, rows: list[list], pivots: list[int]):
+    """In-place reduced row echelon form of a forward-eliminated matrix:
+    each pivot row is scaled to 1 at its pivot, which is cleared above."""
+    mul, is_zero, submul = field.mul, field.is_zero, field.submul
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        row = rows[r]
+        inv_p = field.inv(row[c])
+        row[c:] = [mul(x, inv_p) for x in row[c:]]
+        for i in range(r):
+            x = rows[i][c]
+            if not is_zero(x):
+                rows[i][c:] = submul(rows[i][c:], x, row[c:])
 
 
 def _back_substitute(field: Field, rows: list[list], pivots: list[int]) -> list[list]:
@@ -454,7 +460,6 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
     h2 = 1
     for row in ints:
         h2 *= max(1, sum(x * x for x in row))
-    zero, one = Fraction(0), Fraction(1)
 
     def image(p):
         field = GF(p)
@@ -463,20 +468,33 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
         return tuple(pivots), [v[c] for v in _back_substitute(field, reduced, pivots) for c in pivots]
 
     def accept(pivots, entries, bound):
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(ncols) if c not in pivot_set]
-        basis = []
-        for k, free in enumerate(free_cols):
-            v = [zero] * ncols
-            v[free] = one
-            for c, x in zip(pivots, entries[k * len(pivots):(k + 1) * len(pivots)]):
-                v[c] = x
-            basis.append(v)
+        basis = _unit_basis(ncols, pivots, entries)
         if all(_annihilates(ints, v) for v in basis):
             return len(pivots), basis
         return None
 
     return _modular_lift(image, accept, limit=4 * h2 ** 3)
+
+
+def _unit_basis(ncols: int, pivots: Sequence[int], entries: list[Fraction]) -> list[list]:
+    """The vectors over Q that are 1 at their own free column (one not in
+    ``pivots``), 0 at the other free columns and the next len(pivots)
+    ``entries`` at the pivot columns, in the order of the free columns."""
+    zero, one = Fraction(0), Fraction(1)
+    pivot_set = set(pivots)
+    basis = []
+    for k, free in enumerate(c for c in range(ncols) if c not in pivot_set):
+        v = [zero] * ncols
+        v[free] = one
+        for c, x in zip(pivots, entries[k * len(pivots):(k + 1) * len(pivots)]):
+            v[c] = x
+        basis.append(v)
+    return basis
+
+
+def _mod_rows(rows: Sequence[Sequence[Fraction]], p: int) -> list[list[int]]:
+    """Rows over Q as residues modulo a prime p that divides no denominator."""
+    return [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in rows]
 
 
 def _annihilates(ints: list[list[int]], v: list[Fraction]) -> bool:

@@ -9,9 +9,17 @@ characteristic 2.  This module computes the invariants, the fibre points,
 the reduction of a pair to Q, Hom spaces between pairs of square matrices
 of any size, the fixed simple pair used for splitting, and the change of
 basis that splits one copy of that simple pair off a larger pair.
+
+Every Hom space, and so every change of basis here, comes from
+``intertwiners``.  A map f with f*m1 = m2_1*f is fixed by its values on the
+chain starts of a Krylov basis of m1 built from the unit vectors, so one
+small elimination in those values solves both equations; over Q this runs
+modulo primes.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .errors import (
     BasisFailure,
@@ -24,8 +32,9 @@ from .errors import (
     RootsMissingInField,
     TraceNonzero,
 )
-from .fields import Field, Scalar, sqrt_if_exists
-from .matrix import Matrix, block_diagonal, similarity_defect
+from .fields import GF, QQ, Field, Scalar, sqrt_if_exists
+from .matrix import Matrix, _back_substitute, _clear_above, _forward, _mod_rows, _modular_lift
+from .matrix import _product, _unit_basis, block_diagonal, similarity_defect
 
 
 class PairPoint:
@@ -276,42 +285,178 @@ def reduce_to_q(pair: Sl2Pair) -> tuple[Matrix, QForm]:
 # ---------------------------------------------------------------------------
 
 
-def _intertwiner_system(m: PairPoint, m2: PairPoint) -> Matrix:
-    """Coefficient matrix of f*m_i = m2_i*f over the n2*n unknowns of f."""
-    if m.field != m2.field:
-        raise FieldMismatch("pairs must share one field")
-    field = m.field
-    n, n2 = m.size, m2.size
-    add, sub, zero = field.add, field.sub, field.zero
-    rows = []
-    for mi, ti in ((m.m1, m2.m1), (m.m2, m2.m2)):
-        mi_rows, ti_rows = mi._rows, ti._rows
-        for a in range(n2):
-            for c in range(n):
-                row = [zero] * (n2 * n)
-                for b in range(n):
-                    row[a * n + b] = add(row[a * n + b], mi_rows[b][c])
-                for b in range(n2):
-                    row[b * n + c] = sub(row[b * n + c], ti_rows[a][b])
-                rows.append(row)
-    return Matrix._raw(field, rows)
-
-
 def hom_dimension(m: PairPoint, m2: PairPoint) -> int:
     """dim Hom(M, M2): the number of basis maps :func:`intertwiners` returns."""
     return len(intertwiners(m, m2))
 
 
 def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
-    """Basis of the space of f (size n2 x n) with f*m_i = m2_i*f."""
-    system = _intertwiner_system(m, m2)
-    _, kernel = system.rank_and_kernel()
-    n, n2 = m.size, m2.size
-    out = []
-    for v in kernel:
-        flat = v.column_raw(0)
-        out.append(Matrix._raw(m.field, [flat[a * n:(a + 1) * n] for a in range(n2)]))
-    return out
+    """Basis of the space of f (size n2 x n) with f*m_i = m2_i*f.
+
+    Read row by row, each map is 1 at its last nonzero entry and 0 at those
+    of the others, sorted by that entry: the kernel basis of the system of
+    these equations in the n2*n entries of f, whose free columns are the
+    last nonzero entries.  Over GF(p) it is :func:`_hom_basis`.  Over Q that
+    runs modulo primes that divide no denominator; as for the kernel in
+    ``matrix._rational_rank_and_kernel``, the key is the columns that are
+    not free and the values are the entries there, a lift is proved by both
+    equations over Q, and the primes are limited by the Hadamard bound of
+    the system scaled to integers.
+    """
+    if m.field != m2.field:
+        raise FieldMismatch("pairs must share one field")
+    field, n, n2 = m.field, m.size, m2.size
+    members = (m.m1, m.m2, m2.m1, m2.m2)
+
+    def as_maps(field, vectors):
+        return [Matrix._raw(field, [v[a * n:(a + 1) * n] for a in range(n2)]) for v in vectors]
+
+    if field.characteristic:
+        return as_maps(field, _hom_basis(field, *(a._rows for a in members)))
+    den = lcm(*(x.denominator for a in members for row in a._rows for x in row))
+
+    def image(p):
+        if den % p == 0:
+            return None
+        basis = _hom_basis(GF(p), *(_mod_rows(a._rows, p) for a in members))
+        free = {max(i for i, x in enumerate(v) if x) for v in basis}
+        pivots = tuple(c for c in range(n * n2) if c not in free)
+        return pivots, [v[c] for v in basis for c in pivots]
+
+    def accept(pivots, entries, bound):
+        maps = as_maps(QQ, _unit_basis(n * n2, pivots, entries))
+        if all(f * m.m1 == m2.m1 * f and f * m.m2 == m2.m2 * f for f in maps):
+            return maps
+        return None
+
+    return _modular_lift(image, accept, limit=4 * _hadamard_square(m, m2) ** 3)
+
+
+def _hadamard_square(m: PairPoint, m2: PairPoint) -> int:
+    """The product over the equations (f*m_i - m2_i*f)[a][c] = 0, scaled to
+    integers, of max(1, the sum of the squares of the coefficients): m_i[b][c]
+    for b != c, -m2_i[a][b] for b != a, and m_i[c][c] - m2_i[a][a]."""
+    h2 = 1
+    for mi, ti in ((m.m1, m2.m1), (m.m2, m2.m2)):
+        cols = list(zip(*mi._rows))
+        for a, t_row in enumerate(ti._rows):
+            for c, col in enumerate(cols):
+                row = [x for b, x in enumerate(col) if b != c]
+                row += [x for b, x in enumerate(t_row) if b != a]
+                row.append(col[c] - t_row[a])
+                scale = lcm(*(x.denominator for x in row))
+                h2 *= max(1, sum((x.numerator * (scale // x.denominator)) ** 2 for x in row))
+    return h2
+
+
+def _hom_basis(field: Field, s1, s2, t1, t2) -> list[list]:
+    """The basis of :func:`intertwiners` over GF(p) from the raw rows of
+    M = (s1, s2) and M2 = (t1, t2), each map read row by row.
+
+    If s1 has more than one chain and t1^T fewer (:func:`_krylov`), the
+    transposed problem f^T * t_i^T = s_i^T * f^T is solved.  Any basis of
+    the space gives the same result: reduced echelon form with the entries
+    read from the last.
+    """
+    krylov = _krylov(field, s1)
+    maps = None
+    if len(krylov[1]) > 1:
+        other = _krylov(field, list(zip(*t1)))
+        if len(other[1]) < len(krylov[1]):
+            transposed = (list(zip(*x)) for x in (t2, s1, s2))
+            maps = [list(zip(*g)) for g in _krylov_maps(field, other, *transposed)]
+    if maps is None:
+        maps = _krylov_maps(field, krylov, s2, t1, t2)
+    if not maps:
+        return []
+    rows = [[x for row in reversed(f) for x in reversed(row)] for f in maps]
+    pivots, _ = _forward(field, rows)
+    _clear_above(field, rows, pivots)
+    return [row[::-1] for row in reversed(rows)]
+
+
+def _krylov(field: Field, a) -> tuple[list[list], list[int], list[list]]:
+    """The Krylov basis of k^n under a (raw rows) from the unit vectors in
+    index order: a chain e_i, a*e_i, ... starts at each e_i outside the span
+    so far and ends before its first dependent iterate.  Returns the basis,
+    the chain lengths and the first dependent iterate of each chain."""
+    n = len(a)
+    zero, one, mul, dot, is_zero, submul = (
+        field.zero, field.one, field.mul, field.dot, field.is_zero, field.submul)
+    echelon = []  # (pivot, the reduced vector scaled to 1 there)
+    basis, lengths, ends = [], [], []
+    for i in range(n):
+        if len(basis) == n:
+            break
+        v = [zero] * n
+        v[i] = one
+        length = 0
+        while len(basis) < n:
+            u = v
+            for c, e in echelon:
+                if not is_zero(u[c]):
+                    u = submul(u, u[c], e)
+            c = next((k for k, x in enumerate(u) if not is_zero(x)), None)
+            if c is None:
+                break
+            s = field.inv(u[c])
+            echelon.append((c, [mul(x, s) for x in u]))
+            basis.append(v)
+            length += 1
+            v = [dot(row, v) for row in a]
+        if length:
+            lengths.append(length)
+            ends.append(v)
+    return basis, lengths, ends
+
+
+def _krylov_maps(field: Field, krylov, s2, t1, t2) -> list[list]:
+    """A basis of the f with f*s1 = t1*f and f*s2 = t2*f (raw rows), given
+    the Krylov basis K of s1.
+
+    f is fixed by the images w_j of the r chain starts, as
+    f*K = [w_1, t1*w_1, ..., w_2, ...].  One elimination in the r*n2
+    entries of the w_j solves f*(s1*x) = t1*(f*x) for the last vector x of
+    each chain and f*(s2*K) = t2*(f*K), in coordinates of K.
+    """
+    basis, lengths, ends = krylov
+    n2 = len(t1)
+    dot, sub = field.dot, field.sub
+    k = list(zip(*basis))
+    k_inv = Matrix._raw(field, k).inverse()._rows
+    powers = [Matrix.identity(field, n2)._rows]  # t1^t up to the longest chain
+    for _ in range(max(lengths)):
+        powers.append(_product(field, t1, powers[-1]))
+    # table[a][u][t] = t1^t[a][u]; dot stops at its shorter argument, so
+    # dot(table[a][u], x) sums x[t] * t1^t[a][u] over the t of x.
+    table = [list(zip(*(p[a] for p in powers))) for a in range(n2)]
+    starts = [sum(lengths[:j]) for j in range(len(lengths))]
+
+    def equations(x, j, y):
+        """The n2 equations sum_l x[l] * (f*K)_l = y * w_j in the unknowns."""
+        parts = [x[o:o + length] for o, length in zip(starts, lengths)]
+        out = []
+        for a, y_row in enumerate(y):
+            row = [dot(table[a][u], part) for part in parts for u in range(n2)]
+            row[j * n2:(j + 1) * n2] = map(sub, row[j * n2:(j + 1) * n2], y_row)
+            out.append(row)
+        return out
+
+    system = []
+    for j, end in enumerate(ends):
+        system += equations([dot(row, end) for row in k_inv], j, powers[lengths[j]])
+    moved = list(zip(*_product(field, k_inv, _product(field, s2, k))))
+    tails = [_product(field, t2, p) for p in powers[:-1]]
+    for j, (o, length) in enumerate(zip(starts, lengths)):
+        for t in range(length):
+            system += equations(moved[o + t], j, tails[t])
+    pivots, _ = _forward(field, system)
+    maps = []
+    for w in _back_substitute(field, system, pivots):
+        cols = [[dot(row, w[j * n2:(j + 1) * n2]) for row in p]
+                for j, length in enumerate(lengths) for p in powers[:length]]
+        maps.append(_product(field, list(zip(*cols)), k_inv))
+    return maps
 
 
 def simple_pair(n: int, field: Field) -> PairPoint:

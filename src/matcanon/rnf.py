@@ -31,7 +31,7 @@ from .errors import (
     NotMonic,
 )
 from .fields import GF, Field
-from .matrix import Matrix, _modular_lift, block_diagonal, similarity_defect
+from .matrix import Matrix, _mod_rows, _modular_lift, block_diagonal, similarity_defect
 from .poly import Polynomial
 
 
@@ -412,8 +412,7 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
         if den % p == 0:
             return None
         field = GF(p)
-        a_p = Matrix._raw(field, [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
-                                  for row in a._rows])
+        a_p = Matrix._raw(field, _mod_rows(a._rows, p))
         diag, winv, trace = _diagonalize(field, _char_matrix(a_p))
         generators = _generators(a_p, diag, winv)
         if generators is None:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from matcanon import Matrix, Polynomial
+from matcanon import FieldMismatch, Matrix, Polynomial
 
 
 def iter_partitions(n: int, cap: int | None = None):
@@ -151,6 +151,11 @@ def reference_rank_and_kernel(a: Matrix) -> tuple[int, list[list]]:
     return len(pivots), basis
 
 
+def submatrix(a: Matrix, row_start: int, row_stop: int, col_start: int, col_stop: int) -> Matrix:
+    """The block of rows row_start..row_stop-1 and columns col_start..col_stop-1."""
+    return Matrix._raw(a.field, [row[col_start:col_stop] for row in a._rows[row_start:row_stop]])
+
+
 def reference_inverse(a: Matrix) -> Matrix | None:
     """Inverse from the reduced form of [A | I], or None when A is singular."""
     field, n = a.field, a.nrows
@@ -177,3 +182,37 @@ def leibniz_det(a: Matrix):
             term = field.mul(term, a._rows[i][j])
         total = field.add(total, term) if permutation_sign(perm) > 0 else field.sub(total, term)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Reference Hom spaces: the full intertwiner system that matcanon solved
+# before it worked from a Krylov basis of the first members.
+# ---------------------------------------------------------------------------
+
+
+def intertwiner_system(m, m2) -> Matrix:
+    """Coefficient matrix of f*m_i = m2_i*f over the n2*n unknowns of f,
+    f[a][b] at column a*n + b: 2*n2*n equations."""
+    if m.field != m2.field:
+        raise FieldMismatch("pairs must share one field")
+    field = m.field
+    n, n2 = m.size, m2.size
+    rows = []
+    for mi, ti in ((m.m1, m2.m1), (m.m2, m2.m2)):
+        for a in range(n2):
+            for c in range(n):
+                row = [field.zero] * (n2 * n)
+                for b in range(n):
+                    row[a * n + b] = field.add(row[a * n + b], mi._rows[b][c])
+                for b in range(n2):
+                    row[b * n + c] = field.sub(row[b * n + c], ti._rows[a][b])
+                rows.append(row)
+    return Matrix._raw(field, rows)
+
+
+def reference_intertwiners(m, m2) -> list[Matrix]:
+    """The Gauss-Jordan kernel basis of :func:`intertwiner_system`, each
+    vector read back row by row as an n2 x n map."""
+    n, n2 = m.size, m2.size
+    _, kernel = reference_rank_and_kernel(intertwiner_system(m, m2))
+    return [Matrix._raw(m.field, [v[a * n:(a + 1) * n] for a in range(n2)]) for v in kernel]

@@ -29,6 +29,7 @@ from helpers import (
     rand_matrix,
     reference_inverse,
     reference_rank_and_kernel,
+    submatrix,
 )
 
 
@@ -145,7 +146,8 @@ class TestBlockDiagonal:
             offset += s
         assert anchors == [0, 5, 8, 10]
         for anchor, s in zip(anchors, sizes):
-            assert big.submatrix(anchor, anchor + s, anchor, anchor + s) == Matrix(QQ, [[7] * s for _ in range(s)])
+            block = submatrix(big, anchor, anchor + s, anchor, anchor + s)
+            assert block == Matrix(QQ, [[7] * s for _ in range(s)])
         # everything off the blocks is zero
         for i in range(12):
             for j in range(12):
@@ -332,7 +334,7 @@ class TestModularRankKernel:
         (rank, kernel), used = modular_primes_used(monkeypatch, a)
         assert rank == n and len(kernel) == n and len(used) > 1
         assert_matches_reference(a)
-        h = a.submatrix(0, n, 0, n)
+        h = submatrix(a, 0, n, 0, n)
         assert Matrix.from_columns(QQ, [v.column_raw(0)[:n] for v in kernel]) == -h.inverse()
 
     def test_mixed_denominators_and_shapes(self):
@@ -343,7 +345,7 @@ class TestModularRankKernel:
             a = Matrix(QQ, [[Fraction(rng.randint(-99, 99), d) for d in dens] for _ in range(nrows)])
             assert_matches_reference(a)
             k = rng.randint(1, min(nrows, ncols))
-            assert_matches_reference(rand_matrix(QQ, nrows, rng, k) * a.submatrix(0, k, 0, ncols))
+            assert_matches_reference(rand_matrix(QQ, nrows, rng, k) * submatrix(a, 0, k, 0, ncols))
 
 
 class TestModularLift:

@@ -1,9 +1,12 @@
 """Trace-zero 2x2 pairs: invariants, fibres, reduction, Hom, splitting."""
 
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
+import matcanon.matrix
 import matcanon.pairs
 from matcanon import (
     GF,
@@ -24,6 +27,7 @@ from matcanon import (
     Sl2Pair,
     TraceNonzero,
     common_eigenvector,
+    companion,
     g_value,
     hom_dimension,
     intertwiners,
@@ -35,7 +39,17 @@ from matcanon import (
 )
 from bruteforce import invertible_matrices, simultaneously_similar
 
-from helpers import rand_invertible
+from matcanon.matrix import _prime
+from matcanon.pairs import _krylov
+
+from helpers import (
+    intertwiner_system,
+    rand_invertible,
+    rand_matrix,
+    rand_monic,
+    reference_intertwiners,
+    submatrix,
+)
 
 
 def triple(field, x1, x2, x3):
@@ -519,6 +533,173 @@ class TestHomDimension:
                 assert f * m.m2 == m2.m2 * f
 
 
+def reference_cases(field):
+    """(name, M, M2) with M and M2 of different sizes; each first member of
+    M is of one kind, and M2 is random."""
+    rng = random.Random(f"reference/{field}")
+    p = field.characteristic
+
+    def point(first, n):
+        return PairPoint(first, rand_matrix(field, n, rng))
+
+    def diagonal(n):
+        return Matrix(field, [[rng.randrange(p or 5) if i == j else 0 for j in range(n)] for i in range(n)])
+
+    jordan = Matrix(field, [[int(j == i + 1 and i != 1) for j in range(4)] for i in range(4)])
+    split_n = 4 if p == 2 else 5
+    conj = rand_invertible(field, split_n, rng)
+    split = simple_pair(split_n, field).direct_sum(QForm(field(1), field(1), field(1)).realize())
+    return [
+        ("1x1", point(rand_matrix(field, 1, rng), 1), point(rand_matrix(field, 1, rng), 1)),
+        ("1x1-2x2", point(rand_matrix(field, 1, rng), 1), point(rand_matrix(field, 2, rng), 2)),
+        ("random", point(rand_matrix(field, 3, rng), 3), point(rand_matrix(field, 2, rng), 2)),
+        ("zero", PairPoint(Matrix.zeros(field, 3, 3), Matrix.zeros(field, 3, 3)),
+         point(rand_matrix(field, 2, rng), 2)),
+        ("scalar", point(Matrix.identity(field, 3).scale(2), 3), point(rand_matrix(field, 4, rng), 4)),
+        ("nilpotent", point(jordan, 4), point(rand_matrix(field, 3, rng), 3)),
+        ("diagonal", point(diagonal(4), 4), point(rand_matrix(field, 3, rng), 3)),
+        ("companion", point(companion(rand_monic(field, 4, rng)), 4), point(rand_matrix(field, 3, rng), 3)),
+        ("split", split.conjugated_by(conj), simple_pair(split_n, field)),
+        ("split-self", split.conjugated_by(conj), split),
+    ]
+
+
+REFERENCE_FIELDS = [GF(2), GF(3), GF(7), GF(10007), QQ]
+
+
+class TestKrylovPath:
+    """intertwiners works from a Krylov basis of a first member; the full
+    intertwiner system of tests/helpers.py is its reference."""
+
+    @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+    def test_equals_the_reference(self, field):
+        for name, m, m2 in reference_cases(field):
+            for source, target in ((m, m2), (m2, m), (m, m), (m2, m2)):
+                assert intertwiners(source, target) == reference_intertwiners(source, target), name
+
+    @pytest.mark.parametrize("field", REFERENCE_FIELDS[:4], ids=str)
+    def test_orientation_rule(self, field, monkeypatch):
+        """The transposed problem is solved exactly when m1 has more than one
+        chain and m2_1^T has fewer; each orientation occurs."""
+        sizes = []
+        maps = matcanon.pairs._krylov_maps
+
+        def recording(field, krylov, s2, t1, t2):
+            sizes.append(len(krylov[0]))
+            return maps(field, krylov, s2, t1, t2)
+
+        monkeypatch.setattr(matcanon.pairs, "_krylov_maps", recording)
+        taken = set()
+        for name, m, m2 in reference_cases(field):
+            for source, target in ((m, m2), (m2, m)):
+                if source.size == target.size:
+                    continue
+                chains = len(_krylov(field, source.m1._rows)[1])
+                other = len(_krylov(field, target.m1.transpose()._rows)[1])
+                transposed = chains > 1 and other < chains
+                sizes.clear()
+                assert intertwiners(source, target) == reference_intertwiners(source, target), name
+                assert sizes == [target.size if transposed else source.size], name
+                taken.add(transposed)
+        assert taken == {False, True}
+
+    def test_chains_of_unit_vectors(self):
+        """Oracle by hand: e0 -> e1 -> e0 + e1 closes the first chain under
+        a; e2 is outside its span and a*e2 = 3*e2."""
+        field = GF(7)
+        a = Matrix(field, [[0, 1, 0], [1, 1, 0], [0, 0, 3]])
+        basis, lengths, ends = _krylov(field, a._rows)
+        assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert lengths == [2, 1]
+        assert ends == [[1, 1, 0], [0, 0, 3]]
+
+    def test_field_mismatch(self):
+        with pytest.raises(FieldMismatch):
+            intertwiners(simple_pair(4, QQ), simple_pair(4, GF(7)))
+
+
+def hom_primes_used(monkeypatch, m, m2):
+    """intertwiners(m, m2) over Q, the indices of the primes tried and the
+    primes that _hom_basis ran modulo."""
+    used, ran = [], []
+    prime, hom_basis = matcanon.matrix._prime, matcanon.pairs._hom_basis
+
+    def recording_prime(i):
+        used.append(i)
+        return prime(i)
+
+    def recording_basis(field, *members):
+        ran.append(field.characteristic)
+        return hom_basis(field, *members)
+
+    monkeypatch.setattr(matcanon.matrix, "_prime", recording_prime)
+    monkeypatch.setattr(matcanon.pairs, "_hom_basis", recording_basis)
+    return intertwiners(m, m2), used, ran
+
+
+class TestRationalLift:
+    """Over Q the Hom basis is lifted from runs modulo primes; bad primes
+    must not change it."""
+
+    p0 = _prime(0)
+
+    def test_prime_dividing_a_denominator_is_skipped(self, monkeypatch):
+        m = PairPoint(Matrix(QQ, [[Fraction(1, self.p0), 1], [0, 2]]), Matrix(QQ, [[0, 1], [1, 0]]))
+        m2 = PairPoint(Matrix(QQ, [[1]]), Matrix(QQ, [[1]]))
+        for source, target in ((m, m), (m, m2), (m2, m)):
+            got, used, ran = hom_primes_used(monkeypatch, source, target)
+            assert got == reference_intertwiners(source, target)
+            assert used[0] == 0 and self.p0 not in ran and len(ran) == len(used) - 1
+
+    def test_shifted_pivots_do_not_change_the_basis(self, monkeypatch):
+        # Hom((0, 0), (t1, 0)) is the kernel of t1, spanned by (1, p0) over
+        # Q, so its map is 1/p0 over 1; modulo p0 it is (1, 0), 1 at another
+        # entry.
+        m = PairPoint(Matrix(QQ, [[0]]), Matrix(QQ, [[0]]))
+        m2 = PairPoint(Matrix(QQ, [[self.p0, -1], [0, 0]]), Matrix.zeros(QQ, 2, 2))
+        got, used, ran = hom_primes_used(monkeypatch, m, m2)
+        assert got == reference_intertwiners(m, m2) == [Matrix(QQ, [[Fraction(1, self.p0)], [1]])]
+        assert ran[0] == self.p0 and len(ran) > 2
+
+    def test_larger_space_modulo_a_prime_does_not_change_the_basis(self, monkeypatch):
+        # t1 = diag(p0, 1) has no kernel over Q, but one modulo p0.
+        m = PairPoint(Matrix(QQ, [[0]]), Matrix(QQ, [[0]]))
+        m2 = PairPoint(Matrix(QQ, [[self.p0, 0], [0, 1]]), Matrix.zeros(QQ, 2, 2))
+        got, used, ran = hom_primes_used(monkeypatch, m, m2)
+        assert got == reference_intertwiners(m, m2) == []
+        assert ran == [self.p0, _prime(1)]
+
+    def test_refused_lift_is_a_basis_failure_at_the_limit(self, monkeypatch):
+        """With every lift refused, the primes stop once their product passes
+        4*H^6, H^2 the product of max(1, |row|^2) over the rows of the
+        intertwiner system scaled to integers."""
+        m = PairPoint(Matrix(QQ, [[1, 2], [0, 1]]), Matrix(QQ, [[Fraction(1, 2), 0], [3, 1]]))
+        h2 = 1
+        for row in intertwiner_system(m, m)._rows:
+            scale = lcm(*(x.denominator for x in row))
+            h2 *= max(1, sum((x * scale) ** 2 for x in row))
+        limits, tried = [], []
+        lift = matcanon.pairs._modular_lift
+
+        def refusing(image, accept, limit=None):
+            limits.append(limit)
+
+            def counted(p):
+                tried.append(p)
+                return image(p)
+
+            return lift(counted, lambda key, values, bound: None, limit)
+
+        monkeypatch.setattr(matcanon.pairs, "_modular_lift", refusing)
+        with pytest.raises(BasisFailure):
+            intertwiners(m, m)
+        assert limits == [4 * h2 ** 3]
+        product = 1
+        for p in tried[:-1]:
+            product *= p
+        assert product <= limits[0] < product * tried[-1]
+
+
 class TestSimplePair:
     def test_construction(self):
         s = simple_pair(4, QQ)
@@ -558,10 +739,10 @@ class TestSplitOff:
         hi = h.inverse()
         for mi, si, ti in ((m.m1, s.m1, tail.m1), (m.m2, s.m2, tail.m2)):
             c = hi * mi * h
-            assert c.submatrix(0, 2, 0, 2) == si
-            assert c.submatrix(2, 4, 2, 4) == ti
-            assert c.submatrix(0, 2, 2, 4).is_zero()
-            assert c.submatrix(2, 4, 0, 2).is_zero()
+            assert submatrix(c, 0, 2, 0, 2) == si
+            assert submatrix(c, 2, 4, 2, 4) == ti
+            assert submatrix(c, 0, 2, 2, 4).is_zero()
+            assert submatrix(c, 2, 4, 0, 2).is_zero()
 
     def test_conjugated_instances(self):
         field = GF(11)
