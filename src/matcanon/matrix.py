@@ -11,7 +11,8 @@ here and in ``rnf``: it groups the primes by the decisions their runs
 took, combines each group by CRT, lifts it by rational reconstruction
 and returns the first lift that passes the caller's exact check.
 Products and eliminations run on the field's two row primitives, ``dot``
-and ``submul``.  ``similarity_defect`` is the one certificate for every
+and ``submul``.  ``_krylov`` is the one unit-vector Krylov basis, shared by
+``rnf`` and ``pairs``.  ``similarity_defect`` is the one certificate for every
 change of basis the package returns.
 """
 
@@ -326,6 +327,43 @@ def _back_substitute(field: Field, rows: list[list], pivots: list[int]) -> list[
             v[c] = neg(mul(dot(rows[r][c + 1:], v[c + 1:]), inv_pivots[r]))
         basis.append(v)
     return basis
+
+
+def _krylov(field: Field, a, units: int | None = None) -> tuple[list[list], list[int], list[list]]:
+    """The Krylov basis of k^n under a (raw rows) from the unit vectors in
+    index order: a chain e_i, a*e_i, ... starts at each e_i outside the span
+    so far and ends before its first dependent iterate.  Returns the basis,
+    the chain lengths and the first dependent iterate of each chain.  With
+    ``units`` only e_1, ..., e_units start chains, so the basis may span
+    less than k^n."""
+    n = len(a)
+    zero, one, mul, dot, is_zero, submul = (
+        field.zero, field.one, field.mul, field.dot, field.is_zero, field.submul)
+    echelon = []  # (pivot, the reduced vector scaled to 1 there)
+    basis, lengths, ends = [], [], []
+    for i in range(n if units is None else units):
+        if len(basis) == n:
+            break
+        v = [zero] * n
+        v[i] = one
+        length = 0
+        while len(basis) < n:
+            u = v
+            for c, e in echelon:
+                if not is_zero(u[c]):
+                    u = submul(u, u[c], e)
+            c = next((k for k, x in enumerate(u) if not is_zero(x)), None)
+            if c is None:
+                break
+            s = field.inv(u[c])
+            echelon.append((c, [mul(x, s) for x in u]))
+            basis.append(v)
+            length += 1
+            v = [dot(row, v) for row in a]
+        if length:
+            lengths.append(length)
+            ends.append(v)
+    return basis, lengths, ends
 
 
 # -- computations over Q, modulo primes -------------------------------------

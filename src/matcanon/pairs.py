@@ -33,7 +33,7 @@ from .errors import (
     TraceNonzero,
 )
 from .fields import GF, QQ, Field, Scalar, sqrt_if_exists
-from .matrix import Matrix, _back_substitute, _clear_above, _forward, _mod_rows, _modular_lift
+from .matrix import Matrix, _back_substitute, _clear_above, _forward, _krylov, _mod_rows, _modular_lift
 from .matrix import _product, _unit_basis, block_diagonal, similarity_defect
 
 
@@ -373,41 +373,6 @@ def _hom_basis(field: Field, s1, s2, t1, t2) -> list[list]:
     pivots, _ = _forward(field, rows)
     _clear_above(field, rows, pivots)
     return [row[::-1] for row in reversed(rows)]
-
-
-def _krylov(field: Field, a) -> tuple[list[list], list[int], list[list]]:
-    """The Krylov basis of k^n under a (raw rows) from the unit vectors in
-    index order: a chain e_i, a*e_i, ... starts at each e_i outside the span
-    so far and ends before its first dependent iterate.  Returns the basis,
-    the chain lengths and the first dependent iterate of each chain."""
-    n = len(a)
-    zero, one, mul, dot, is_zero, submul = (
-        field.zero, field.one, field.mul, field.dot, field.is_zero, field.submul)
-    echelon = []  # (pivot, the reduced vector scaled to 1 there)
-    basis, lengths, ends = [], [], []
-    for i in range(n):
-        if len(basis) == n:
-            break
-        v = [zero] * n
-        v[i] = one
-        length = 0
-        while len(basis) < n:
-            u = v
-            for c, e in echelon:
-                if not is_zero(u[c]):
-                    u = submul(u, u[c], e)
-            c = next((k for k, x in enumerate(u) if not is_zero(x)), None)
-            if c is None:
-                break
-            s = field.inv(u[c])
-            echelon.append((c, [mul(x, s) for x in u]))
-            basis.append(v)
-            length += 1
-            v = [dot(row, v) for row in a]
-        if length:
-            lengths.append(length)
-            ends.append(v)
-    return basis, lengths, ends
 
 
 def _krylov_maps(field: Field, krylov, s2, t1, t2) -> list[list]:

@@ -1,21 +1,24 @@
 """Rational normal form with an explicit similarity transform.
 
-The invariant-factor chain (P_1, ..., P_r), with P_{i+1} dividing P_i, is
-computed by diagonalizing X*I - A over k[X] with exact row and column
-operations (divide-with-remainder pivoting, smallest-degree pivot first).
-Tracking the inverse of the accumulated row operations yields generators
-of the cyclic summands of k^n viewed as a k[X]-module via A, and their
-iterates under A assemble an invertible T with T^-1 * A * T = R.  Every
-step is a rational operation in the entries of A, and the operation count
-is polynomial in n.  The pair (R, T) is certified by A * T == T * R with
+If e1 is a cyclic vector of A, T is its Krylov basis
+[e1, A*e1, ..., A^(n-1)*e1] and the one invariant factor is read off the
+kernel of [T | A^n*e1].  Otherwise the invariant-factor chain
+(P_1, ..., P_r), with P_{i+1} dividing P_i, is computed by diagonalizing
+X*I - A over k[X] with exact row and column operations
+(divide-with-remainder pivoting, smallest-degree pivot first).  Tracking
+the inverse of the accumulated row operations yields generators of the
+cyclic summands of k^n viewed as a k[X]-module via A, and their iterates
+under A assemble an invertible T with T^-1 * A * T = R.  Every step is a
+rational operation in the entries of A, and the operation count is
+polynomial in n.  The pair (R, T) is certified by A * T == T * R with
 det T != 0, so no inverse is ever formed.
 
-Over Q the same diagonalization and generators run modulo word-size
-primes instead of on Fractions, driven by ``matrix._modular_lift``: the
-primes whose runs decide alike are combined and lifted, and the first
-lift that passes the certificate over Q is returned.  ``invariant_factors``
-is the chain of ``rnf_transform`` on every field, so every chain is
-certified.
+Over Q, whether e1 is cyclic is decided modulo one prime, and the
+diagonalization and generators run modulo word-size primes instead of on
+Fractions, driven by ``matrix._modular_lift``: the primes whose runs
+decide alike are combined and lifted, and the first lift that passes the
+certificate over Q is returned.  ``invariant_factors`` is the chain of
+``rnf_transform`` on every field, so every chain is certified.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     NotMonic,
 )
 from .fields import GF, Field
-from .matrix import Matrix, _mod_rows, _modular_lift, block_diagonal, similarity_defect
+from .matrix import Matrix, _krylov, _mod_rows, _modular_lift, _prime, block_diagonal, similarity_defect
 from .poly import Polynomial
 
 
@@ -356,25 +359,63 @@ def _assemble(
     return assemble_rnf_matrix(chain), t_mat, chain
 
 
+def _krylov_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm] | None:
+    """(R, T, chain) with T = [e1, A*e1, ..., A^(n-1)*e1] when e1 is a
+    cyclic vector of a, else None.
+
+    The one invariant factor X^n + c_(n-1)*X^(n-1) + ... + c_0 is read off
+    the kernel vector (c_0, ..., c_(n-1), 1) of [T | A^n*e1].  Over Q the
+    Krylov basis of e1 is first taken modulo p = ``_prime(0)``: if it spans,
+    T mod p is invertible and so is T.  A p that divides a denominator, or
+    a T that is singular mod p, gives None before any Fraction is formed;
+    otherwise the iterates are taken over Q and the kernel is the certified
+    one of ``rank_and_kernel``.
+    """
+    field, n = a.field, a.nrows
+    probe, rows = field, a._rows
+    if not field.characteristic:
+        p = _prime(0)
+        if any(x.denominator % p == 0 for row in rows for x in row):
+            return None
+        probe, rows = GF(p), _mod_rows(rows, p)
+    columns, _, ends = _krylov(probe, rows, 1)
+    if len(columns) < n:
+        return None
+    if probe is field:
+        columns.append(ends[0])
+    else:
+        columns = [[field.one] + [field.zero] * (n - 1)]
+        for _ in range(n):
+            columns.append(a.mul_vector_raw(columns[-1]))
+    # The last kernel vector is the one that is 1 at A^n*e1.
+    kernel = Matrix._raw(field, list(zip(*columns))).rank_and_kernel()[1]
+    chain = RationalNormalForm([Polynomial._raw(field, kernel[-1].column_raw(0))])
+    return assemble_rnf_matrix(chain), Matrix._raw(field, list(zip(*columns[:n]))), chain
+
+
 def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     """(R, T, chain): the normal form R of a, an invertible T with
     T^-1 * A * T = R, and the invariant factors of a.
 
-    One diagonalization yields all three; the result is certified by
-    :func:`similarity_defect` and BasisFailure is raised if it fails.
-    Over Q the diagonalization runs modulo primes (see
-    :func:`_rational_rnf_transform`).
+    If e1 is a cyclic vector of a, T is its Krylov basis
+    (:func:`_krylov_transform`); otherwise one diagonalization yields all
+    three, over Q modulo primes (see :func:`_rational_rnf_transform`).  The
+    result is certified by :func:`similarity_defect` and BasisFailure is
+    raised if it fails.
     """
     if not a.is_square:
         raise NonSquare("normal-form transform needs a square matrix")
     field = a.field
-    if not field.characteristic:
-        return _rational_rnf_transform(a)
-    diag, winv, _ = _diagonalize(field, _char_matrix(a))
-    generators = _generators(a, diag, winv)
-    if generators is None:
-        raise BasisFailure("zero generator of a cyclic summand")
-    r_mat, t_mat, chain = _assemble(a, diag, generators[0])
+    result = _krylov_transform(a)
+    if result is None:
+        if not field.characteristic:
+            return _rational_rnf_transform(a)
+        diag, winv, _ = _diagonalize(field, _char_matrix(a))
+        generators = _generators(a, diag, winv)
+        if generators is None:
+            raise BasisFailure("zero generator of a cyclic summand")
+        result = _assemble(a, diag, generators[0])
+    r_mat, t_mat, chain = result
     defect = similarity_defect(a, r_mat, t_mat)
     if defect is not None:
         raise BasisFailure(f"normal-form transform failed its certificate: {defect}")

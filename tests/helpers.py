@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import matcanon.rnf as rnf
 from matcanon import FieldMismatch, Matrix, Polynomial
 
 
@@ -41,6 +42,24 @@ def rand_invertible(field, n: int, rng: random.Random) -> Matrix:
 def rand_monic(field, degree: int, rng: random.Random) -> Polynomial:
     coeffs = [rand_scalar_raw(field, rng) for _ in range(degree)] + [1]
     return Polynomial(field, coeffs)
+
+
+def krylov_of_e1(a: Matrix) -> Matrix:
+    """[e1, A*e1, ..., A^(n-1)*e1]: the transform of a matrix whose e1 is a
+    cyclic vector."""
+    columns = [Matrix.identity(a.field, a.nrows).column_raw(0)]
+    for _ in range(a.nrows - 1):
+        columns.append(a.mul_vector_raw(columns[-1]))
+    return Matrix.from_columns(a.field, columns)
+
+
+def exact_transform(a: Matrix):
+    """(R, T, chain) of the k[X] diagonalization and its generators run over
+    the field of a itself (over Q, in Fractions): the transform of every
+    matrix whose e1 is not a cyclic vector."""
+    diag, winv, _ = rnf._diagonalize(a.field, rnf._char_matrix(a))
+    generators, _ = rnf._generators(a, diag, winv)
+    return rnf._assemble(a, diag, generators)
 
 
 def poly_eval_matrix(p: Polynomial, a: Matrix) -> Matrix:

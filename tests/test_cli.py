@@ -8,7 +8,9 @@ import matcanon.cli
 import matcanon.rnf
 from matcanon import GF, BasisFailure, Matrix, QQ, rnf_transform
 from matcanon.cli import main
-from matcanon.fileio import format_matrix, format_pair
+from matcanon.fileio import format_matrix, format_pair, matrix_strings
+
+from helpers import exact_transform, krylov_of_e1
 
 
 @pytest.fixture
@@ -52,8 +54,8 @@ class TestRnfCommand:
         assert code == 0 and payload["verified"] is True
 
     def test_diagonalizes_once(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "a.mat"
-        path.write_text(format_matrix(Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]])))
+        """A matrix whose e1 is not cyclic is diagonalized once; one whose e1
+        is cyclic is not diagonalized, and its T is [e1, A*e1, A^2*e1]."""
         calls = []
         diagonalize = matcanon.rnf._diagonalize
 
@@ -62,9 +64,19 @@ class TestRnfCommand:
             return diagonalize(field, d)
 
         monkeypatch.setattr(matcanon.rnf, "_diagonalize", counting)
-        code, payload = run_json(capsys, "rnf", str(path), "--verify")
-        assert code == 0 and payload["verified"] is True
-        assert calls == [GF(5)]
+        path = tmp_path / "a.mat"
+        for a, diagonalized in ((Matrix(GF(5), [[1, 2, 0], [0, 1, 0], [0, 0, 1]]), [GF(5)]),
+                                (Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]]), [])):
+            path.write_text(format_matrix(a))
+            calls.clear()
+            code, payload = run_json(capsys, "rnf", str(path), "--verify")
+            assert code == 0 and payload["verified"] is True
+            assert calls == diagonalized
+            r, t, chain = exact_transform(a)
+            assert payload["invariant_factors"] == [f.coefficient_strings() for f in chain]
+            assert payload["rnf_matrix"] == matrix_strings(r)
+            assert payload["transform"] == matrix_strings(t if diagonalized else krylov_of_e1(a))
+        assert payload["transform"] == [["1", "1", "1"], ["0", "0", "1"], ["0", "2", "0"]]
 
     def test_text_output(self, capsys, id2):
         code, out = run(capsys, "rnf", id2)

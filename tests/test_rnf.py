@@ -36,6 +36,8 @@ from bruteforce import conjugation_orbit
 
 from helpers import (
     charpoly_oracle,
+    exact_transform,
+    krylov_of_e1,
     minimal_polynomial_oracle,
     poly_eval_matrix,
     rand_invertible,
@@ -253,16 +255,69 @@ class TestOneDiagonalization:
             assert rnf_transform(a)[2] == invariant_factors(a)
 
 
-def exact_transform(a):
-    """(R, T, chain) of the diagonalization and generators run over Q itself."""
-    diag, winv, _ = rnf._diagonalize(QQ, rnf._char_matrix(a))
-    generators, _ = rnf._generators(a, diag, winv)
-    return rnf._assemble(a, diag, generators)
+def diagonalizing(monkeypatch, a):
+    """rnf_transform(a) and the fields of the diagonalizations it ran."""
+    calls = []
+    diagonalize = rnf._diagonalize
+
+    def recording(field, d):
+        calls.append(field)
+        return diagonalize(field, d)
+
+    monkeypatch.setattr(rnf, "_diagonalize", recording)
+    result = rnf_transform(a)
+    monkeypatch.undo()
+    return result, calls
+
+
+class TestKrylovStage:
+    """T = [e1, A*e1, ..., A^(n-1)*e1] exactly when e1 is a cyclic vector;
+    every other matrix is diagonalized, and its T is unchanged."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(10007)], ids=str)
+    def test_cyclic_e1_and_fallbacks(self, field, monkeypatch):
+        cyclic = Matrix(field, [[1, 2], [3, 4]])
+        (r, t, chain), calls = diagonalizing(monkeypatch, cyclic)
+        assert calls == [] and t == krylov_of_e1(cyclic) == Matrix(field, [[1, 1], [0, 3]])
+        expected = exact_transform(cyclic)
+        assert (r, chain) == (expected[0], expected[2])
+        # diag(1, 2) is cyclic, but e1 is an eigenvector; 2I is derogatory.
+        for a, factors in ((Matrix(field, [[1, 0], [0, 2]]), 1), (Matrix(field, [[2, 0], [0, 2]]), 2)):
+            result, calls = diagonalizing(monkeypatch, a)
+            assert calls and result == exact_transform(a)
+            assert len(result[2]) == factors
+
+    def test_rational_fallbacks(self, monkeypatch):
+        """Over Q cyclicity is decided modulo p0 = _prime(0)."""
+        p0 = _prime(0)
+        x = Polynomial.x(QQ)
+        # K = [e1, p0*e2] is singular modulo p0, yet e1 is cyclic over Q.
+        a = Matrix(QQ, [[0, 1], [p0, 0]])
+        (r, t, chain), calls = diagonalizing(monkeypatch, a)
+        assert list(chain) == [x * x - p0]
+        assert calls and (r, t, chain) == exact_transform(a)
+        # p0 divides a denominator, so A has no image modulo p0.
+        a = Matrix(QQ, [[Fraction(1, p0), 1], [2, 3]])
+        result, calls = diagonalizing(monkeypatch, a)
+        assert calls and p0 not in [f.characteristic for f in calls]
+        assert result == exact_transform(a)
+        assert krylov_of_e1(a).is_invertible()
+
+    def test_dense_krylov_transform_over_q(self):
+        # Dense Q n = 16: T is the Krylov basis, of entries of 69 bits.
+        rng = random.Random(16)
+        a = Matrix(QQ, [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)])
+        r, t, chain = rnf_transform(a)
+        assert t == krylov_of_e1(a)
+        assert len(chain) == 1 and r == companion(chain[0])
+        assert max(x.numerator.bit_length() for row in t._rows for x in row) == 69
 
 
 class TestModularTransform:
     """Over Q the chain and T are computed modulo primes, lifted, and
-    certified; they are exactly those of the same run over Q."""
+    certified: T is the Krylov basis of e1 when e1 is cyclic and otherwise
+    exactly that of the diagonalization run over Q, and the chain is always
+    the run's."""
 
     def derogatory(self, rng):
         parts = rng.choice([(3, 2, 1), (2, 2, 1, 1), (4, 2), (3, 3)])
@@ -275,6 +330,7 @@ class TestModularTransform:
 
     def test_matches_the_run_over_q(self):
         rng = random.Random(53)
+        krylov = 0
         for k in range(24):
             n = rng.randint(1, 10)
             if k % 3 == 0:
@@ -284,24 +340,26 @@ class TestModularTransform:
             else:
                 a = self.derogatory(rng)
             expected = exact_transform(a)
-            assert rnf_transform(a) == expected
-            assert invariant_factors(a) == expected[2]
+            r, t, chain = rnf_transform(a)
+            assert (r, chain) == (expected[0], expected[2])
+            if krylov_of_e1(a).is_invertible():
+                assert t == krylov_of_e1(a)
+                krylov += 1
+            else:
+                assert t == expected[1]
+            assert invariant_factors(a) == chain
+        assert krylov == 16
 
     def test_bad_primes_are_skipped(self, monkeypatch):
+        """Inputs whose e1 is not cyclic modulo p0, so that each reaches the
+        diagonalization modulo primes."""
         p0 = _prime(0)
         x = Polynomial.x(QQ)
-        used = []
-        diagonalize = rnf._diagonalize
-
-        def recording(field, d):
-            used.append(field.characteristic)
-            return diagonalize(field, d)
-
-        monkeypatch.setattr(rnf, "_diagonalize", recording)
         cases = [
             # Over Q the chain is (X^2); modulo p0 the matrix is 0, chain (X, X).
             (Matrix(QQ, [[0, p0], [0, 0]]), [x * x], True),
-            (companion(x ** 3 - p0), [x ** 3 - p0], True),
+            # K = [e1, p0*e3, p0*e2]: e1 is cyclic over Q but not modulo p0.
+            (companion(x ** 3 - p0).transpose(), [x ** 3 - p0], True),
             # Modulo p0 the second step pivots elsewhere and the generator
             # differs from the image of the one over Q.
             (Matrix(QQ, [[2, 2, 0], [2, 0, 0], [0, p0, 3]]), None, True),
@@ -309,8 +367,8 @@ class TestModularTransform:
             (Matrix(QQ, [[Fraction(1, p0), 1], [2, 3]]), None, False),
         ]
         for a, chain, p0_tried in cases:
-            used.clear()
-            r, t, got = rnf_transform(a)
+            (r, t, got), calls = diagonalizing(monkeypatch, a)
+            used = [field.characteristic for field in calls]
             assert (r, t, got) == exact_transform(a)
             if chain is not None:
                 assert list(got) == chain
@@ -332,13 +390,14 @@ class TestCertificate:
     def test_failure_raises_under_optimize(self):
         """The certificate and the zero-generator check are ordinary code, so
         ``python -O`` keeps them, for the normal-form transform and its
-        chain, for both pair changes of basis and for the exact check of a
-        kernel over Q."""
+        chain on both of its paths (the Krylov stage and the
+        diagonalization), for both pair changes of basis and for the exact
+        check of a kernel over Q."""
         script = textwrap.dedent("""
             import sys
             import matcanon.pairs as pairs
             import matcanon.rnf as rnf
-            from matcanon import (GF, BasisFailure, Matrix, QForm, invariant_factors,
+            from matcanon import (GF, QQ, BasisFailure, Matrix, QForm, invariant_factors,
                                   reduce_to_q, rnf_transform, simple_pair, split_off_simple)
             if __debug__:
                 sys.exit("not running under -O")
@@ -351,20 +410,37 @@ class TestCertificate:
                 else:
                     sys.exit(f"{label}: no BasisFailure")
 
-            # A broken generator step: every iterate under A is zero.
+            # A broken generator step: every iterate under A is zero.  e1 is
+            # an eigenvector of the GF(5) matrix, so it is diagonalized.
             mul_vector_raw = Matrix.mul_vector_raw
             Matrix.mul_vector_raw = lambda self, v: [self.field.zero] * self.nrows
-            broken = Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]])
+            broken = Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [0, 0, 4]])
             expect_failure("rnf", rnf_transform, broken)
             # The chain comes from the same certified run, so it fails too.
             expect_failure("invariant factors", invariant_factors, broken)
+            # Over Q e1 is cyclic modulo p0, so the Krylov stage takes its
+            # iterates over Q, all zero here.
+            expect_failure("krylov over Q", rnf_transform, Matrix(QQ, [[1, 2], [3, 4]]))
             Matrix.mul_vector_raw = mul_vector_raw
 
-            # A zero generator: the inverse row operations are all zero.
+            # A broken Krylov stage: A^n*e1 is off by e1, so its kernel
+            # gives a wrong invariant factor.
+            krylov = rnf._krylov
+
+            def spoiled_krylov(field, a, units=None):
+                basis, lengths, ends = krylov(field, a, units)
+                return basis, lengths, [[field.add(ends[0][0], field.one)] + ends[0][1:]]
+
+            rnf._krylov = spoiled_krylov
+            expect_failure("krylov", rnf_transform, Matrix(GF(5), [[1, 2], [3, 4]]))
+            rnf._krylov = krylov
+
+            # A zero generator: the inverse row operations are all zero.  The
+            # scalar matrix is derogatory, so it is diagonalized.
             diagonalize = rnf._diagonalize
             rnf._diagonalize = lambda field, d: (
                 diagonalize(field, d)[0], [[[]] * len(d) for _ in d], [])
-            expect_failure("zero generator", rnf_transform, Matrix(GF(5), [[1, 2], [3, 4]]))
+            expect_failure("zero generator", rnf_transform, Matrix(GF(5), [[2, 0], [0, 2]]))
             rnf._diagonalize = diagonalize
 
             # An intertwiner with its first column doubled: g breaks the
@@ -392,7 +468,6 @@ class TestCertificate:
             # A spoiled rational reconstruction over Q: every lifted entry is
             # off by one, so no kernel basis passes the exact check.
             import matcanon.matrix as matrix
-            from matcanon import QQ
             reconstruct = matrix._rational_reconstruction
 
             def spoiled_reconstruction(residues, m):
@@ -409,10 +484,11 @@ class TestCertificate:
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        labels = [line.split(" BasisFailure: ")[0] for line in proc.stdout.splitlines()]
-        assert labels == ["rnf", "invariant factors", "zero generator", "reduce", "split",
-                          "kernel", "rank"], proc.stdout
-        assert "zero generator of a cyclic summand" in proc.stdout.splitlines()[2]
+        reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
+        assert list(reasons) == ["rnf", "invariant factors", "krylov over Q", "krylov",
+                                 "zero generator", "reduce", "split", "kernel", "rank"], proc.stdout
+        assert reasons["zero generator"] == "zero generator of a cyclic summand"
+        assert "certificate" in reasons["krylov"] and "certificate" in reasons["krylov over Q"]
 
     def test_no_assert_statements_in_package(self):
         package = Path(matcanon.__file__).resolve().parent

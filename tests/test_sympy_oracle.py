@@ -2,8 +2,10 @@
 
 The Hom bases over Q of split pairs are checked against the kernel of
 their full intertwiner systems from sympy's own Gauss-Jordan elimination,
-and invariant factors over Q against sympy's Smith form over QQ[x].  The
-module is skipped without sympy.
+and invariant factors over Q against sympy's Smith form over QQ[x]: on
+random and dense matrices, whose e1 is a cyclic vector, so that they take
+the Krylov stage of ``rnf_transform``, and on derogatory matrices, which
+take its diagonalization.  The module is skipped without sympy.
 """
 
 import hashlib
@@ -16,9 +18,19 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from matcanon import QQ, QForm, hom_dimension, intertwiners, invariant_factors, simple_pair  # noqa: E402
+from matcanon import (  # noqa: E402
+    QQ,
+    Matrix,
+    QForm,
+    RationalNormalForm,
+    assemble_rnf_matrix,
+    hom_dimension,
+    intertwiners,
+    invariant_factors,
+    simple_pair,
+)
 
-from helpers import intertwiner_system, rand_invertible, rand_matrix  # noqa: E402
+from helpers import intertwiner_system, rand_invertible, rand_matrix, rand_monic  # noqa: E402
 
 
 def to_sympy(rows):
@@ -77,14 +89,43 @@ def test_endomorphisms_at_14_match_the_full_system():
         "2936ac59f97d6b2538f1ca22f233210557bee4f2d34da0d34bd806df3219510c")
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
-def test_invariant_factors_against_smith_form(n):
+def sympy_chain(a):
+    """The invariant factors of a matrix over Q from sympy's Smith form of
+    X*I - A over QQ[x], largest first, as ascending coefficient lists."""
     x = sympy.Symbol("x")
-    a = rand_matrix(QQ, n, random.Random(1000 + n))
+    n = a.nrows
     entries = to_sympy(a._rows)
     char = sympy.Matrix(n, n, lambda i, j: (x if i == j else 0) - entries[i][j])
     theirs = [sympy.Poly(f.as_expr(), x).monic() for f in sympy_invariant_factors(char, domain=sympy.QQ[x])]
-    theirs = [f for f in theirs if f.degree() > 0]
+    return [[Fraction(int(c.numerator), int(c.denominator)) for c in reversed(f.all_coeffs())]
+            for f in reversed(theirs) if f.degree() > 0]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
+def test_invariant_factors_against_smith_form(n):
+    a = rand_matrix(QQ, n, random.Random(1000 + n))
+    assert sympy_chain(a) == [list(f.coeffs) for f in invariant_factors(a)]
+
+
+def test_dense_16_against_smith_form():
+    """The dense integer matrix of size 16 (entries -9..9), whose e1 is cyclic."""
+    rng = random.Random(16)
+    a = Matrix(QQ, [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)])
+    assert sympy_chain(a) == [list(f.coeffs) for f in invariant_factors(a)]
+
+
+@pytest.mark.parametrize("parts", [(3, 2, 1), (2, 2, 1, 1), (4, 2, 2), (3, 3, 2), (4, 4, 2, 2)],
+                         ids=lambda parts: "-".join(map(str, parts)))
+def test_derogatory_against_smith_form(parts):
+    """Derogatory matrices have no cyclic vector, so these run the
+    diagonalization modulo primes: a chain with these parts, conjugated by a
+    random invertible matrix."""
+    rng = random.Random(2000 + sum(parts))
+    factors = [rand_monic(QQ, parts[-1], rng)]
+    for part in reversed(parts[:-1]):
+        factors.insert(0, factors[0] * rand_monic(QQ, part - factors[0].degree, rng))
+    g = rand_invertible(QQ, sum(parts), rng)
+    a = g * assemble_rnf_matrix(RationalNormalForm(factors)) * g.inverse()
     ours = invariant_factors(a)
-    assert [[Fraction(int(c.numerator), int(c.denominator)) for c in reversed(f.all_coeffs())]
-            for f in reversed(theirs)] == [list(f.coeffs) for f in ours]
+    assert tuple(f.degree for f in ours) == parts
+    assert sympy_chain(a) == [list(f.coeffs) for f in ours]
