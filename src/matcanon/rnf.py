@@ -1,19 +1,20 @@
 """Rational normal form with an explicit similarity transform.
 
-If e1 is a cyclic vector of A, T is its Krylov basis
-[e1, A*e1, ..., A^(n-1)*e1] and the one invariant factor is read off the
-kernel of [T | A^n*e1].  Otherwise the invariant-factor chain
-(P_1, ..., P_r), with P_{i+1} dividing P_i, is computed by diagonalizing
-X*I - A over k[X] with exact row and column operations
-(divide-with-remainder pivoting, smallest-degree pivot first).  Tracking
-the inverse of the accumulated row operations yields generators of the
-cyclic summands of k^n viewed as a k[X]-module via A, and their iterates
-under A assemble an invertible T with T^-1 * A * T = R.  Every step is a
-rational operation in the entries of A, and the operation count is
-polynomial in n.  The pair (R, T) is certified by A * T == T * R with
+If some unit vector is a cyclic vector of A, T is the Krylov basis
+[e_k, A*e_k, ..., A^(n-1)*e_k] of the first such e_k in index order, and
+the one invariant factor is read off the kernel of [T | A^n*e_k].  The
+scan for e_k stops early once A is proven derogatory.  Otherwise the
+invariant-factor chain (P_1, ..., P_r), with P_{i+1} dividing P_i, is
+computed by diagonalizing X*I - A over k[X] with exact row and column
+operations (divide-with-remainder pivoting, smallest-degree pivot first).
+Tracking the inverse of the accumulated row operations yields generators
+of the cyclic summands of k^n viewed as a k[X]-module via A, and their
+iterates under A assemble an invertible T with T^-1 * A * T = R.  Every
+step is a rational operation in the entries of A, and the operation count
+is polynomial in n.  The pair (R, T) is certified by A * T == T * R with
 det T != 0, so no inverse is ever formed.
 
-Over Q, whether e1 is cyclic is decided modulo one prime, and the
+Over Q, the scan for a cyclic unit vector runs modulo one prime, and the
 diagonalization and generators run modulo word-size primes instead of on
 Fractions, driven by ``matrix._modular_lift``: the primes whose runs
 decide alike are combined and lifted, and the first lift that passes the
@@ -34,7 +35,7 @@ from .errors import (
     NotMonic,
 )
 from .fields import GF, Field
-from .matrix import Matrix, _krylov, _mod_rows, _modular_lift, _prime, block_diagonal, similarity_defect
+from .matrix import Matrix, _krylov_chains, _mod_rows, _modular_lift, _prime, block_diagonal, similarity_defect
 from .poly import Polynomial
 
 
@@ -359,17 +360,76 @@ def _assemble(
     return assemble_rnf_matrix(chain), t_mat, chain
 
 
-def _krylov_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm] | None:
-    """(R, T, chain) with T = [e1, A*e1, ..., A^(n-1)*e1] when e1 is a
-    cyclic vector of a, else None.
+def _lcm(f: Polynomial, g: Polynomial) -> Polynomial:
+    """A least common multiple of f and g, up to a unit."""
+    h, r = f, g
+    while not r.is_zero():
+        h, r = r, h % r
+    return f * g // h
 
-    The one invariant factor X^n + c_(n-1)*X^(n-1) + ... + c_0 is read off
-    the kernel vector (c_0, ..., c_(n-1), 1) of [T | A^n*e1].  Over Q the
-    Krylov basis of e1 is first taken modulo p = ``_prime(0)``: if it spans,
-    T mod p is invertible and so is T.  A p that divides a denominator, or
-    a T that is singular mod p, gives None before any Fraction is formed;
-    otherwise the iterates are taken over Q and the kernel is the certified
-    one of ``rank_and_kernel``.
+
+def _relation(field: Field, columns: list[list]) -> Polynomial:
+    """X^d + c_(d-1)*X^(d-1) + ... + c_0 from the kernel vector
+    (c_0, ..., c_(d-1), 1) of [v, A*v, ..., A^d*v] whose first d columns
+    are independent: the minimal polynomial of v."""
+    kernel = Matrix._raw(field, list(zip(*columns))).rank_and_kernel()[1]
+    return Polynomial._raw(field, kernel[-1].column_raw(0))
+
+
+def _cyclic_unit(field: Field, a) -> tuple[int, list[list]] | None:
+    """(k, [e_k, A*e_k, ..., A^n*e_k]) for the first unit vector e_k, in
+    index order, that is a cyclic vector of a (raw rows), else None.
+
+    The scan builds the unit-vector Krylov basis of :func:`_krylov` one
+    unit vector at a time, and keeps mu, the lcm of the minimal
+    polynomials of the chain starts so far; e1's chain is its own.  While
+    the span V of the chains is proper, a unit vector in V lies in a
+    proper invariant subspace and is not cyclic, and any other is the
+    next chain start.  If mu(A) kills that start (evaluated on its chain,
+    extended as far as deg mu needs), A is derogatory: for a cyclic A,
+    ker mu(A) has dimension deg mu, so it is V, and the start lies outside
+    V.  Otherwise the start's own Krylov chain shows whether it is cyclic,
+    and its minimal polynomial joins mu.  Once V is k^n, mu(A) kills every
+    start, so mu is the minimal polynomial: deg mu < n proves a
+    derogatory, and deg mu = n leaves the remaining unit vectors to try.
+    """
+    n = len(a)
+    chain = _krylov_chains(field, a)
+    mu = Polynomial._raw(field, [field.one])
+    spanned = 0
+    for k in range(n):
+        if spanned < n:
+            vectors, end = chain(k)
+            if not vectors:
+                continue
+            spanned += len(vectors)
+            iterates = vectors + [end]
+            while len(iterates) <= mu.degree:
+                iterates.append([field.dot(row, iterates[-1]) for row in a])
+            if not any(field.dot(xs, mu.coeffs) for xs in zip(*iterates)):
+                return None
+        elif mu.degree < n:
+            return None
+        if k:
+            vectors, end = _krylov_chains(field, a)(k)
+        columns = vectors + [end]
+        if len(vectors) == n:
+            return k, columns
+        mu = _lcm(mu, _relation(field, columns))
+    return None
+
+
+def _krylov_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm] | None:
+    """(R, T, chain) with T = [e_k, A*e_k, ..., A^(n-1)*e_k] for the first
+    unit vector e_k that is a cyclic vector of a (:func:`_cyclic_unit`),
+    else None.
+
+    The one invariant factor is the relation of [T | A^n*e_k]
+    (:func:`_relation`).  Over Q the scan runs on A modulo
+    p = ``_prime(0)``: if e_k spans modulo p, T mod p is invertible and so
+    is T.  A p that divides a denominator gives None before any Fraction is
+    formed; otherwise the iterates of e_k are taken over Q and the kernel
+    is the certified one of ``rank_and_kernel``.
     """
     field, n = a.field, a.nrows
     probe, rows = field, a._rows
@@ -378,18 +438,15 @@ def _krylov_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm] | 
         if any(x.denominator % p == 0 for row in rows for x in row):
             return None
         probe, rows = GF(p), _mod_rows(rows, p)
-    columns, _, ends = _krylov(probe, rows, 1)
-    if len(columns) < n:
+    found = _cyclic_unit(probe, rows)
+    if found is None:
         return None
-    if probe is field:
-        columns.append(ends[0])
-    else:
-        columns = [[field.one] + [field.zero] * (n - 1)]
+    k, columns = found
+    if probe is not field:
+        columns = [[field.one if i == k else field.zero for i in range(n)]]
         for _ in range(n):
             columns.append(a.mul_vector_raw(columns[-1]))
-    # The last kernel vector is the one that is 1 at A^n*e1.
-    kernel = Matrix._raw(field, list(zip(*columns))).rank_and_kernel()[1]
-    chain = RationalNormalForm([Polynomial._raw(field, kernel[-1].column_raw(0))])
+    chain = RationalNormalForm([_relation(field, columns)])
     return assemble_rnf_matrix(chain), Matrix._raw(field, list(zip(*columns[:n]))), chain
 
 
@@ -397,7 +454,8 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     """(R, T, chain): the normal form R of a, an invertible T with
     T^-1 * A * T = R, and the invariant factors of a.
 
-    If e1 is a cyclic vector of a, T is its Krylov basis
+    If a unit vector is a cyclic vector of a, T is the Krylov basis of the
+    first one in index order, over Q the first one modulo ``_prime(0)``
     (:func:`_krylov_transform`); otherwise one diagonalization yields all
     three, over Q modulo primes (see :func:`_rational_rnf_transform`).  The
     result is certified by :func:`similarity_defect` and BasisFailure is

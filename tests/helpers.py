@@ -32,6 +32,14 @@ def rand_matrix(field, n: int, rng: random.Random, ncols: int | None = None) -> 
     return Matrix(field, [[rand_scalar_raw(field, rng) for _ in range(ncols)] for _ in range(n)])
 
 
+def rand_block_triangular(field, n: int, m: int, rng: random.Random) -> Matrix:
+    """A random [[B, C], [0, D]] with B of size m: e_1, ..., e_m span an
+    invariant subspace."""
+    rows = rand_matrix(field, n, rng)._rows
+    return Matrix(field, [[0 if i >= m and j < m else x for j, x in enumerate(row)]
+                          for i, row in enumerate(rows)])
+
+
 def rand_invertible(field, n: int, rng: random.Random) -> Matrix:
     while True:
         m = rand_matrix(field, n, rng)
@@ -44,19 +52,25 @@ def rand_monic(field, degree: int, rng: random.Random) -> Polynomial:
     return Polynomial(field, coeffs)
 
 
-def krylov_of_e1(a: Matrix) -> Matrix:
-    """[e1, A*e1, ..., A^(n-1)*e1]: the transform of a matrix whose e1 is a
-    cyclic vector."""
-    columns = [Matrix.identity(a.field, a.nrows).column_raw(0)]
+def unit_krylov(a: Matrix, k: int = 0) -> Matrix:
+    """[e_k, A*e_k, ..., A^(n-1)*e_k], e_k the unit vector of index k (from
+    0): the transform of a matrix whose first cyclic unit vector is e_k."""
+    columns = [Matrix.identity(a.field, a.nrows).column_raw(k)]
     for _ in range(a.nrows - 1):
         columns.append(a.mul_vector_raw(columns[-1]))
     return Matrix.from_columns(a.field, columns)
 
 
+def first_cyclic_unit(a: Matrix) -> int | None:
+    """The index of the first unit vector whose Krylov basis is invertible,
+    by brute force over the field of a, or None if there is none."""
+    return next((k for k in range(a.nrows) if unit_krylov(a, k).is_invertible()), None)
+
+
 def exact_transform(a: Matrix):
     """(R, T, chain) of the k[X] diagonalization and its generators run over
     the field of a itself (over Q, in Fractions): the transform of every
-    matrix whose e1 is not a cyclic vector."""
+    matrix with no cyclic unit vector."""
     diag, winv, _ = rnf._diagonalize(a.field, rnf._char_matrix(a))
     generators, _ = rnf._generators(a, diag, winv)
     return rnf._assemble(a, diag, generators)

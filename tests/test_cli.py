@@ -10,7 +10,7 @@ from matcanon import GF, BasisFailure, Matrix, QQ, rnf_transform
 from matcanon.cli import main
 from matcanon.fileio import format_matrix, format_pair, matrix_strings
 
-from helpers import exact_transform, krylov_of_e1
+from helpers import exact_transform, unit_krylov
 
 
 @pytest.fixture
@@ -54,8 +54,8 @@ class TestRnfCommand:
         assert code == 0 and payload["verified"] is True
 
     def test_diagonalizes_once(self, capsys, tmp_path, monkeypatch):
-        """A matrix whose e1 is not cyclic is diagonalized once; one whose e1
-        is cyclic is not diagonalized, and its T is [e1, A*e1, A^2*e1]."""
+        """A derogatory matrix is diagonalized once; one whose e1 is cyclic
+        is not diagonalized, and its T is [e1, A*e1, A^2*e1]."""
         calls = []
         diagonalize = matcanon.rnf._diagonalize
 
@@ -75,7 +75,7 @@ class TestRnfCommand:
             r, t, chain = exact_transform(a)
             assert payload["invariant_factors"] == [f.coefficient_strings() for f in chain]
             assert payload["rnf_matrix"] == matrix_strings(r)
-            assert payload["transform"] == matrix_strings(t if diagonalized else krylov_of_e1(a))
+            assert payload["transform"] == matrix_strings(t if diagonalized else unit_krylov(a))
         assert payload["transform"] == [["1", "1", "1"], ["0", "0", "1"], ["0", "2", "0"]]
 
     def test_text_output(self, capsys, id2):

@@ -37,12 +37,14 @@ from bruteforce import conjugation_orbit
 from helpers import (
     charpoly_oracle,
     exact_transform,
-    krylov_of_e1,
+    first_cyclic_unit,
     minimal_polynomial_oracle,
     poly_eval_matrix,
+    rand_block_triangular,
     rand_invertible,
     rand_matrix,
     rand_monic,
+    unit_krylov,
 )
 
 
@@ -270,45 +272,128 @@ def diagonalizing(monkeypatch, a):
     return result, calls
 
 
-class TestKrylovStage:
-    """T = [e1, A*e1, ..., A^(n-1)*e1] exactly when e1 is a cyclic vector;
-    every other matrix is diagonalized, and its T is unchanged."""
+FIELDS = [QQ, GF(2), GF(5), GF(10007)]
 
-    @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(10007)], ids=str)
+
+class TestKrylovStage:
+    """T = [e_k, A*e_k, ..., A^(n-1)*e_k] for the first unit vector e_k, in
+    index order, that is a cyclic vector; a matrix with no cyclic unit
+    vector is diagonalized, and its T is unchanged."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_cyclic_e1_and_fallbacks(self, field, monkeypatch):
         cyclic = Matrix(field, [[1, 2], [3, 4]])
         (r, t, chain), calls = diagonalizing(monkeypatch, cyclic)
-        assert calls == [] and t == krylov_of_e1(cyclic) == Matrix(field, [[1, 1], [0, 3]])
+        assert calls == [] and t == unit_krylov(cyclic) == Matrix(field, [[1, 1], [0, 3]])
         expected = exact_transform(cyclic)
         assert (r, chain) == (expected[0], expected[2])
-        # diag(1, 2) is cyclic, but e1 is an eigenvector; 2I is derogatory.
+        # diag(1, 2) is cyclic, but each unit vector is an eigenvector; 2I
+        # is derogatory.
         for a, factors in ((Matrix(field, [[1, 0], [0, 2]]), 1), (Matrix(field, [[2, 0], [0, 2]]), 2)):
             result, calls = diagonalizing(monkeypatch, a)
             assert calls and result == exact_transform(a)
             assert len(result[2]) == factors
 
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_first_cyclic_unit_after_e1(self, field, monkeypatch):
+        # e1 is an eigenvector of all three.  e1 and e2 span an invariant
+        # plane of the second, so e3 is its first cyclic unit vector.  In
+        # the third, the chains of e1 and e2 span k^3 and mu has degree 3,
+        # so e3, which starts no chain, is tried last.
+        for a, k in ((Matrix(field, [[1, 1], [0, 2]]), 1),
+                     (Matrix(field, [[2, 1, 0], [0, 2, 1], [0, 0, 3]]), 2),
+                     (Matrix(field, [[1, 1, 0], [0, 1, 1], [0, 1, 1]]), 2)):
+            (r, t, chain), calls = diagonalizing(monkeypatch, a)
+            assert calls == [] and first_cyclic_unit(a) == k and t == unit_krylov(a, k)
+            expected = exact_transform(a)
+            assert (r, chain) == (expected[0], expected[2])
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_block_triangular(self, field, monkeypatch):
+        """[[B, C], [0, D]]: e1 lies in the invariant span of the unit
+        vectors of B.  Only the matrices with no cyclic unit vector are
+        diagonalized."""
+        rng = random.Random(59)
+        later = 0
+        for _ in range(12):
+            n = rng.randint(4, 8)
+            a = rand_block_triangular(field, n, rng.randint(1, n - 2), rng)
+            k = first_cyclic_unit(a)
+            (r, t, chain), calls = diagonalizing(monkeypatch, a)
+            expected = exact_transform(a)
+            assert (r, chain) == (expected[0], expected[2])
+            if k is None:
+                assert len(calls) == 1 and t == expected[1]
+            else:
+                assert calls == [] and t == unit_krylov(a, k)
+                later += k > 0
+        assert later >= 3
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_derogatory_exit(self, field, monkeypatch):
+        """The scan stops at the first chain start that mu(A) kills, or once
+        the chains span k^n with deg mu < n: a derogatory matrix is
+        diagonalized once, with its chain.  Each list records the unit
+        vectors given to one Krylov basis: the scan's own, then the own
+        chain of each start it tried."""
+        rng = random.Random(61)
+        x = Polynomial.x(field)
+        f = rand_monic(field, 2, rng)
+        g = rand_invertible(field, 6, rng)
+        cases = [
+            (Matrix.identity(field, 6).scale(3), [[0, 1]]),
+            (Matrix(field, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]), [[0, 1, 2], [1]]),
+            # mu = (X - 1)(X - 2) once e1 and e2 span k^3.
+            (Matrix(field, [[1, 0, 0], [0, 2, 0], [0, 1, 1]]), [[0, 1], [1]]),
+            (g * assemble_rnf_matrix(RationalNormalForm([x ** 3, x ** 2, x])) * g.inverse(), None),
+            (g * assemble_rnf_matrix(RationalNormalForm([f * f, f])) * g.inverse(), None),
+        ]
+        krylov_chains = rnf._krylov_chains
+
+        def recording(k, rows):
+            chain, units = krylov_chains(k, rows), []
+            built.append(units)
+            return lambda i: units.append(i) or chain(i)
+
+        for a, expected in cases:
+            built = []
+            monkeypatch.setattr(rnf, "_krylov_chains", recording)
+            result, calls = diagonalizing(monkeypatch, a)
+            # Over Q one diagonalization runs modulo each prime.
+            assert calls and (len(calls) == 1 or not field.characteristic)
+            assert result == exact_transform(a) and len(result[2]) > 1
+            if expected is not None:
+                assert built == expected
+
     def test_rational_fallbacks(self, monkeypatch):
         """Over Q cyclicity is decided modulo p0 = _prime(0)."""
         p0 = _prime(0)
         x = Polynomial.x(QQ)
-        # K = [e1, p0*e2] is singular modulo p0, yet e1 is cyclic over Q.
+        # e1 is cyclic over Q, but A e1 = p0*e2 vanishes modulo p0, where e2
+        # is the first cyclic unit vector.
         a = Matrix(QQ, [[0, 1], [p0, 0]])
         (r, t, chain), calls = diagonalizing(monkeypatch, a)
         assert list(chain) == [x * x - p0]
+        assert calls == [] and first_cyclic_unit(a) == 0 and t == unit_krylov(a, 1)
+        # e1 is cyclic over Q, but A is 0 modulo p0.
+        a = Matrix(QQ, [[0, p0], [p0, 0]])
+        (r, t, chain), calls = diagonalizing(monkeypatch, a)
+        assert list(chain) == [x * x - p0 * p0]
         assert calls and (r, t, chain) == exact_transform(a)
+        assert first_cyclic_unit(a) == 0
         # p0 divides a denominator, so A has no image modulo p0.
         a = Matrix(QQ, [[Fraction(1, p0), 1], [2, 3]])
         result, calls = diagonalizing(monkeypatch, a)
         assert calls and p0 not in [f.characteristic for f in calls]
         assert result == exact_transform(a)
-        assert krylov_of_e1(a).is_invertible()
+        assert first_cyclic_unit(a) == 0
 
     def test_dense_krylov_transform_over_q(self):
         # Dense Q n = 16: T is the Krylov basis, of entries of 69 bits.
         rng = random.Random(16)
         a = Matrix(QQ, [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)])
         r, t, chain = rnf_transform(a)
-        assert t == krylov_of_e1(a)
+        assert t == unit_krylov(a)
         assert len(chain) == 1 and r == companion(chain[0])
         assert max(x.numerator.bit_length() for row in t._rows for x in row) == 69
 
@@ -342,8 +427,9 @@ class TestModularTransform:
             expected = exact_transform(a)
             r, t, chain = rnf_transform(a)
             assert (r, chain) == (expected[0], expected[2])
-            if krylov_of_e1(a).is_invertible():
-                assert t == krylov_of_e1(a)
+            k = first_cyclic_unit(a)
+            if k is not None:
+                assert t == unit_krylov(a, k)
                 krylov += 1
             else:
                 assert t == expected[1]
@@ -351,15 +437,16 @@ class TestModularTransform:
         assert krylov == 16
 
     def test_bad_primes_are_skipped(self, monkeypatch):
-        """Inputs whose e1 is not cyclic modulo p0, so that each reaches the
-        diagonalization modulo primes."""
+        """Inputs with no cyclic unit vector modulo p0, so that each reaches
+        the diagonalization modulo primes."""
         p0 = _prime(0)
         x = Polynomial.x(QQ)
         cases = [
             # Over Q the chain is (X^2); modulo p0 the matrix is 0, chain (X, X).
             (Matrix(QQ, [[0, p0], [0, 0]]), [x * x], True),
-            # K = [e1, p0*e3, p0*e2]: e1 is cyclic over Q but not modulo p0.
-            (companion(x ** 3 - p0).transpose(), [x ** 3 - p0], True),
+            # (A - I)^3 = p0^3 * I, so e1 is cyclic over Q, but modulo p0 A
+            # is the identity.
+            (Matrix(QQ, [[1, p0, 0], [0, 1, p0], [p0, 0, 1]]), [(x - 1) ** 3 - p0 ** 3], True),
             # Modulo p0 the second step pivots elsewhere and the generator
             # differs from the image of the one over Q.
             (Matrix(QQ, [[2, 2, 0], [2, 0, 0], [0, p0, 3]]), None, True),
@@ -390,9 +477,9 @@ class TestCertificate:
     def test_failure_raises_under_optimize(self):
         """The certificate and the zero-generator check are ordinary code, so
         ``python -O`` keeps them, for the normal-form transform and its
-        chain on both of its paths (the Krylov stage and the
-        diagonalization), for both pair changes of basis and for the exact
-        check of a kernel over Q."""
+        chain on both of its paths (the Krylov stage, with its scan of the
+        unit vectors, and the diagonalization), for both pair changes of
+        basis and for the exact check of a kernel over Q."""
         script = textwrap.dedent("""
             import sys
             import matcanon.pairs as pairs
@@ -410,11 +497,12 @@ class TestCertificate:
                 else:
                     sys.exit(f"{label}: no BasisFailure")
 
-            # A broken generator step: every iterate under A is zero.  e1 is
-            # an eigenvector of the GF(5) matrix, so it is diagonalized.
+            # A broken generator step: every iterate under A is zero.  The
+            # GF(5) matrix is cyclic, but no unit vector is a cyclic vector,
+            # so it is diagonalized.
             mul_vector_raw = Matrix.mul_vector_raw
             Matrix.mul_vector_raw = lambda self, v: [self.field.zero] * self.nrows
-            broken = Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [0, 0, 4]])
+            broken = Matrix(GF(5), [[1, 2, 0], [0, 1, 0], [0, 0, 4]])
             expect_failure("rnf", rnf_transform, broken)
             # The chain comes from the same certified run, so it fails too.
             expect_failure("invariant factors", invariant_factors, broken)
@@ -423,17 +511,24 @@ class TestCertificate:
             expect_failure("krylov over Q", rnf_transform, Matrix(QQ, [[1, 2], [3, 4]]))
             Matrix.mul_vector_raw = mul_vector_raw
 
-            # A broken Krylov stage: A^n*e1 is off by e1, so its kernel
-            # gives a wrong invariant factor.
-            krylov = rnf._krylov
+            # A broken Krylov stage: the first dependent iterate of every
+            # chain is off by e1, so its kernel gives a wrong invariant
+            # factor, whether e1 is cyclic or, in the scan of the second
+            # matrix, an eigenvector ahead of the cyclic e2.
+            krylov_chains = rnf._krylov_chains
 
-            def spoiled_krylov(field, a, units=None):
-                basis, lengths, ends = krylov(field, a, units)
-                return basis, lengths, [[field.add(ends[0][0], field.one)] + ends[0][1:]]
+            def spoiled_krylov(field, a):
+                chain = krylov_chains(field, a)
 
-            rnf._krylov = spoiled_krylov
+                def spoiled(i):
+                    vectors, end = chain(i)
+                    return vectors, [field.add(end[0], field.one)] + end[1:]
+                return spoiled
+
+            rnf._krylov_chains = spoiled_krylov
             expect_failure("krylov", rnf_transform, Matrix(GF(5), [[1, 2], [3, 4]]))
-            rnf._krylov = krylov
+            expect_failure("krylov scan", rnf_transform, Matrix(GF(5), [[1, 1], [0, 2]]))
+            rnf._krylov_chains = krylov_chains
 
             # A zero generator: the inverse row operations are all zero.  The
             # scalar matrix is derogatory, so it is diagonalized.
@@ -486,9 +581,10 @@ class TestCertificate:
         assert proc.returncode == 0, proc.stderr
         reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
         assert list(reasons) == ["rnf", "invariant factors", "krylov over Q", "krylov",
-                                 "zero generator", "reduce", "split", "kernel", "rank"], proc.stdout
+                                 "krylov scan", "zero generator", "reduce", "split", "kernel",
+                                 "rank"], proc.stdout
         assert reasons["zero generator"] == "zero generator of a cyclic summand"
-        assert "certificate" in reasons["krylov"] and "certificate" in reasons["krylov over Q"]
+        assert all("certificate" in reasons[label] for label in ("krylov", "krylov scan", "krylov over Q"))
 
     def test_no_assert_statements_in_package(self):
         package = Path(matcanon.__file__).resolve().parent

@@ -4,8 +4,10 @@ The Hom bases over Q of split pairs are checked against the kernel of
 their full intertwiner systems from sympy's own Gauss-Jordan elimination,
 and invariant factors over Q against sympy's Smith form over QQ[x]: on
 random and dense matrices, whose e1 is a cyclic vector, so that they take
-the Krylov stage of ``rnf_transform``, and on derogatory matrices, which
-take its diagonalization.  The module is skipped without sympy.
+the Krylov stage of ``rnf_transform``, on cyclic matrices whose e1 lies in
+a proper invariant subspace, which take the Krylov basis of a later unit
+vector, and on derogatory matrices, which take its diagonalization.  The
+module is skipped without sympy.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+import matcanon.rnf as rnf  # noqa: E402
 from matcanon import (  # noqa: E402
     QQ,
     Matrix,
@@ -27,10 +30,19 @@ from matcanon import (  # noqa: E402
     hom_dimension,
     intertwiners,
     invariant_factors,
+    rnf_transform,
     simple_pair,
 )
 
-from helpers import intertwiner_system, rand_invertible, rand_matrix, rand_monic  # noqa: E402
+from helpers import (  # noqa: E402
+    first_cyclic_unit,
+    intertwiner_system,
+    rand_block_triangular,
+    rand_invertible,
+    rand_matrix,
+    rand_monic,
+    unit_krylov,
+)
 
 
 def to_sympy(rows):
@@ -112,6 +124,21 @@ def test_dense_16_against_smith_form():
     rng = random.Random(16)
     a = Matrix(QQ, [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)])
     assert sympy_chain(a) == [list(f.coeffs) for f in invariant_factors(a)]
+
+
+@pytest.mark.parametrize("n", range(6, 15))
+def test_later_cyclic_unit_against_smith_form(n, monkeypatch):
+    """A cyclic matrix [[B, C], [0, D]] with B of size n // 3: e1 lies in
+    the invariant span of the unit vectors of B, so T is the Krylov basis
+    of a later unit vector, and nothing is diagonalized."""
+    rng = random.Random(3000 + n)
+    m = n // 3
+    a = rand_block_triangular(QQ, n, m, rng)
+    monkeypatch.setattr(rnf, "_diagonalize", None)
+    _, t, chain = rnf_transform(a)
+    k = first_cyclic_unit(a)
+    assert k >= m and t == unit_krylov(a, k) and len(chain) == 1
+    assert sympy_chain(a) == [list(f.coeffs) for f in chain]
 
 
 @pytest.mark.parametrize("parts", [(3, 2, 1), (2, 2, 1, 1), (4, 2, 2), (3, 3, 2), (4, 4, 2, 2)],
