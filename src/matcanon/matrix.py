@@ -11,14 +11,14 @@ here and in ``rnf``: it groups the primes by the decisions their runs
 took, combines each group by CRT, lifts it by rational reconstruction
 and returns the first lift that passes the caller's exact check.
 Products and eliminations run on the field's two row primitives, ``dot``
-and ``submul``.  ``_krylov_chains`` builds the one unit-vector Krylov
-basis, shared by ``rnf`` and ``pairs``.  ``similarity_defect`` is the one
-certificate for every change of basis the package returns.
+and ``submul``.  ``_krylov`` is the unit-vector Krylov basis of the Hom
+spaces of ``pairs``.  ``similarity_defect`` is the one certificate for
+every change of basis the package returns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul as _mul
@@ -329,21 +329,23 @@ def _back_substitute(field: Field, rows: list[list], pivots: list[int]) -> list[
     return basis
 
 
-def _krylov_chains(field: Field, a) -> Callable[[int], tuple[list[list], list]]:
-    """A function chain(i) that extends a Krylov basis of k^n under a (raw
-    rows), empty at first, by the chain of e_i: e_i, a*e_i, ... up to
-    before the first iterate in the span so far.  It returns the chain
-    (empty if e_i is in the span) and that first dependent iterate."""
+def _krylov(field: Field, a) -> tuple[list[list], list[int], list[list]]:
+    """The Krylov basis of k^n under a (raw rows) from the unit vectors in
+    index order: a chain e_i, a*e_i, ... starts at each e_i outside the span
+    so far and ends before its first dependent iterate.  Returns the basis,
+    the chain lengths and the first dependent iterate of each chain."""
     n = len(a)
     zero, one, mul, dot, is_zero, submul = (
         field.zero, field.one, field.mul, field.dot, field.is_zero, field.submul)
     echelon = []  # (pivot, the reduced vector scaled to 1 there)
-
-    def chain(i: int) -> tuple[list[list], list]:
+    basis, lengths, ends = [], [], []
+    for i in range(n):
+        if len(basis) == n:
+            break
         v = [zero] * n
         v[i] = one
-        vectors = []
-        while len(echelon) < n:
+        length = 0
+        while len(basis) < n:
             u = v
             for c, e in echelon:
                 if not is_zero(u[c]):
@@ -353,28 +355,12 @@ def _krylov_chains(field: Field, a) -> Callable[[int], tuple[list[list], list]]:
                 break
             s = field.inv(u[c])
             echelon.append((c, [mul(x, s) for x in u]))
-            vectors.append(v)
+            basis.append(v)
+            length += 1
             v = [dot(row, v) for row in a]
-        return vectors, v
-
-    return chain
-
-
-def _krylov(field: Field, a) -> tuple[list[list], list[int], list[list]]:
-    """The Krylov basis of k^n under a (raw rows) from the unit vectors in
-    index order (:func:`_krylov_chains`): a chain starts at each e_i outside
-    the span so far.  Returns the basis, the chain lengths and the first
-    dependent iterate of each chain."""
-    chain = _krylov_chains(field, a)
-    basis, lengths, ends = [], [], []
-    for i in range(len(a)):
-        if len(basis) == len(a):
-            break
-        vectors, end = chain(i)
-        if vectors:
-            basis += vectors
-            lengths.append(len(vectors))
-            ends.append(end)
+        if length:
+            lengths.append(length)
+            ends.append(v)
     return basis, lengths, ends
 
 

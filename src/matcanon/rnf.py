@@ -1,30 +1,31 @@
 """Rational normal form with an explicit similarity transform.
 
-If some unit vector is a cyclic vector of A, T is the Krylov basis
-[e_k, A*e_k, ..., A^(n-1)*e_k] of the first such e_k in index order, and
-the one invariant factor is read off the kernel of [T | A^n*e_k].  The
-scan for e_k stops early once A is proven derogatory.  Otherwise the
-invariant-factor chain (P_1, ..., P_r), with P_{i+1} dividing P_i, is
-computed by diagonalizing X*I - A over k[X] with exact row and column
-operations (divide-with-remainder pivoting, smallest-degree pivot first).
-Tracking the inverse of the accumulated row operations yields generators
-of the cyclic summands of k^n viewed as a k[X]-module via A, and their
-iterates under A assemble an invertible T with T^-1 * A * T = R.  Every
-step is a rational operation in the entries of A, and the operation count
-is polynomial in n.  The pair (R, T) is certified by A * T == T * R with
-det T != 0, so no inverse is ever formed.
+T has one Krylov block g, A*g, ..., A^(deg P - 1)*g per invariant factor
+P, largest first, with generators from unit vectors (the cyclic
+decomposition of Hoffman & Kunze, *Linear Algebra*, 7.2, and the lcm
+merge of Augot & Camion, LAA 1997).  With W the span of the blocks so
+far, x is the first unit vector, in index order, whose conductor into W
+(the monic f of least degree with f(A)*x in W) has the degree of P, or
+else the lcm merge of the unit vectors outside W.  Then P(A)*x = sum of
+h_i(A)*g_i over the generators so far, P divides each h_i, and the
+generator is x - sum of (h_i/P)(A)*g_i.  So T is the Krylov basis of the
+first unit vector that is a cyclic vector, if there is one.
 
-Over Q, the scan for a cyclic unit vector runs modulo one prime, and the
-diagonalization and generators run modulo word-size primes instead of on
-Fractions, driven by ``matrix._modular_lift``: the primes whose runs
-decide alike are combined and lifted, and the first lift that passes the
-certificate over Q is returned.  ``invariant_factors`` is the chain of
+The chain (P_1, ..., P_r), P_{i+1} | P_i, of a cyclic matrix comes from a
+scan of the unit vectors, which also proves a matrix derogatory; the
+chain of a derogatory matrix is the diagonal of X*I - A reduced over k[X]
+(divide-with-remainder pivoting, smallest-degree pivot first).  Every
+step is a rational operation in the entries of A, polynomial in n.  (R, T)
+is certified by A * T == T * R with det T != 0; no inverse is formed.
+Over Q all of it runs modulo word-size primes, lifted by
+``matrix._modular_lift``.  ``invariant_factors`` is the chain of
 ``rnf_transform`` on every field, so every chain is certified.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import accumulate
 from math import lcm
 
 from .errors import (
@@ -34,8 +35,8 @@ from .errors import (
     NonSquare,
     NotMonic,
 )
-from .fields import GF, Field
-from .matrix import Matrix, _krylov_chains, _mod_rows, _modular_lift, _prime, block_diagonal, similarity_defect
+from .fields import GF, QQ, Field
+from .matrix import Matrix, _mod_rows, _modular_lift, block_diagonal, similarity_defect
 from .poly import Polynomial
 
 
@@ -171,62 +172,43 @@ def partition_of(rnf: RationalNormalForm) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# Diagonalization of X*I - A over k[X].
+# The chain of a derogatory matrix: diagonalization of X*I - A over k[X].
 #
 # Polynomial entries are raw coefficient lists (ascending, no trailing
-# zeros, zero = []).  Row operations are mirrored on the columns of the
-# inverse of their accumulated product, which is what the generator
-# extraction needs.
+# zeros, zero = []).
 # ---------------------------------------------------------------------------
 
 
-def _char_matrix(a: Matrix) -> list[list[list]]:
-    field = a.field
-    neg, is_zero, zero, one = field.neg, field.is_zero, field.zero, field.one
-    m = a.nrows
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            e = a._rows[i][j]
-            if i == j:
-                row.append([neg(e), one])
-            elif is_zero(e):
-                row.append([])
-            else:
-                row.append([neg(e)])
-        out.append(row)
-    return out
+def _char_matrix(field: Field, a) -> list[list[list]]:
+    """X*I - A for a (raw rows), with polynomial entries."""
+    neg, is_zero, one = field.neg, field.is_zero, field.one
+    return [[[neg(e), one] if i == j else [] if is_zero(e) else [neg(e)] for j, e in enumerate(row)]
+            for i, row in enumerate(a)]
 
 
 def _diagonalize(field: Field, d: list[list[list]]):
     """Reduce a square polynomial matrix to diagonal form d_1 | d_2 | ...
 
-    Returns (diagonal coefficient lists, winv, trace): winv is the inverse
-    of the accumulated row-operation product, and the trace lists every
-    decision the reduction took (each pivot (len, i, j), each dirty flag,
-    each offender).  The diagonal entries are monic; the input must be
-    nonsingular over k(X), which holds for every characteristic matrix.
+    Returns the diagonal coefficient lists, which are monic; the input
+    must be nonsingular over k(X), which holds for every characteristic
+    matrix.  It runs only on derogatory matrices, for their chain, and
+    mirrors no row operation: the generators of T come from unit-vector
+    conductors (:func:`_generators`).
     """
     ops = field.poly_ops()
-    padd, psub, pmul, pdivmod, pscale = ops.add, ops.sub, ops.mul, ops.divmod, ops.scale
+    psub, pmul, pdivmod, pscale = ops.sub, ops.mul, ops.divmod, ops.scale
     one, neg_one = field.one, field.neg(field.one)
     m = len(d)
-    winv = [[[one] if i == j else [] for j in range(m)] for i in range(m)]
-    trace = []
 
     def row_addmul(i, j, q):
-        # row_i -= q * row_j; mirrored as col_j += q * col_i on winv.
+        # row_i -= q * row_j
         rowi, rowj = d[i], d[j]
         for k in range(m):
             if rowj[k]:
                 rowi[k] = psub(rowi[k], pmul(q, rowj[k]))
-        for k in range(m):
-            if winv[k][i]:
-                winv[k][j] = padd(winv[k][j], pmul(q, winv[k][i]))
 
     def col_addmul(j, i, q):
-        # col_j -= q * col_i; right-side operation, nothing to mirror.
+        # col_j -= q * col_i
         for k in range(m):
             if d[k][i]:
                 d[k][j] = psub(d[k][j], pmul(q, d[k][i]))
@@ -246,12 +228,9 @@ def _diagonalize(field: Field, d: list[list[list]]):
                     break
             if best is None:
                 raise BasisFailure("singular polynomial matrix in normal-form reduction")
-            trace.append(best)
             _, bi, bj = best
             if bi != t:
                 d[t], d[bi] = d[bi], d[t]
-                for k in range(m):
-                    winv[k][t], winv[k][bi] = winv[k][bi], winv[k][t]
             if bj != t:
                 for k in range(m):
                     d[k][t], d[k][bj] = d[k][bj], d[k][t]
@@ -271,7 +250,6 @@ def _diagonalize(field: Field, d: list[list[list]]):
                     col_addmul(j, t, q)
                     if r:
                         dirty = True
-            trace.append(dirty)
             if dirty:
                 continue
             offender = None
@@ -283,17 +261,13 @@ def _diagonalize(field: Field, d: list[list[list]]):
                         break
                 if offender is not None:
                     break
-            trace.append(offender)
             if offender is None:
                 break
             row_addmul(t, offender, [neg_one])
         lead = d[t][t][-1]
         if lead != one:
             d[t][t] = pscale(d[t][t], field.inv(lead))
-            for k in range(m):
-                if winv[k][t]:
-                    winv[k][t] = pscale(winv[k][t], lead)
-    return [d[t][t] for t in range(m)], winv, trace
+    return [d[t][t] for t in range(m)]
 
 
 def invariant_factors(a: Matrix) -> RationalNormalForm:
@@ -304,176 +278,296 @@ def invariant_factors(a: Matrix) -> RationalNormalForm:
     return rnf_transform(a)[2]
 
 
-def _generators(a: Matrix, diag: list[list], winv) -> tuple[list[list], list[int]] | None:
-    """The generator of each cyclic summand, largest annihilator first, and
-    the index of its first nonzero entry; None if a generator is zero.
-
-    The generator of the summand with annihilator diag[t] is the sum of
-    winv[j][t](A) * e_j, taken in one Horner pass over the coefficient
-    index k (v = A*v, then v[j] += coefficient k of winv[j][t]).  Any
-    nonzero multiple generates the same summand; first nonzero entry 1
-    fixes T and keeps its entries small over Q.
-    """
-    field = a.field
-    n = a.nrows
-    add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
-    generators, firsts = [], []
-    for t in range(n - 1, -1, -1):
-        if len(diag[t]) == 1:
-            continue
-        ws = [winv[j][t] for j in range(n)]
-        top = max(map(len, ws)) - 1
-        v = [zero] * n
-        for k in range(top, -1, -1):
-            if k < top:
-                v = a.mul_vector_raw(v)
-            v = [add(x, w[k]) if k < len(w) else x for x, w in zip(v, ws)]
-        first = next((k for k, x in enumerate(v) if not is_zero(x)), None)
-        if first is None:
-            return None
-        inv_first = field.inv(v[first])
-        generators.append([mul(x, inv_first) for x in v])
-        firsts.append(first)
-    return generators, firsts
+# ---------------------------------------------------------------------------
+# Krylov chains of unit vectors, conductors and the generators of T.
+# ---------------------------------------------------------------------------
 
 
-def _assemble(
-    a: Matrix, diag: list[list], generators: list[list]
-) -> tuple[Matrix, Matrix, RationalNormalForm]:
-    """(R, T, chain): the chain is read off the diagonal d_1 | d_2 | ...,
-    largest factor first, and the columns of T are each generator followed
-    by its iterates under A, one block per invariant factor."""
-    field = a.field
-    n = a.nrows
-    factors = [Polynomial._raw(field, c) for c in reversed(diag) if len(c) > 1]
-    degrees = sum(f.degree for f in factors)
-    if degrees != n:
-        raise BasisFailure(f"invariant factors have total degree {degrees}, expected {n}")
-    chain = RationalNormalForm(factors)
-    columns = []
-    for v, factor in zip(generators, chain):
-        columns.append(v)
-        for _ in range(factor.degree - 1):
-            v = a.mul_vector_raw(v)
-            columns.append(v)
-    t_mat = Matrix._raw(field, [[col[i] for col in columns] for i in range(n)])
-    return assemble_rnf_matrix(chain), t_mat, chain
+class _Span:
+    """A row echelon form of the span of vectors b_0, b_1, ... added in
+    turn, each outside the span of those before it.  Row i is b_i less the
+    rows that reduced it, scaled to 1 at its pivot; both are kept, so a
+    vector of the span can be written in the b's (:meth:`coordinates`)."""
+
+    __slots__ = ("field", "pivots", "rows", "made")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.pivots, self.rows, self.made = [], [], []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def add(self, v: list) -> list | None:
+        """None after adding v as the next b, if v lies outside the span;
+        otherwise the steps (i, x) with v = sum of x * row_i."""
+        field = self.field
+        submul = field.submul
+        steps = []
+        # Zero is falsy in every field.
+        for i, c in enumerate(self.pivots):
+            x = v[c]
+            if x:
+                v = submul(v, x, self.rows[i])
+                steps.append((i, x))
+        c = next((k for k, x in enumerate(v) if x), None)
+        if c is None:
+            return steps
+        s = field.inv(v[c])
+        self.pivots.append(c)
+        self.rows.append(v if s == field.one else [field.mul(x, s) for x in v])
+        self.made.append((s, steps))
+        return None
+
+    def coordinates(self, steps: list) -> list:
+        """The coordinates in the b's of the sum of x * row_i over the steps
+        (i, x), by back substitution through the rows' own steps."""
+        field = self.field
+        sub, mul = field.sub, field.mul
+        x = [field.zero] * len(self.rows)
+        for i, s in steps:
+            x[i] = s
+        for i in range(len(x) - 1, -1, -1):
+            if x[i]:
+                s, made = self.made[i]
+                xi = x[i] = mul(x[i], s)
+                for j, y in made:
+                    x[j] = sub(x[j], mul(xi, y))
+        return x
+
+    def truncate(self, m: int):
+        del self.pivots[m:], self.rows[m:], self.made[m:]
+
+
+def _unit(field: Field, a, k: int) -> list[list]:
+    """[e_k, A*e_k] for a (raw rows): the start of the Krylov chain of e_k."""
+    v = [field.zero] * len(a)
+    v[k] = field.one
+    return [v, [row[k] for row in a]]
+
+
+def _conductor(span: _Span, a, iterates: list[list]) -> tuple[Polynomial, list] | None:
+    """(f, w) for x = iterates[0], or None if x lies in the span W: f is
+    the conductor of x into W, the monic f of least degree with f(A)*x in
+    W, and w the coordinates of f(A)*x in the b's of W.  The chain x,
+    A*x, ..., A^(deg f - 1)*x is added to the span; its iterates are read
+    from the list, which is extended in place as far as needed."""
+    field = span.field
+    m = d = len(span)
+    while (steps := span.add(iterates[d - m])) is None:
+        d += 1
+        if d - m == len(iterates):
+            iterates.append([field.dot(row, iterates[-1]) for row in a])
+    if d == m:
+        return None
+    coords = span.coordinates(steps)
+    return Polynomial._raw(field, [field.neg(c) for c in coords[m:]] + [field.one]), coords[:m]
+
+
+def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The monic greatest common divisor of f and g, not both zero."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f // Polynomial.constant(f.field, f.coeffs[-1])
 
 
 def _lcm(f: Polynomial, g: Polynomial) -> Polynomial:
-    """A least common multiple of f and g, up to a unit."""
-    h, r = f, g
-    while not r.is_zero():
-        h, r = r, h % r
-    return f * g // h
+    """The least common multiple of monic f and g."""
+    return f * g // _gcd(f, g)
 
 
-def _relation(field: Field, columns: list[list]) -> Polynomial:
-    """X^d + c_(d-1)*X^(d-1) + ... + c_0 from the kernel vector
-    (c_0, ..., c_(d-1), 1) of [v, A*v, ..., A^d*v] whose first d columns
-    are independent: the minimal polynomial of v."""
-    kernel = Matrix._raw(field, list(zip(*columns))).rank_and_kernel()[1]
-    return Polynomial._raw(field, kernel[-1].column_raw(0))
+def _apply(field: Field, a, q: Polynomial, v: list) -> list:
+    """q(A)*v for a (raw rows), by Horner's rule."""
+    add, mul, dot = field.add, field.mul, field.dot
+    out = [field.zero] * len(v)
+    for c in reversed(q.coeffs):
+        out = [add(dot(row, out), mul(c, x)) for row, x in zip(a, v)]
+    return out
 
 
-def _cyclic_unit(field: Field, a) -> tuple[int, list[list]] | None:
-    """(k, [e_k, A*e_k, ..., A^n*e_k]) for the first unit vector e_k, in
-    index order, that is a cyclic vector of a (raw rows), else None.
+def _merge(field: Field, a, tried: list, degree: int) -> tuple[list, tuple] | None:
+    """(x, merged): the lcm merge, in index order, of the unit vectors of
+    ``tried``, pairs (j, f_j) of an index and a conductor into W, until x
+    has a conductor of the given degree; None if it never does.
 
-    The scan builds the unit-vector Krylov basis of :func:`_krylov` one
-    unit vector at a time, and keeps mu, the lcm of the minimal
-    polynomials of the chain starts so far; e1's chain is its own.  While
-    the span V of the chains is proper, a unit vector in V lies in a
-    proper invariant subspace and is not cyclic, and any other is the
-    next chain start.  If mu(A) kills that start (evaluated on its chain,
-    extended as far as deg mu needs), A is derogatory: for a cyclic A,
-    ker mu(A) has dimension deg mu, so it is V, and the start lies outside
-    V.  Otherwise the start's own Krylov chain shows whether it is cyclic,
-    and its minimal polynomial joins mu.  Once V is k^n, mu(A) kills every
-    start, so mu is the minimal polynomial: deg mu < n proves a
-    derogatory, and deg mu = n leaves the remaining unit vectors to try.
+    If x has conductor f = f1*f2 and y conductor g = g1*g2, f1 and g1
+    coprime with f1*g1 = lcm(f, g), then f2(A)*x + g2(A)*y has conductor
+    lcm(f, g); f1 is the part of f at the irreducible factors where f has
+    the higher multiplicity.  ``merged`` records (j, deg f_j, deg f1) for
+    each e_j merged after the first."""
+    if not tried:
+        return None
+    (j, f), *rest = tried
+    x, merged = _unit(field, a, j)[0], [j]
+    for j, g in rest:
+        if f.degree == degree:
+            break
+        lcm_fg = _lcm(f, g)
+        if lcm_fg.degree == f.degree:
+            continue
+        u, rest_f = f // _gcd(f, g), f
+        while (e := _gcd(rest_f, u)).degree:
+            rest_f = rest_f // e
+        f1 = f // rest_f
+        y = _apply(field, a, g * f1 // lcm_fg, _unit(field, a, j)[0])
+        x = [field.add(s, t) for s, t in zip(_apply(field, a, rest_f, x), y)]
+        f = lcm_fg
+        merged.append((j, g.degree, f1.degree))
+    return (x, tuple(merged)) if f.degree == degree else None
+
+
+def _generators(field: Field, a, factors: list[Polynomial]) -> tuple[list[list], tuple] | None:
+    """The columns of T for the chain ``factors`` of a (raw rows), by the
+    rule of the module docstring, and the unit vectors chosen or merged.
+    Unit vectors in W stay in it and are not tried again.  None if a step
+    fails, which happens only modulo a prime that the run over Q does not
+    map to."""
+    n = len(a)
+    zero, dot, sub = field.zero, field.dot, field.sub
+    ops = field.poly_ops()
+    span = _Span(field)
+    columns, blocks, choices = [], [], []
+    inside = [False] * n
+    for factor in factors:
+        degree, m = factor.degree, len(span)
+        tried = []
+        for j in range(n):
+            if inside[j]:
+                continue
+            iterates = _unit(field, a, j)
+            found = _conductor(span, a, iterates)
+            if found is None:
+                inside[j] = True
+            elif found[0].degree == degree:
+                choice = j
+                inside[j] = True
+                break
+            else:
+                span.truncate(m)
+                tried.append((j, found[0]))
+        else:
+            merge = _merge(field, a, tried, degree)
+            if merge is None:
+                return None
+            iterates, choice = [merge[0]], merge[1]
+            found = _conductor(span, a, iterates)
+        # A second pass checks the generator: its relation is f(A)*g = 0.
+        while True:
+            if found is None or found[0].degree != degree:
+                return None
+            f, w = found
+            correction = [zero] * m
+            for start, length in blocks:
+                h = w[start:start + length]
+                if any(h):
+                    while not h[-1]:
+                        h.pop()
+                    q, r = ops.divmod(h, f.coeffs)
+                    if r:
+                        return None
+                    correction[start:start + len(q)] = q
+            if not any(correction):
+                break
+            g = [sub(x, dot(correction, row)) for x, row in zip(iterates[0], zip(*columns))]
+            span.truncate(m)
+            iterates = [g]
+            found = _conductor(span, a, iterates)
+        columns += iterates[:degree]
+        blocks.append((m, degree))
+        choices.append(choice)
+    return columns, tuple(choices)
+
+
+def _cyclic_unit(field: Field, a) -> tuple[Polynomial, int | None, list[list] | None] | None:
+    """(f, k, [e_k, A*e_k, ..., A^(n-1)*e_k]) for the first unit vector
+    e_k that is a cyclic vector of a (raw rows), f its minimal polynomial;
+    (mu, None, None) if a is cyclic but no unit vector is, mu its minimal
+    polynomial; None if a is derogatory.
+
+    The scan builds the unit-vector Krylov basis one chain at a time and
+    keeps mu, the lcm of the minimal polynomials of the chain starts so
+    far.  While the span V of the chains is proper, a unit vector in V is
+    not cyclic, and any other is the next chain start.  If mu(A) kills
+    that start, A is derogatory: for a cyclic A, ker mu(A) has dimension
+    deg mu, so it is V.  Otherwise the start's own chain, on the iterates
+    already taken, gives its minimal polynomial, which joins mu.  Once V
+    is k^n, mu is the minimal polynomial: deg mu < n proves a derogatory.
     """
     n = len(a)
-    chain = _krylov_chains(field, a)
+    dot = field.dot
+    span = _Span(field)
     mu = Polynomial._raw(field, [field.one])
-    spanned = 0
     for k in range(n):
-        if spanned < n:
-            vectors, end = chain(k)
-            if not vectors:
+        iterates = _unit(field, a, k)
+        if len(span) < n and k:
+            if _conductor(span, a, iterates) is None:
                 continue
-            spanned += len(vectors)
-            iterates = vectors + [end]
             while len(iterates) <= mu.degree:
-                iterates.append([field.dot(row, iterates[-1]) for row in a])
-            if not any(field.dot(xs, mu.coeffs) for xs in zip(*iterates)):
+                iterates.append([dot(row, iterates[-1]) for row in a])
+            if not any(dot(xs, mu.coeffs) for xs in zip(*iterates)):
                 return None
-        elif mu.degree < n:
+        elif k and mu.degree < n:
             return None
-        if k:
-            vectors, end = _krylov_chains(field, a)(k)
-        columns = vectors + [end]
-        if len(vectors) == n:
-            return k, columns
-        mu = _lcm(mu, _relation(field, columns))
-    return None
+        # e1's chain is the first chain of V; a later start takes its own.
+        f = _conductor(_Span(field) if k else span, a, iterates)[0]
+        if f.degree == n:
+            return f, k, iterates[:n]
+        mu = _lcm(mu, f)
+    return mu, None, None
 
 
-def _krylov_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm] | None:
-    """(R, T, chain) with T = [e_k, A*e_k, ..., A^(n-1)*e_k] for the first
-    unit vector e_k that is a cyclic vector of a (:func:`_cyclic_unit`),
-    else None.
-
-    The one invariant factor is the relation of [T | A^n*e_k]
-    (:func:`_relation`).  Over Q the scan runs on A modulo
-    p = ``_prime(0)``: if e_k spans modulo p, T mod p is invertible and so
-    is T.  A p that divides a denominator gives None before any Fraction is
-    formed; otherwise the iterates of e_k are taken over Q and the kernel
-    is the certified one of ``rank_and_kernel``.
-    """
-    field, n = a.field, a.nrows
-    probe, rows = field, a._rows
-    if not field.characteristic:
-        p = _prime(0)
-        if any(x.denominator % p == 0 for row in rows for x in row):
-            return None
-        probe, rows = GF(p), _mod_rows(rows, p)
-    found = _cyclic_unit(probe, rows)
+def _normal_form(field: Field, a) -> tuple[list[Polynomial], list[list], tuple] | None:
+    """(chain, columns of T, key) of a (raw rows) over a finite field, or
+    None if a generator step fails.  The chain is the scan's or, for a
+    derogatory matrix, the diagonal of :func:`_diagonalize`.  The key is
+    the degrees of the chain and the unit vectors chosen or merged."""
+    found = _cyclic_unit(field, a)
     if found is None:
+        factors = [Polynomial._raw(field, c) for c in reversed(_diagonalize(field, _char_matrix(field, a)))
+                   if len(c) > 1]
+    elif found[1] is not None:
+        f, k, columns = found
+        return [f], columns, ((f.degree,), (k,))
+    else:
+        factors = [found[0]]
+    built = _generators(field, a, factors)
+    if built is None:
         return None
-    k, columns = found
-    if probe is not field:
-        columns = [[field.one if i == k else field.zero for i in range(n)]]
-        for _ in range(n):
-            columns.append(a.mul_vector_raw(columns[-1]))
-    chain = RationalNormalForm([_relation(field, columns)])
-    return assemble_rnf_matrix(chain), Matrix._raw(field, list(zip(*columns[:n]))), chain
+    columns, choices = built
+    return factors, columns, (tuple(f.degree for f in factors), choices)
+
+
+def _assemble(a: Matrix, factors: list[Polynomial], columns: list[list]) -> tuple[Matrix, Matrix, RationalNormalForm]:
+    """(R, T, chain) from the invariant factors, largest first, and the
+    columns of T."""
+    chain = RationalNormalForm(factors)
+    return assemble_rnf_matrix(chain), Matrix._raw(a.field, list(zip(*columns))), chain
 
 
 def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     """(R, T, chain): the normal form R of a, an invertible T with
     T^-1 * A * T = R, and the invariant factors of a.
 
-    If a unit vector is a cyclic vector of a, T is the Krylov basis of the
-    first one in index order, over Q the first one modulo ``_prime(0)``
-    (:func:`_krylov_transform`); otherwise one diagonalization yields all
-    three, over Q modulo primes (see :func:`_rational_rnf_transform`).  The
-    result is certified by :func:`similarity_defect` and BasisFailure is
-    raised if it fails.
+    T has one Krylov block g, A*g, ..., A^(deg P - 1)*g per invariant
+    factor P, largest first.  Its generator g is the first unit vector
+    whose conductor into the span W of the blocks before it has the degree
+    of P, or else the lcm merge of the unit vectors outside W, less the
+    vector of W that makes P(A)*g = 0 (:func:`_generators`).  The chain is
+    the scan's (:func:`_cyclic_unit`) for a cyclic matrix and the diagonal
+    of :func:`_diagonalize` for a derogatory one.  Over Q all of it runs
+    modulo primes (:func:`_rational_rnf_transform`).  The result is
+    certified by :func:`similarity_defect`; BasisFailure is raised if it
+    fails.
     """
     if not a.is_square:
         raise NonSquare("normal-form transform needs a square matrix")
     field = a.field
-    result = _krylov_transform(a)
-    if result is None:
-        if not field.characteristic:
-            return _rational_rnf_transform(a)
-        diag, winv, _ = _diagonalize(field, _char_matrix(a))
-        generators = _generators(a, diag, winv)
-        if generators is None:
-            raise BasisFailure("zero generator of a cyclic summand")
-        result = _assemble(a, diag, generators[0])
-    r_mat, t_mat, chain = result
+    if not field.characteristic:
+        return _rational_rnf_transform(a)
+    found = _normal_form(field, a._rows)
+    if found is None:
+        raise BasisFailure("no generator of a cyclic summand by the rule")
+    r_mat, t_mat, chain = _assemble(a, found[0], found[1])
     defect = similarity_defect(a, r_mat, t_mat)
     if defect is not None:
         raise BasisFailure(f"normal-form transform failed its certificate: {defect}")
@@ -483,56 +577,58 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
 def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     """(R, T, chain) of a matrix over Q, computed modulo primes.
 
-    For each prime p that divides no denominator of A, the diagonalization
-    and the generators run over GF(p) on A mod p; the key of the run for
-    ``matrix._modular_lift`` is the length of each diagonal entry, the
-    trace of ``_diagonalize`` and the first nonzero index of each
-    generator.  If the key is the one of the same run over Q, then p
-    divides no pivot lead and no generator entry that the run divides by,
-    so every value of the run mod p is the image of its value over Q.  The
-    diagonal and the generators are lifted; the other columns of T, the
-    iterates of the generators, are then computed over Q, and the lift is
-    kept only if every entry of T lies within the reconstruction bound:
-    then it is exactly what lifting all of T would give, and a generator
-    lifted from too few primes, whose iterates fall far outside the bound,
-    is refused.  The first (R, T, chain) kept that passes
-    :func:`similarity_defect` over Q is returned; the certificate proves T
-    and the chain, which is unique.  The primes of the true key lift to
-    the run over Q once their product passes twice the square of its
-    largest numerator or denominator, and only finitely many primes change
-    the key, so the lift needs no limit on the primes.  A lift certified
-    from too few primes or from another key would be another valid T; on
-    the test and benchmark corpus T is always the one of the run over Q.
+    For each prime p that divides no denominator of A, :func:`_normal_form`
+    on A mod p gives the chain, the generators and the key for
+    ``matrix._modular_lift``.  A prime with the key of the run over Q
+    gives that run's images: with the same degrees, each determinantal
+    divisor of X*I - A mod p is the image of the one over Q, which divides
+    it, so the chain is, and with the same conductor degrees and choices so
+    are the generators.  The chain and the generators are lifted, the rest of T is
+    computed over Q, and a lift is kept only if every entry of T lies
+    within the reconstruction bound, which makes it the lift of all of T,
+    and it passes :func:`similarity_defect`, which proves T and the chain.
+
+    The product of the primes tried is limited to
+    (n*M*D)^(2*n^2) * 2^(64*(n + 2)), D the common denominator of A and M
+    the largest entry of D*A: the Krylov iterates of A have entries below
+    (n*M*D)^n, and 64 bits a row leave room for primes that decide
+    otherwise.  It is a guard, not a proved bound (every lift of the test
+    corpus needs less than half of its bits): past it BasisFailure is
+    raised, so a bug ends in a refusal instead of a loop.
     """
     n = a.nrows
     den = lcm(*(x.denominator for row in a._rows for x in row))
+    top = max(1, *(abs(x.numerator) * (den // x.denominator) for row in a._rows for x in row))
 
     def image(p):
         if den % p == 0:
             return None
-        field = GF(p)
-        a_p = Matrix._raw(field, _mod_rows(a._rows, p))
-        diag, winv, trace = _diagonalize(field, _char_matrix(a_p))
-        generators = _generators(a_p, diag, winv)
-        if generators is None:
-            return None  # p divides a whole generator over Q: another key
-        vectors, firsts = generators
-        key = (tuple(map(len, diag)), tuple(trace), tuple(firsts))
-        return key, [c for f in diag for c in f] + [x for v in vectors for x in v]
+        found = _normal_form(GF(p), _mod_rows(a._rows, p))
+        if found is None:
+            return None
+        factors, columns, key = found
+        starts = accumulate((f.degree for f in factors[:-1]), initial=0)
+        return key, [c for f in factors for c in f.coeffs[:-1]] + [x for s in starts for x in columns[s]]
 
     def accept(key, values, bound):
-        lengths, _, firsts = key
+        degrees = key[0]
         it = iter(values)
-        q_diag = [[next(it) for _ in range(k)] for k in lengths]
-        q_vectors = [[next(it) for _ in range(n)] for _ in firsts]
-        try:
-            r_mat, t_mat, chain = _assemble(a, q_diag, q_vectors)
-        except ChainViolation:
+        factors = [Polynomial._raw(QQ, [next(it) for _ in range(d)] + [QQ.one]) for d in degrees]
+        columns = []
+        for d in degrees:
+            v = [next(it) for _ in range(n)]
+            columns.append(v)
+            for _ in range(d - 1):
+                v = a.mul_vector_raw(v)
+                columns.append(v)
+        if any(abs(x.numerator) > bound or x.denominator > bound for v in columns for x in v):
             return None
-        if any(abs(x.numerator) > bound or x.denominator > bound for row in t_mat._rows for x in row):
+        try:
+            r_mat, t_mat, chain = _assemble(a, factors, columns)
+        except ChainViolation:
             return None
         if similarity_defect(a, r_mat, t_mat) is not None:
             return None
         return r_mat, t_mat, chain
 
-    return _modular_lift(image, accept)
+    return _modular_lift(image, accept, limit=(n * top * den) ** (2 * n * n) << 64 * (n + 2))

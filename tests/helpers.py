@@ -67,13 +67,73 @@ def first_cyclic_unit(a: Matrix) -> int | None:
     return next((k for k in range(a.nrows) if unit_krylov(a, k).is_invertible()), None)
 
 
-def exact_transform(a: Matrix):
-    """(R, T, chain) of the k[X] diagonalization and its generators run over
-    the field of a itself (over Q, in Fractions): the transform of every
-    matrix with no cyclic unit vector."""
-    diag, winv, _ = rnf._diagonalize(a.field, rnf._char_matrix(a))
-    generators, _ = rnf._generators(a, diag, winv)
-    return rnf._assemble(a, diag, generators)
+def _conductor(a: Matrix, columns: list[list], x: list):
+    """(f, w): the conductor of x into the span W of ``columns`` (independent),
+    the monic f of least degree with f(A)*x in W, found by ranks, and the
+    coordinates w of f(A)*x in ``columns``, read off a kernel vector."""
+    field = a.field
+    iterates = [x]
+    while Matrix.from_columns(field, columns + iterates).rank() == len(columns) + len(iterates):
+        iterates.append(a.mul_vector_raw(iterates[-1]))
+    v = Matrix.from_columns(field, columns + iterates).rank_and_kernel()[1][0].column_raw(0)
+    v = [field.div(c, v[-1]) for c in v]
+    return Polynomial(field, v[len(columns):]), [field.neg(c) for c in v[:len(columns)]]
+
+
+def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    while not g.is_zero():
+        f, g = g, f % g
+    return f // Polynomial.constant(f.field, f.coeffs[-1])
+
+
+def _apply(a: Matrix, q: Polynomial, v: list) -> list:
+    return poly_eval_matrix(q, a).mul_vector_raw(v)
+
+
+def rule_transform(a: Matrix):
+    """(R, T, chain) by the rule for T, computed plainly over the field of a
+    (over Q, in Fractions), conductors by ranks.
+
+    With W the span of the blocks so far, the next invariant factor P is
+    the lcm of the conductors of the unit vectors into W.  x is the first
+    unit vector whose conductor is P, else the lcm merge of the unit vectors
+    outside W in index order: x, y with conductors f, g become
+    f2(A)*x + g2(A)*y, where f1 = gcd(f, (f / gcd(f, g))^n), f = f1*f2 and
+    g = g2*lcm(f, g)/f1.  Then P(A)*x is the sum of h_i(A)*g_i over the
+    generators so far, and the generator is x - sum of (h_i/P)(A)*g_i."""
+    field, n = a.field, a.nrows
+    units = [Matrix.identity(field, n).column_raw(j) for j in range(n)]
+    columns, blocks, factors = [], [], []
+    while len(columns) < n:
+        outside = [(u, f) for u in units for f in [_conductor(a, columns, u)[0]] if f.degree]
+        p = outside[0][1]
+        for _, f in outside[1:]:
+            p = p * f // _gcd(p, f)
+        x = next((u for u, f in outside if f == p), None)
+        if x is None:
+            x, f = outside[0]
+            for y, g in outside[1:]:
+                lcm_fg = f * g // _gcd(f, g)
+                if lcm_fg.degree > f.degree:
+                    f1 = _gcd(f, (f // _gcd(f, g)) ** n)
+                    x = [field.add(s, t) for s, t in zip(_apply(a, f // f1, x), _apply(a, g * f1 // lcm_fg, y))]
+                    f = lcm_fg
+        f, w = _conductor(a, columns, x)
+        assert f == p
+        correction = [field.zero] * len(columns)
+        for start, length in blocks:
+            q, r = divmod(Polynomial(field, w[start:start + length]), p)
+            assert r.is_zero()
+            correction[start:start + len(q.coeffs)] = q.coeffs
+        g = [field.sub(s, t) for s, t in zip(x, Matrix.from_columns(field, columns).mul_vector_raw(correction))] \
+            if columns else x
+        blocks.append((len(columns), p.degree))
+        columns.append(g)
+        for _ in range(p.degree - 1):
+            columns.append(a.mul_vector_raw(columns[-1]))
+        factors.append(p)
+    chain = rnf.RationalNormalForm(factors)
+    return rnf.assemble_rnf_matrix(chain), Matrix.from_columns(field, columns), chain
 
 
 def poly_eval_matrix(p: Polynomial, a: Matrix) -> Matrix:

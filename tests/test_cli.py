@@ -10,7 +10,7 @@ from matcanon import GF, BasisFailure, Matrix, QQ, rnf_transform
 from matcanon.cli import main
 from matcanon.fileio import format_matrix, format_pair, matrix_strings
 
-from helpers import exact_transform, unit_krylov
+from helpers import rule_transform, unit_krylov
 
 
 @pytest.fixture
@@ -54,8 +54,9 @@ class TestRnfCommand:
         assert code == 0 and payload["verified"] is True
 
     def test_diagonalizes_once(self, capsys, tmp_path, monkeypatch):
-        """A derogatory matrix is diagonalized once; one whose e1 is cyclic
-        is not diagonalized, and its T is [e1, A*e1, A^2*e1]."""
+        """Only a derogatory matrix is diagonalized, once; a cyclic matrix
+        with no cyclic unit vector takes a merged generator, and one whose
+        e1 is cyclic has T = [e1, A*e1, A^2*e1]."""
         calls = []
         diagonalize = matcanon.rnf._diagonalize
 
@@ -66,16 +67,18 @@ class TestRnfCommand:
         monkeypatch.setattr(matcanon.rnf, "_diagonalize", counting)
         path = tmp_path / "a.mat"
         for a, diagonalized in ((Matrix(GF(5), [[1, 2, 0], [0, 1, 0], [0, 0, 1]]), [GF(5)]),
+                                (Matrix(GF(5), [[1, 2, 0], [0, 1, 0], [0, 0, 4]]), []),
                                 (Matrix(GF(5), [[1, 2, 0], [0, 1, 3], [2, 0, 4]]), [])):
             path.write_text(format_matrix(a))
             calls.clear()
             code, payload = run_json(capsys, "rnf", str(path), "--verify")
             assert code == 0 and payload["verified"] is True
             assert calls == diagonalized
-            r, t, chain = exact_transform(a)
+            r, t, chain = rule_transform(a)
             assert payload["invariant_factors"] == [f.coefficient_strings() for f in chain]
             assert payload["rnf_matrix"] == matrix_strings(r)
-            assert payload["transform"] == matrix_strings(t if diagonalized else unit_krylov(a))
+            assert payload["transform"] == matrix_strings(t)
+        assert t == unit_krylov(a)
         assert payload["transform"] == [["1", "1", "1"], ["0", "0", "1"], ["0", "2", "0"]]
 
     def test_text_output(self, capsys, id2):

@@ -10,12 +10,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matcanon
 import matcanon.rnf as rnf
 from matcanon import (
     GF,
     QQ,
+    BasisFailure,
     ChainViolation,
     DegreeZero,
     Matrix,
@@ -25,18 +27,18 @@ from matcanon import (
     Polynomial,
     RationalNormalForm,
     assemble_rnf_matrix,
+    block_diagonal,
     companion,
     invariant_factors,
     partition_of,
     rnf_transform,
     similarity_defect,
 )
-from matcanon.matrix import _prime
+from matcanon.matrix import _mod_rows, _prime
 from bruteforce import conjugation_orbit
 
 from helpers import (
     charpoly_oracle,
-    exact_transform,
     first_cyclic_unit,
     minimal_polynomial_oracle,
     poly_eval_matrix,
@@ -44,6 +46,7 @@ from helpers import (
     rand_invertible,
     rand_matrix,
     rand_monic,
+    rule_transform,
     unit_krylov,
 )
 
@@ -212,20 +215,17 @@ class TestTransform:
 
 
 class TestTransformRule:
-    """Each cyclic generator, the first column of its companion block in T,
-    is scaled to first nonzero entry 1."""
+    """With W the span of the blocks so far, each generator is x less a
+    vector of W, x the first unit vector whose conductor into W is the
+    next invariant factor, else the lcm merge of the unit vectors outside
+    W (the plain reference ``rule_transform``)."""
 
     @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=str)
-    def test_generators_lead_with_one(self, field):
+    def test_generators_follow_the_rule(self, field):
         rng = random.Random(47)
         for _ in range(15):
             a = rand_matrix(field, rng.randint(1, 6), rng)
-            _, t, chain = rnf_transform(a)
-            start = 0
-            for factor in chain:
-                column = t.column_raw(start)
-                assert next(x for x in column if not field.is_zero(x)) == field.one
-                start += factor.degree
+            assert rnf_transform(a) == rule_transform(a)
 
     def test_dense_rational_transform_stays_small(self):
         # The benchmark's fixed dense Q matrix of size 10; unscaled
@@ -277,22 +277,25 @@ FIELDS = [QQ, GF(2), GF(5), GF(10007)]
 
 class TestKrylovStage:
     """T = [e_k, A*e_k, ..., A^(n-1)*e_k] for the first unit vector e_k, in
-    index order, that is a cyclic vector; a matrix with no cyclic unit
-    vector is diagonalized, and its T is unchanged."""
+    index order, that is a cyclic vector.  A cyclic matrix with no cyclic
+    unit vector takes its chain from the scan and is not diagonalized; a
+    derogatory one is diagonalized for its chain.  Every T is the rule's
+    (``rule_transform``)."""
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_cyclic_e1_and_fallbacks(self, field, monkeypatch):
         cyclic = Matrix(field, [[1, 2], [3, 4]])
-        (r, t, chain), calls = diagonalizing(monkeypatch, cyclic)
-        assert calls == [] and t == unit_krylov(cyclic) == Matrix(field, [[1, 1], [0, 3]])
-        expected = exact_transform(cyclic)
-        assert (r, chain) == (expected[0], expected[2])
-        # diag(1, 2) is cyclic, but each unit vector is an eigenvector; 2I
-        # is derogatory.
-        for a, factors in ((Matrix(field, [[1, 0], [0, 2]]), 1), (Matrix(field, [[2, 0], [0, 2]]), 2)):
+        result, calls = diagonalizing(monkeypatch, cyclic)
+        assert calls == [] and result[1] == unit_krylov(cyclic) == Matrix(field, [[1, 1], [0, 3]])
+        assert result == rule_transform(cyclic)
+        # diag(1, 2) is cyclic, but each unit vector is an eigenvector, so
+        # its generator is the merge e1 + e2; 2I is derogatory.
+        for a, diagonalized in ((Matrix(field, [[1, 0], [0, 2]]), False),
+                                (Matrix(field, [[2, 0], [0, 2]]), True)):
             result, calls = diagonalizing(monkeypatch, a)
-            assert calls and result == exact_transform(a)
-            assert len(result[2]) == factors
+            assert bool(calls) == diagonalized and result == rule_transform(a)
+            assert len(result[2]) == 1 + diagonalized
+        assert result[1] == Matrix.identity(field, 2)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_first_cyclic_unit_after_e1(self, field, monkeypatch):
@@ -303,39 +306,42 @@ class TestKrylovStage:
         for a, k in ((Matrix(field, [[1, 1], [0, 2]]), 1),
                      (Matrix(field, [[2, 1, 0], [0, 2, 1], [0, 0, 3]]), 2),
                      (Matrix(field, [[1, 1, 0], [0, 1, 1], [0, 1, 1]]), 2)):
-            (r, t, chain), calls = diagonalizing(monkeypatch, a)
-            assert calls == [] and first_cyclic_unit(a) == k and t == unit_krylov(a, k)
-            expected = exact_transform(a)
-            assert (r, chain) == (expected[0], expected[2])
+            result, calls = diagonalizing(monkeypatch, a)
+            assert calls == [] and first_cyclic_unit(a) == k and result[1] == unit_krylov(a, k)
+            assert result == rule_transform(a)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_block_triangular(self, field, monkeypatch):
         """[[B, C], [0, D]]: e1 lies in the invariant span of the unit
-        vectors of B.  Only the matrices with no cyclic unit vector are
-        diagonalized."""
+        vectors of B.  Only the derogatory matrices are diagonalized."""
         rng = random.Random(59)
-        later = 0
+        later = merged = 0
         for _ in range(12):
             n = rng.randint(4, 8)
             a = rand_block_triangular(field, n, rng.randint(1, n - 2), rng)
             k = first_cyclic_unit(a)
-            (r, t, chain), calls = diagonalizing(monkeypatch, a)
-            expected = exact_transform(a)
-            assert (r, chain) == (expected[0], expected[2])
-            if k is None:
-                assert len(calls) == 1 and t == expected[1]
+            result, calls = diagonalizing(monkeypatch, a)
+            assert result == rule_transform(a)
+            if len(result[2]) > 1:
+                assert calls and (len(calls) == 1 or not field.characteristic)
             else:
-                assert calls == [] and t == unit_krylov(a, k)
+                assert calls == []
+            if k is not None:
+                assert result[1] == unit_krylov(a, k)
                 later += k > 0
+            else:
+                merged += len(result[2]) == 1
         assert later >= 3
+        assert merged >= (field == GF(2))
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_derogatory_exit(self, field, monkeypatch):
         """The scan stops at the first chain start that mu(A) kills, or once
         the chains span k^n with deg mu < n: a derogatory matrix is
-        diagonalized once, with its chain.  Each list records the unit
-        vectors given to one Krylov basis: the scan's own, then the own
-        chain of each start it tried."""
+        diagonalized, once over GF(p), for its chain.  Each list records the
+        unit vectors whose chains went into one span: the scan's own, then
+        the own chain of each start it tried, which reads the iterates that
+        the scan took and takes no new ones for them."""
         rng = random.Random(61)
         x = Polynomial.x(field)
         f = rand_monic(field, 2, rng)
@@ -348,45 +354,52 @@ class TestKrylovStage:
             (g * assemble_rnf_matrix(RationalNormalForm([x ** 3, x ** 2, x])) * g.inverse(), None),
             (g * assemble_rnf_matrix(RationalNormalForm([f * f, f])) * g.inverse(), None),
         ]
-        krylov_chains = rnf._krylov_chains
+        conductor = rnf._conductor
 
-        def recording(k, rows):
-            chain, units = krylov_chains(k, rows), []
-            built.append(units)
-            return lambda i: units.append(i) or chain(i)
+        def recording(span, rows, iterates):
+            if not any(s is span for s in spans):
+                spans.append(span)
+                built.append([])
+            built[next(i for i, s in enumerate(spans) if s is span)].append(iterates)
+            return conductor(span, rows, iterates)
 
+        probe = field if field.characteristic else GF(_prime(0))
         for a, expected in cases:
-            built = []
-            monkeypatch.setattr(rnf, "_krylov_chains", recording)
-            result, calls = diagonalizing(monkeypatch, a)
-            # Over Q one diagonalization runs modulo each prime.
-            assert calls and (len(calls) == 1 or not field.characteristic)
-            assert result == exact_transform(a) and len(result[2]) > 1
+            spans, built = [], []
+            monkeypatch.setattr(rnf, "_conductor", recording)
+            assert rnf._cyclic_unit(probe, _mod_rows(a._rows, probe.characteristic)
+                                    if probe is not field else a._rows) is None
+            monkeypatch.undo()
+            units = [[next(k for k, x in enumerate(v[0]) if x) for v in lists] for lists in built]
             if expected is not None:
-                assert built == expected
+                assert units == expected
+            for own in built[1:]:
+                assert any(own[0] is v for v in built[0])
+            result, calls = diagonalizing(monkeypatch, a)
+            assert calls and (len(calls) == 1 or not field.characteristic)
+            assert result == rule_transform(a) and len(result[2]) > 1
 
     def test_rational_fallbacks(self, monkeypatch):
-        """Over Q cyclicity is decided modulo p0 = _prime(0)."""
+        """Over Q every decision is made modulo primes and the key groups
+        the primes that decide alike, so T is the rule's over Q even where
+        p0 = _prime(0) decides otherwise."""
         p0 = _prime(0)
         x = Polynomial.x(QQ)
-        # e1 is cyclic over Q, but A e1 = p0*e2 vanishes modulo p0, where e2
-        # is the first cyclic unit vector.
-        a = Matrix(QQ, [[0, 1], [p0, 0]])
-        (r, t, chain), calls = diagonalizing(monkeypatch, a)
-        assert list(chain) == [x * x - p0]
-        assert calls == [] and first_cyclic_unit(a) == 0 and t == unit_krylov(a, 1)
-        # e1 is cyclic over Q, but A is 0 modulo p0.
-        a = Matrix(QQ, [[0, p0], [p0, 0]])
-        (r, t, chain), calls = diagonalizing(monkeypatch, a)
-        assert list(chain) == [x * x - p0 * p0]
-        assert calls and (r, t, chain) == exact_transform(a)
-        assert first_cyclic_unit(a) == 0
-        # p0 divides a denominator, so A has no image modulo p0.
-        a = Matrix(QQ, [[Fraction(1, p0), 1], [2, 3]])
-        result, calls = diagonalizing(monkeypatch, a)
-        assert calls and p0 not in [f.characteristic for f in calls]
-        assert result == exact_transform(a)
-        assert first_cyclic_unit(a) == 0
+        cases = [
+            # e1 is cyclic over Q, but A e1 = p0*e2 vanishes modulo p0, where
+            # e2 is the first cyclic unit vector.
+            (Matrix(QQ, [[0, 1], [p0, 0]]), x * x - p0, []),
+            # e1 is cyclic over Q, but A is 0 modulo p0, which diagonalizes.
+            (Matrix(QQ, [[0, p0], [p0, 0]]), x * x - p0 * p0, [GF(p0)]),
+            # p0 divides a denominator, so A has no image modulo p0.
+            (Matrix(QQ, [[Fraction(1, p0), 1], [2, 3]]), None, []),
+        ]
+        for a, chain, diagonalized in cases:
+            (r, t, got), calls = diagonalizing(monkeypatch, a)
+            assert calls == diagonalized and first_cyclic_unit(a) == 0
+            assert (r, t, got) == rule_transform(a) and t == unit_krylov(a)
+            if chain is not None:
+                assert list(got) == [chain]
 
     def test_dense_krylov_transform_over_q(self):
         # Dense Q n = 16: T is the Krylov basis, of entries of 69 bits.
@@ -398,11 +411,104 @@ class TestKrylovStage:
         assert max(x.numerator.bit_length() for row in t._rows for x in row) == 69
 
 
+MERGE_FIELDS = [QQ, GF(2), GF(3), GF(10007)]
+
+
+def keyed(monkeypatch, a):
+    """rnf_transform(a) and the (characteristic, key) of each run of
+    ``_normal_form`` it made."""
+    runs = []
+    normal_form = rnf._normal_form
+
+    def recording(field, rows):
+        found = normal_form(field, rows)
+        runs.append((field.characteristic, found and found[2]))
+        return found
+
+    monkeypatch.setattr(rnf, "_normal_form", recording)
+    result = rnf_transform(a)
+    monkeypatch.undo()
+    return result, runs
+
+
+class TestGenerators:
+    """The generators of T from unit-vector conductors, with the lcm merge
+    where no unit vector has the conductor of the next factor."""
+
+    @pytest.mark.parametrize("field", MERGE_FIELDS, ids=str)
+    def test_merge_for_the_first_factor(self, field, monkeypatch):
+        a = Matrix(field, [[1, 0], [0, 2]])
+        (r, t, chain), runs = keyed(monkeypatch, a)
+        assert t == Matrix(field, [[1, 1], [1, 2]]) and len(chain) == 1
+        assert (r, t, chain) == rule_transform(a)
+        # e1 and e2 have conductors X - 1 and X - 2; the merge is e1 + e2.
+        assert runs[-1][1] == ((2,), ((0, (1, 1, 1)),))
+
+    @pytest.mark.parametrize("field", MERGE_FIELDS, ids=str)
+    def test_merge_for_a_later_factor(self, field, monkeypatch):
+        # diag(1, 1, 2, 2): both generators are merges, e1 + e3 and then,
+        # with e1 and e3 in W, e2 + e4.  diag(B, 1, 2) with B the companion
+        # of (X - 1)(X - 2): e1 generates the first block, e3 + e4 the second.
+        b = companion(Polynomial(field, [2, -3, 1]))
+        for a, generators, choices in (
+            (Matrix(field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]),
+             [[1, 0, 1, 0], [0, 1, 0, 1]], ((0, (2, 1, 1)), (1, (3, 1, 1)))),
+            (block_diagonal([b, Matrix(field, [[1, 0], [0, 2]])]),
+             [[1, 0, 0, 0], [0, 0, 1, 1]], (0, (2, (3, 1, 1)))),
+        ):
+            (r, t, chain), runs = keyed(monkeypatch, a)
+            assert [t.column_raw(2 * k) for k in range(2)] == [
+                [field.canon(x) for x in v] for v in generators]
+            assert (r, t, chain) == rule_transform(a) and len(chain) == 2
+            assert runs[-1][1][1] == choices
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_reference(self, data):
+        """Random small matrices, half of them block diagonal so that they
+        are often derogatory: the chain, T and the certificate."""
+        field = data.draw(st.sampled_from(MERGE_FIELDS))
+        entry = st.integers(-3, 3) if not field.characteristic else st.integers(0, field.characteristic - 1)
+
+        def square(n):
+            return data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+        blocks = [square(data.draw(st.integers(1, 3))) for _ in range(data.draw(st.integers(1, 2)))]
+        a = block_diagonal([Matrix(field, b) for b in blocks])
+        r, t, chain = rnf_transform(a)
+        assert (r, t, chain) == rule_transform(a)
+        assert similarity_defect(a, r, t) is None
+        assert chain == invariant_factors(a)
+
+    def test_derogatory_q_lifts_from_one_prime(self, monkeypatch):
+        """The fixed matrix of the benchmark's exact-q nf-derog-6-4-2 job
+        (before its seeded sign flips), chain degrees (6, 4, 2): its T has
+        25-bit entries and lifts from the first prime."""
+        a = Matrix(QQ, [
+            [-26, -8, 12, 8, -3, 11, -1, 18, 14, -26, 2, -31],
+            [-43, 10, 1, -9, 0, 2, 4, 8, -57, -4, -5, -30],
+            [53, -3, -10, 4, -1, -9, 1, -23, 42, 18, -1, 49],
+            [-129, -14, 43, 15, -6, 43, 4, 69, -12, -91, -4, -135],
+            [-29, -4, 8, 3, -1, 6, -1, 14, -8, -15, 1, -28],
+            [-11, 4, 0, -3, 1, -2, 3, -5, -21, 3, -5, -1],
+            [68, -14, -7, 14, -3, -5, 0, -20, 87, 9, 1, 54],
+            [-18, -8, 16, 8, -1, 21, -1, 29, 34, -36, 3, -39],
+            [25, 11, -16, -11, 3, -16, 1, -23, -29, 34, -2, 36],
+            [16, 7, -10, -6, 2, -10, 4, -19, -16, 21, -6, 27],
+            [58, -6, -11, 6, -1, -11, 0, -25, 49, 21, 0, 54],
+            [6, -5, 7, 5, 0, 10, -1, 11, 31, -15, 2, -9],
+        ])
+        (r, t, chain), runs = keyed(monkeypatch, a)
+        assert [p for p, _ in runs] == [_prime(0)]
+        assert partition_of(chain) == (6, 4, 2)
+        assert max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                   for row in t._rows for x in row) == 25
+        assert (r, t, chain) == rule_transform(a)
+
+
 class TestModularTransform:
-    """Over Q the chain and T are computed modulo primes, lifted, and
-    certified: T is the Krylov basis of e1 when e1 is cyclic and otherwise
-    exactly that of the diagonalization run over Q, and the chain is always
-    the run's."""
+    """Over Q the chain and the generators are computed modulo primes,
+    lifted, and certified: T and the chain are the rule's over Q."""
 
     def derogatory(self, rng):
         parts = rng.choice([(3, 2, 1), (2, 2, 1, 1), (4, 2), (3, 3)])
@@ -424,21 +530,18 @@ class TestModularTransform:
                 a = rand_matrix(QQ, n, rng)  # entries with denominators up to 9
             else:
                 a = self.derogatory(rng)
-            expected = exact_transform(a)
             r, t, chain = rnf_transform(a)
-            assert (r, chain) == (expected[0], expected[2])
+            assert (r, t, chain) == rule_transform(a)
             k = first_cyclic_unit(a)
             if k is not None:
                 assert t == unit_krylov(a, k)
                 krylov += 1
-            else:
-                assert t == expected[1]
             assert invariant_factors(a) == chain
         assert krylov == 16
 
     def test_bad_primes_are_skipped(self, monkeypatch):
-        """Inputs with no cyclic unit vector modulo p0, so that each reaches
-        the diagonalization modulo primes."""
+        """Inputs whose run modulo p0 decides otherwise than the run over Q:
+        the key of p0 differs from the one of the lift returned."""
         p0 = _prime(0)
         x = Polynomial.x(QQ)
         cases = [
@@ -447,20 +550,33 @@ class TestModularTransform:
             # (A - I)^3 = p0^3 * I, so e1 is cyclic over Q, but modulo p0 A
             # is the identity.
             (Matrix(QQ, [[1, p0, 0], [0, 1, p0], [p0, 0, 1]]), [(x - 1) ** 3 - p0 ** 3], True),
-            # Modulo p0 the second step pivots elsewhere and the generator
-            # differs from the image of the one over Q.
+            # Modulo p0, e1 and e2 span an invariant plane and no unit vector
+            # is cyclic, so p0 takes a merge; over Q e1 is cyclic.
             (Matrix(QQ, [[2, 2, 0], [2, 0, 0], [0, p0, 3]]), None, True),
             # p0 divides a denominator, so A has no image modulo p0.
             (Matrix(QQ, [[Fraction(1, p0), 1], [2, 3]]), None, False),
         ]
         for a, chain, p0_tried in cases:
-            (r, t, got), calls = diagonalizing(monkeypatch, a)
-            used = [field.characteristic for field in calls]
-            assert (r, t, got) == exact_transform(a)
+            (r, t, got), runs = keyed(monkeypatch, a)
+            assert (r, t, got) == rule_transform(a)
             if chain is not None:
                 assert list(got) == chain
-            assert (p0 in used) == p0_tried
-            assert used[-1] != p0
+            keys = dict(runs)
+            assert (p0 in keys) == p0_tried
+            assert runs[-1][0] != p0 and keys.get(p0) != runs[-1][1]
+
+    def test_spoiled_accept_ends_in_basis_failure(self, monkeypatch):
+        """With a certificate that never passes, the lift stops at its limit
+        on the primes instead of looping."""
+        tried = []
+        normal_form = rnf._normal_form
+        monkeypatch.setattr(rnf, "_normal_form", lambda field, rows: tried.append(field) or normal_form(field, rows))
+        monkeypatch.setattr(rnf, "similarity_defect", lambda a, r, t: "spoiled")
+        for a in (Matrix(QQ, [[1, 2], [3, 4]]), Matrix(QQ, [[2, 0, 0], [0, 2, 0], [0, 0, Fraction(1, 3)]])):
+            tried.clear()
+            with pytest.raises(BasisFailure, match="prime bound"):
+                rnf_transform(a)
+            assert 2 < len(tried) < 200
 
 
 class TestCertificate:
@@ -475,11 +591,12 @@ class TestCertificate:
         )
 
     def test_failure_raises_under_optimize(self):
-        """The certificate and the zero-generator check are ordinary code, so
-        ``python -O`` keeps them, for the normal-form transform and its
-        chain on both of its paths (the Krylov stage, with its scan of the
-        unit vectors, and the diagonalization), for both pair changes of
-        basis and for the exact check of a kernel over Q."""
+        """The certificate, the failed-generator check and the prime bound
+        of the lift are ordinary code, so ``python -O`` keeps them, for the
+        normal-form transform and its chain (the Krylov stage with its scan
+        of the unit vectors, the generator routine and the lift over Q),
+        for both pair changes of basis and for the exact check of a kernel
+        over Q."""
         script = textwrap.dedent("""
             import sys
             import matcanon.pairs as pairs
@@ -497,45 +614,37 @@ class TestCertificate:
                 else:
                     sys.exit(f"{label}: no BasisFailure")
 
-            # A broken generator step: every iterate under A is zero.  The
-            # GF(5) matrix is cyclic, but no unit vector is a cyclic vector,
-            # so it is diagonalized.
+            # A broken iterate over Q: every product with A is zero, so the
+            # iterates of the lifted generators are, and no lift passes the
+            # certificate before the prime bound.
             mul_vector_raw = Matrix.mul_vector_raw
             Matrix.mul_vector_raw = lambda self, v: [self.field.zero] * self.nrows
+            expect_failure("krylov over Q", rnf_transform, Matrix(QQ, [[1, 2], [3, 4]]))
+            Matrix.mul_vector_raw = mul_vector_raw
+
+            # A broken generator routine: every coordinate of a vector of a
+            # span is off by one, so each conductor and each relation is
+            # wrong.  The first GF(5) matrix is cyclic, but no unit vector is
+            # a cyclic vector, so its generator is a merge; in the second e1
+            # is cyclic, and in the third, an eigenvector ahead of the cyclic
+            # e2.
+            coordinates = rnf._Span.coordinates
+            rnf._Span.coordinates = lambda self, steps: [
+                self.field.add(x, self.field.one) for x in coordinates(self, steps)]
             broken = Matrix(GF(5), [[1, 2, 0], [0, 1, 0], [0, 0, 4]])
             expect_failure("rnf", rnf_transform, broken)
             # The chain comes from the same certified run, so it fails too.
             expect_failure("invariant factors", invariant_factors, broken)
-            # Over Q e1 is cyclic modulo p0, so the Krylov stage takes its
-            # iterates over Q, all zero here.
-            expect_failure("krylov over Q", rnf_transform, Matrix(QQ, [[1, 2], [3, 4]]))
-            Matrix.mul_vector_raw = mul_vector_raw
-
-            # A broken Krylov stage: the first dependent iterate of every
-            # chain is off by e1, so its kernel gives a wrong invariant
-            # factor, whether e1 is cyclic or, in the scan of the second
-            # matrix, an eigenvector ahead of the cyclic e2.
-            krylov_chains = rnf._krylov_chains
-
-            def spoiled_krylov(field, a):
-                chain = krylov_chains(field, a)
-
-                def spoiled(i):
-                    vectors, end = chain(i)
-                    return vectors, [field.add(end[0], field.one)] + end[1:]
-                return spoiled
-
-            rnf._krylov_chains = spoiled_krylov
             expect_failure("krylov", rnf_transform, Matrix(GF(5), [[1, 2], [3, 4]]))
             expect_failure("krylov scan", rnf_transform, Matrix(GF(5), [[1, 1], [0, 2]]))
-            rnf._krylov_chains = krylov_chains
+            rnf._Span.coordinates = coordinates
 
-            # A zero generator: the inverse row operations are all zero.  The
-            # scalar matrix is derogatory, so it is diagonalized.
+            # A wrong chain: the diagonalization of the derogatory 2I claims
+            # (X - 2)^2, for which no unit vector and no merge has a conductor
+            # of degree 2.
             diagonalize = rnf._diagonalize
-            rnf._diagonalize = lambda field, d: (
-                diagonalize(field, d)[0], [[[]] * len(d) for _ in d], [])
-            expect_failure("zero generator", rnf_transform, Matrix(GF(5), [[2, 0], [0, 2]]))
+            rnf._diagonalize = lambda field, d: [[1], [4, 1, 1]]
+            expect_failure("no generator", rnf_transform, Matrix(GF(5), [[2, 0], [0, 2]]))
             rnf._diagonalize = diagonalize
 
             # An intertwiner with its first column doubled: g breaks the
@@ -580,11 +689,12 @@ class TestCertificate:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
-        assert list(reasons) == ["rnf", "invariant factors", "krylov over Q", "krylov",
-                                 "krylov scan", "zero generator", "reduce", "split", "kernel",
+        assert list(reasons) == ["krylov over Q", "rnf", "invariant factors", "krylov",
+                                 "krylov scan", "no generator", "reduce", "split", "kernel",
                                  "rank"], proc.stdout
-        assert reasons["zero generator"] == "zero generator of a cyclic summand"
-        assert all("certificate" in reasons[label] for label in ("krylov", "krylov scan", "krylov over Q"))
+        assert reasons["no generator"] == "no generator of a cyclic summand by the rule"
+        assert "prime bound" in reasons["krylov over Q"]
+        assert all("certificate" in reasons[label] for label in ("krylov", "krylov scan"))
 
     def test_no_assert_statements_in_package(self):
         package = Path(matcanon.__file__).resolve().parent

@@ -6,7 +6,8 @@ and invariant factors over Q against sympy's Smith form over QQ[x]: on
 random and dense matrices, whose e1 is a cyclic vector, so that they take
 the Krylov stage of ``rnf_transform``, on cyclic matrices whose e1 lies in
 a proper invariant subspace, which take the Krylov basis of a later unit
-vector, and on derogatory matrices, which take its diagonalization.  The
+vector, and on derogatory matrices, whose chain comes from the
+diagonalization and whose generators from unit-vector conductors.  The
 module is skipped without sympy.
 """
 
@@ -41,6 +42,7 @@ from helpers import (  # noqa: E402
     rand_invertible,
     rand_matrix,
     rand_monic,
+    rule_transform,
     unit_krylov,
 )
 
@@ -156,3 +158,30 @@ def test_derogatory_against_smith_form(parts):
     ours = invariant_factors(a)
     assert tuple(f.degree for f in ours) == parts
     assert sympy_chain(a) == [list(f.coeffs) for f in ours]
+
+
+@pytest.mark.parametrize("n", range(6, 15))
+def test_derogatory_rule_against_smith_form(n, monkeypatch):
+    """Derogatory integer matrices, n = 6 to 14: a chain of degrees about
+    (n/3, n/3, n/3), conjugated by a product of 2n transvections.  The
+    chain matches sympy's, it comes from one diagonalization modulo a
+    prime, and T is the rule's (the plain reference)."""
+    rng = random.Random(4000 + n)
+    parts = sorted([n - 2 * (n // 3), n // 3, n // 3], reverse=True)
+    factors = [rand_monic(QQ, parts[-1], rng)]
+    for part in reversed(parts[:-1]):
+        factors.insert(0, factors[0] * rand_monic(QQ, part - factors[0].degree, rng))
+    rows = [list(row) for row in Matrix.identity(QQ, n)._rows]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        e = rng.choice((-1, 1))
+        rows[i] = [x + e * y for x, y in zip(rows[i], rows[j])]
+    g = Matrix(QQ, rows)
+    a = g * assemble_rnf_matrix(RationalNormalForm(factors)) * g.inverse()
+    calls = []
+    diagonalize = rnf._diagonalize
+    monkeypatch.setattr(rnf, "_diagonalize", lambda field, d: calls.append(field) or diagonalize(field, d))
+    r, t, chain = rnf_transform(a)
+    assert len(calls) == 1 and tuple(f.degree for f in chain) == tuple(parts)
+    assert sympy_chain(a) == [list(f.coeffs) for f in chain]
+    assert (r, t, chain) == rule_transform(a)
