@@ -393,12 +393,17 @@ def _merge(field: Field, a, tried: list, degree: int) -> tuple[list, tuple] | No
     If x has conductor f = f1*f2 and y conductor g = g1*g2, f1 and g1
     coprime with f1*g1 = lcm(f, g), then f2(A)*x + g2(A)*y has conductor
     lcm(f, g); f1 is the part of f at the irreducible factors where f has
-    the higher multiplicity.  ``merged`` records (j, deg f_j, deg f1) for
-    each e_j merged after the first."""
+    the higher multiplicity.  ``merged`` records (j, deg f_j) for the first
+    e_j and (j, deg g, deg f1, deg lcm(f, g)) for each e_j merged after it,
+    which makes it a key over Q: modulo p a conductor divides the image of
+    the one over Q, and the gcd and f1 are multiples of theirs, so equal
+    degrees make them the images.  An e_j passed over (g | f) over Q is
+    passed over modulo p, and one merged over Q but passed over modulo p
+    leaves the key."""
     if not tried:
         return None
     (j, f), *rest = tried
-    x, merged = _unit(field, a, j)[0], [j]
+    x, merged = _unit(field, a, j)[0], [(j, f.degree)]
     for j, g in rest:
         if f.degree == degree:
             break
@@ -412,7 +417,7 @@ def _merge(field: Field, a, tried: list, degree: int) -> tuple[list, tuple] | No
         y = _apply(field, a, g * f1 // lcm_fg, _unit(field, a, j)[0])
         x = [field.add(s, t) for s, t in zip(_apply(field, a, rest_f, x), y)]
         f = lcm_fg
-        merged.append((j, g.degree, f1.degree))
+        merged.append((j, g.degree, f1.degree, f.degree))
     return (x, tuple(merged)) if f.degree == degree else None
 
 
@@ -478,62 +483,58 @@ def _generators(field: Field, a, factors: list[Polynomial]) -> tuple[list[list],
     return columns, tuple(choices)
 
 
-def _cyclic_unit(field: Field, a) -> tuple[Polynomial, int | None, list[list] | None] | None:
-    """(f, k, [e_k, A*e_k, ..., A^(n-1)*e_k]) for the first unit vector
-    e_k that is a cyclic vector of a (raw rows), f its minimal polynomial;
-    (mu, None, None) if a is cyclic but no unit vector is, mu its minimal
-    polynomial; None if a is derogatory.
+def _cyclic_unit(field: Field, a) -> tuple[Polynomial, tuple[int, list[list]] | None] | None:
+    """(mu, first) for a cyclic a (raw rows), mu its minimal polynomial and
+    first (k, [e_k, A*e_k, ..., A^(n-1)*e_k]) for the first unit vector
+    e_k that is a cyclic vector, or None if no unit vector is; None if a
+    is derogatory.
 
     The scan builds the unit-vector Krylov basis one chain at a time and
     keeps mu, the lcm of the minimal polynomials of the chain starts so
-    far.  While the span V of the chains is proper, a unit vector in V is
-    not cyclic, and any other is the next chain start.  If mu(A) kills
-    that start, A is derogatory: for a cyclic A, ker mu(A) has dimension
-    deg mu, so it is V.  Otherwise the start's own chain, on the iterates
-    already taken, gives its minimal polynomial, which joins mu.  Once V
-    is k^n, mu is the minimal polynomial: deg mu < n proves a derogatory.
+    far, which is the minimal polynomial of A on the span V of the chains.
+    deg mu < dim V proves A on V, and so A, derogatory.  While V is proper,
+    a unit vector in V is not cyclic, and any other is the next chain
+    start; its own chain, on the iterates already taken, gives its minimal
+    polynomial.  So once V is k^n, deg mu = n and A is cyclic; the unit
+    vectors left are tried for a cyclic one.
     """
     n = len(a)
-    dot = field.dot
     span = _Span(field)
     mu = Polynomial._raw(field, [field.one])
     for k in range(n):
         iterates = _unit(field, a, k)
-        if len(span) < n and k:
-            if _conductor(span, a, iterates) is None:
-                continue
-            while len(iterates) <= mu.degree:
-                iterates.append([dot(row, iterates[-1]) for row in a])
-            if not any(dot(xs, mu.coeffs) for xs in zip(*iterates)):
-                return None
-        elif k and mu.degree < n:
-            return None
+        if k and len(span) < n and _conductor(span, a, iterates) is None:
+            continue
         # e1's chain is the first chain of V; a later start takes its own.
         f = _conductor(_Span(field) if k else span, a, iterates)[0]
         if f.degree == n:
-            return f, k, iterates[:n]
+            return f, (k, iterates[:n])
         mu = _lcm(mu, f)
-    return mu, None, None
+        if mu.degree < len(span):
+            return None
+    return mu, None
 
 
 def _normal_form(field: Field, a) -> tuple[list[Polynomial], list[list], tuple] | None:
     """(chain, columns of T, key) of a (raw rows) over a finite field, or
     None if a generator step fails.  The chain is the scan's or, for a
-    derogatory matrix, the diagonal of :func:`_diagonalize`.  The key is
-    the degrees of the chain and the unit vectors chosen or merged."""
-    found = _cyclic_unit(field, a)
-    if found is None:
+    derogatory matrix, the diagonal of :func:`_diagonalize`; T is the
+    Krylov basis of the scan's cyclic unit vector, if it found one, else
+    the rule's (:func:`_generators`).  The key is the degrees of the chain
+    and the unit vectors chosen or merged."""
+    mu, first = _cyclic_unit(field, a) or (None, None)
+    if mu is None:
         factors = [Polynomial._raw(field, c) for c in reversed(_diagonalize(field, _char_matrix(field, a)))
                    if len(c) > 1]
-    elif found[1] is not None:
-        f, k, columns = found
-        return [f], columns, ((f.degree,), (k,))
     else:
-        factors = [found[0]]
-    built = _generators(field, a, factors)
-    if built is None:
-        return None
-    columns, choices = built
+        factors = [mu]
+    if first is not None:
+        choices, columns = (first[0],), first[1]
+    else:
+        built = _generators(field, a, factors)
+        if built is None:
+            return None
+        columns, choices = built
     return factors, columns, (tuple(f.degree for f in factors), choices)
 
 
@@ -582,11 +583,14 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
     ``matrix._modular_lift``.  A prime with the key of the run over Q
     gives that run's images: with the same degrees, each determinantal
     divisor of X*I - A mod p is the image of the one over Q, which divides
-    it, so the chain is, and with the same conductor degrees and choices so
-    are the generators.  The chain and the generators are lifted, the rest of T is
-    computed over Q, and a lift is kept only if every entry of T lies
-    within the reconstruction bound, which makes it the lift of all of T,
-    and it passes :func:`similarity_defect`, which proves T and the chain.
+    it, so the chain is.  Modulo p the conductor of a unit vector into the
+    image of W divides the image of its conductor over Q, so the unit
+    vector chosen has the conductor over Q, and a merge records its own
+    degrees (:func:`_merge`); so the generators are the images too.  The
+    chain and the generators are lifted, the rest of T is computed over
+    Q, and a lift is kept only if every entry of T lies within the
+    reconstruction bound, which makes it the lift of all of T, and it
+    passes :func:`similarity_defect`, which proves T and the chain.
 
     The product of the primes tried is limited to
     (n*M*D)^(2*n^2) * 2^(64*(n + 2)), D the common denominator of A and M

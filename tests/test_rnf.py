@@ -1,6 +1,7 @@
 """Rational normal form: companions, invariant factors, transforms."""
 
 import ast
+import itertools
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import matcanon
 import matcanon.rnf as rnf
@@ -274,6 +275,10 @@ def diagonalizing(monkeypatch, a):
 
 FIELDS = [QQ, GF(2), GF(5), GF(10007)]
 
+# The chain is ((X - 1)(X - 2)(X - 3), X - 1), but the scan's mu reaches
+# degree 3 only as e4 completes k^4.
+HIDDEN_DEROGATORY = [[1, 0, 0, 0], [0, 2, 0, 0], [0, -1, 1, 0], [0, 0, 0, 3]]
+
 
 class TestKrylovStage:
     """T = [e_k, A*e_k, ..., A^(n-1)*e_k] for the first unit vector e_k, in
@@ -336,21 +341,23 @@ class TestKrylovStage:
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_derogatory_exit(self, field, monkeypatch):
-        """The scan stops at the first chain start that mu(A) kills, or once
-        the chains span k^n with deg mu < n: a derogatory matrix is
-        diagonalized, once over GF(p), for its chain.  Each list records the
-        unit vectors whose chains went into one span: the scan's own, then
-        the own chain of each start it tried, which reads the iterates that
-        the scan took and takes no new ones for them."""
+        """The scan stops as soon as the chains span a space V with
+        dim V > deg mu, mu the lcm of the minimal polynomials of their
+        starts: a derogatory matrix is diagonalized, once over GF(p), for
+        its chain.  Each list records the unit vectors whose chains went
+        into one span: the scan's own, then the own chain of each start it
+        tried, which reads the list of iterates that the scan took."""
         rng = random.Random(61)
         x = Polynomial.x(field)
         f = rand_monic(field, 2, rng)
         g = rand_invertible(field, 6, rng)
         cases = [
-            (Matrix.identity(field, 6).scale(3), [[0, 1]]),
-            (Matrix(field, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]), [[0, 1, 2], [1]]),
+            (Matrix.identity(field, 6).scale(3), [[0, 1], [1]]),
+            (Matrix(field, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]), [[0, 1, 2], [1], [2]]),
             # mu = (X - 1)(X - 2) once e1 and e2 span k^3.
             (Matrix(field, [[1, 0, 0], [0, 2, 0], [0, 1, 1]]), [[0, 1], [1]]),
+            # e1 and e2 span a space of dimension 3 with mu = (X - 1)(X - 2).
+            (Matrix(field, HIDDEN_DEROGATORY), [[0, 1], [1]]),
             (g * assemble_rnf_matrix(RationalNormalForm([x ** 3, x ** 2, x])) * g.inverse(), None),
             (g * assemble_rnf_matrix(RationalNormalForm([f * f, f])) * g.inverse(), None),
         ]
@@ -378,6 +385,19 @@ class TestKrylovStage:
             result, calls = diagonalizing(monkeypatch, a)
             assert calls and (len(calls) == 1 or not field.characteristic)
             assert result == rule_transform(a) and len(result[2]) > 1
+
+    def test_scan_of_every_bidiagonal_matrix(self):
+        """Every 4 x 4 lower bidiagonal matrix over GF(3) with subdiagonal
+        entries in {0, 1}: the scan gives the minimal polynomial exactly
+        when it has degree 4, and None otherwise."""
+        field = GF(3)
+        for diagonal in itertools.product(range(3), repeat=4):
+            for below in itertools.product(range(2), repeat=3):
+                a = Matrix(field, [[diagonal[i] if i == j else below[j] if i == j + 1 else 0 for j in range(4)]
+                                   for i in range(4)])
+                mu = minimal_polynomial_oracle(a)
+                scan = rnf._cyclic_unit(field, a._rows)
+                assert (scan[0] if scan else None) == (mu if mu.degree == 4 else None)
 
     def test_rational_fallbacks(self, monkeypatch):
         """Over Q every decision is made modulo primes and the key groups
@@ -431,6 +451,23 @@ def keyed(monkeypatch, a):
     return result, runs
 
 
+@st.composite
+def small_matrices(draw):
+    """Block diagonal matrices, so often derogatory, and lower bidiagonal
+    ones with eigenvalues in {0, 1, 2, 3}, so often repeated."""
+    field = draw(st.sampled_from(MERGE_FIELDS))
+    entry = st.integers(-3, 3) if not field.characteristic else st.integers(0, field.characteristic - 1)
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        return block_diagonal([Matrix(field, draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                                           min_size=n, max_size=n))) for n in sizes])
+    n = draw(st.integers(3, 5))
+    diagonal = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    below = draw(st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1))
+    return Matrix(field, [[diagonal[i] if i == j else below[j] if i == j + 1 else 0 for j in range(n)]
+                          for i in range(n)])
+
+
 class TestGenerators:
     """The generators of T from unit-vector conductors, with the lcm merge
     where no unit vector has the conductor of the next factor."""
@@ -442,7 +479,7 @@ class TestGenerators:
         assert t == Matrix(field, [[1, 1], [1, 2]]) and len(chain) == 1
         assert (r, t, chain) == rule_transform(a)
         # e1 and e2 have conductors X - 1 and X - 2; the merge is e1 + e2.
-        assert runs[-1][1] == ((2,), ((0, (1, 1, 1)),))
+        assert runs[-1][1] == ((2,), (((0, 1), (1, 1, 1, 2)),))
 
     @pytest.mark.parametrize("field", MERGE_FIELDS, ids=str)
     def test_merge_for_a_later_factor(self, field, monkeypatch):
@@ -452,9 +489,9 @@ class TestGenerators:
         b = companion(Polynomial(field, [2, -3, 1]))
         for a, generators, choices in (
             (Matrix(field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]),
-             [[1, 0, 1, 0], [0, 1, 0, 1]], ((0, (2, 1, 1)), (1, (3, 1, 1)))),
+             [[1, 0, 1, 0], [0, 1, 0, 1]], (((0, 1), (2, 1, 1, 2)), ((1, 1), (3, 1, 1, 2)))),
             (block_diagonal([b, Matrix(field, [[1, 0], [0, 2]])]),
-             [[1, 0, 0, 0], [0, 0, 1, 1]], (0, (2, (3, 1, 1)))),
+             [[1, 0, 0, 0], [0, 0, 1, 1]], (0, ((2, 1), (3, 1, 1, 2)))),
         ):
             (r, t, chain), runs = keyed(monkeypatch, a)
             assert [t.column_raw(2 * k) for k in range(2)] == [
@@ -462,19 +499,13 @@ class TestGenerators:
             assert (r, t, chain) == rule_transform(a) and len(chain) == 2
             assert runs[-1][1][1] == choices
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_matches_the_reference(self, data):
-        """Random small matrices, half of them block diagonal so that they
-        are often derogatory: the chain, T and the certificate."""
-        field = data.draw(st.sampled_from(MERGE_FIELDS))
-        entry = st.integers(-3, 3) if not field.characteristic else st.integers(0, field.characteristic - 1)
-
-        def square(n):
-            return data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-
-        blocks = [square(data.draw(st.integers(1, 3))) for _ in range(data.draw(st.integers(1, 2)))]
-        a = block_diagonal([Matrix(field, b) for b in blocks])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(small_matrices())
+    @example(Matrix(GF(5), HIDDEN_DEROGATORY))
+    @example(Matrix(GF(7), HIDDEN_DEROGATORY))
+    @example(Matrix(QQ, HIDDEN_DEROGATORY))
+    def test_matches_the_reference(self, a):
+        """Random small matrices: the chain, T and the certificate."""
         r, t, chain = rnf_transform(a)
         assert (r, t, chain) == rule_transform(a)
         assert similarity_defect(a, r, t) is None
