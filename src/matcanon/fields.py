@@ -97,11 +97,24 @@ class Field:
 
     # Raw-value interface implemented by subclasses:
     #   zero, one, canon, add, sub, mul, neg, inv, is_zero, sqrt
-    # and the two row primitives every matrix product and elimination runs on:
+    # the two row primitives every elimination and matrix-vector product runs on:
     #   dot(xs, ys) = sum of x*y, reduced once;  submul(xs, f, ys) = [x - f*y]
+    # and the one kernel of every matrix product:
+    #   product(rows, cols) = [[dot(row, col) for col in cols] for row in rows]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+
+def _integral(vectors) -> list[tuple[int, list[int]]]:
+    """(d, [d*x, ...]) for each vector of Fractions, d the least common
+    denominator of its entries."""
+    out = []
+    for v in vectors:
+        d = lcm(*[x.denominator for x in v])
+        out.append((d, [x.numerator for x in v] if d == 1 else
+                    [x.numerator * (d // x.denominator) for x in v]))
+    return out
 
 
 class Rationals(Field):
@@ -148,17 +161,20 @@ class Rationals(Field):
     def neg(a):
         return -a
 
-    @staticmethod
-    def dot(xs, ys):
-        # Exact integer products over one common denominator, normalized once.
-        terms = [(x.numerator * y.numerator, x.denominator * y.denominator)
-                 for x, y in zip(xs, ys) if x and y]
-        den = lcm(*[d for _, d in terms])
-        return Fraction(sum(n * (den // d) for n, d in terms), den)
+    @classmethod
+    def dot(cls, xs, ys):
+        return cls.product((xs,), (ys,))[0][0]
 
     @staticmethod
     def submul(xs, f, ys):
         return [x - f * y for x, y in zip(xs, ys)]
+
+    @staticmethod
+    def product(rows, cols):
+        # Each row and column scaled to integers over its own common
+        # denominator once; one integer dot product and Fraction an entry.
+        xs, ys = map(_integral, (rows, cols))
+        return [[Fraction(sum(map(_mul, x, y)), dx * dy) for dy, y in ys] for dx, x in xs]
 
     @staticmethod
     def is_zero(a) -> bool:
@@ -312,6 +328,10 @@ class PrimeField(Field):
     def submul(self, xs, f, ys):
         p = self.p
         return [(x - f * y) % p for x, y in zip(xs, ys)]
+
+    def product(self, rows, cols):
+        p = self.p
+        return [[sum(map(_mul, row, col)) % p for col in cols] for row in rows]
 
     @staticmethod
     def is_zero(a) -> bool:

@@ -10,8 +10,8 @@ word-size primes and return only a kernel basis proved exactly over Q.
 here and in ``rnf``: it groups the primes by the decisions their runs
 took, combines each group by CRT, lifts it by rational reconstruction
 and returns the first lift that passes the caller's exact check.
-Products and eliminations run on the field's two row primitives, ``dot``
-and ``submul``.  ``_krylov`` is the unit-vector Krylov basis of the Hom
+Products run on the field's ``product`` kernel, eliminations on its two
+row primitives, ``dot`` and ``submul``.  ``_krylov`` is the unit-vector Krylov basis of the Hom
 spaces of ``pairs``.  ``similarity_defect`` is the one certificate for
 every change of basis the package returns.
 """
@@ -256,8 +256,7 @@ class Matrix:
 
 def _product(field: Field, x: Sequence[Sequence], y: Sequence[Sequence]) -> list[list]:
     """The product of two matrices given by their raw rows."""
-    cols = list(zip(*y))
-    return [[field.dot(row, col) for col in cols] for row in x]
+    return field.product(x, list(zip(*y)))
 
 
 def _forward(field: Field, rows: list[list]) -> tuple[list[int], int]:

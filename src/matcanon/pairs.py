@@ -335,17 +335,36 @@ def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
 def _hadamard_square(m: PairPoint, m2: PairPoint) -> int:
     """The product over the equations (f*m_i - m2_i*f)[a][c] = 0, scaled to
     integers, of max(1, the sum of the squares of the coefficients): m_i[b][c]
-    for b != c, -m2_i[a][b] for b != a, and m_i[c][c] - m2_i[a][a]."""
+    for b != c, -m2_i[a][b] for b != a, and m_i[c][c] - m2_i[a][a].
+
+    Equation (a, c) is scaled by L, the lcm of the denominators of column c
+    of m_i off its diagonal, of row a of m2_i off its diagonal and of the
+    diagonal difference, and its sum is L^2 times the sums of the squares
+    of those three parts; the sums of the off-diagonal parts are taken once
+    per column and row, from integer numerators and denominators.
+    """
+
+    def off_diagonal(lines):
+        """(lcm d, the sum of (d*x)^2) over the entries x off the diagonal
+        of each line, d the lcm of their denominators."""
+        out = []
+        for i, line in enumerate(lines):
+            pairs = [(x.numerator, x.denominator) for b, x in enumerate(line) if b != i]
+            d = lcm(*[q for _, q in pairs])
+            out.append((d, sum((p * (d // q)) ** 2 for p, q in pairs)))
+        return out
+
     h2 = 1
     for mi, ti in ((m.m1, m2.m1), (m.m2, m2.m2)):
-        cols = list(zip(*mi._rows))
-        for a, t_row in enumerate(ti._rows):
-            for c, col in enumerate(cols):
-                row = [x for b, x in enumerate(col) if b != c]
-                row += [x for b, x in enumerate(t_row) if b != a]
-                row.append(col[c] - t_row[a])
-                scale = lcm(*(x.denominator for x in row))
-                h2 *= max(1, sum((x.numerator * (scale // x.denominator)) ** 2 for x in row))
+        cols = off_diagonal(list(zip(*mi._rows)))
+        rows = off_diagonal(ti._rows)
+        for a, (ra, sa) in enumerate(rows):
+            taa = ti._rows[a][a]
+            for c, (rc, sc) in enumerate(cols):
+                diff = mi._rows[c][c] - taa
+                scale = lcm(rc, ra, diff.denominator)
+                h2 *= max(1, sc * (scale // rc) ** 2 + sa * (scale // ra) ** 2
+                          + (diff.numerator * (scale // diff.denominator)) ** 2)
     return h2
 
 

@@ -25,8 +25,10 @@ Over Q all of it runs modulo word-size primes, lifted by
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from operator import mul as _mul
 
 from .errors import (
     BasisFailure,
@@ -35,7 +37,7 @@ from .errors import (
     NonSquare,
     NotMonic,
 )
-from .fields import GF, QQ, Field
+from .fields import GF, QQ, Field, _integral
 from .matrix import Matrix, _mod_rows, _modular_lift, block_diagonal, similarity_defect
 from .poly import Polynomial
 
@@ -286,8 +288,9 @@ def invariant_factors(a: Matrix) -> RationalNormalForm:
 class _Span:
     """A row echelon form of the span of vectors b_0, b_1, ... added in
     turn, each outside the span of those before it.  Row i is b_i less the
-    rows that reduced it, scaled to 1 at its pivot; both are kept, so a
-    vector of the span can be written in the b's (:meth:`coordinates`)."""
+    rows that reduced it, scaled to 1 at its pivot; both are kept in
+    ``made``, so a vector of the span can be written in the b's
+    (:func:`_coordinates`)."""
 
     __slots__ = ("field", "pivots", "rows", "made")
 
@@ -319,22 +322,6 @@ class _Span:
         self.made.append((s, steps))
         return None
 
-    def coordinates(self, steps: list) -> list:
-        """The coordinates in the b's of the sum of x * row_i over the steps
-        (i, x), by back substitution through the rows' own steps."""
-        field = self.field
-        sub, mul = field.sub, field.mul
-        x = [field.zero] * len(self.rows)
-        for i, s in steps:
-            x[i] = s
-        for i in range(len(x) - 1, -1, -1):
-            if x[i]:
-                s, made = self.made[i]
-                xi = x[i] = mul(x[i], s)
-                for j, y in made:
-                    x[j] = sub(x[j], mul(xi, y))
-        return x
-
     def truncate(self, m: int):
         del self.pivots[m:], self.rows[m:], self.made[m:]
 
@@ -346,22 +333,45 @@ def _unit(field: Field, a, k: int) -> list[list]:
     return [v, [row[k] for row in a]]
 
 
-def _conductor(span: _Span, a, iterates: list[list]) -> tuple[Polynomial, list] | None:
-    """(f, w) for x = iterates[0], or None if x lies in the span W: f is
-    the conductor of x into W, the monic f of least degree with f(A)*x in
-    W, and w the coordinates of f(A)*x in the b's of W.  The chain x,
-    A*x, ..., A^(deg f - 1)*x is added to the span; its iterates are read
-    from the list, which is extended in place as far as needed."""
+def _coordinates(field: Field, made: list, steps: list, start: int = 0) -> list:
+    """The coordinates in b_start, b_start+1, ... of the sum of x * row_i
+    over the steps (i, x), by back substitution through the rows' own
+    steps, ``made`` those of rows start, start+1, ...  Rows below start
+    add only to the coordinates below start, so they are not read."""
+    sub, mul = field.sub, field.mul
+    x = [field.zero] * len(made)
+    for i, s in steps:
+        if i >= start:
+            x[i - start] = s
+    for i in range(len(x) - 1, -1, -1):
+        if x[i]:
+            s, row_steps = made[i]
+            xi = x[i] = mul(x[i], s)
+            for j, y in row_steps:
+                if j >= start:
+                    x[j - start] = sub(x[j - start], mul(xi, y))
+    return x
+
+
+def _chain(span: _Span, a, iterates: list[list]) -> list | None:
+    """Add the chain x, A*x, ..., A^(d-1)*x of x = iterates[0] to the span
+    W, d the degree of the conductor of x into W (the monic f of least
+    degree with f(A)*x in W), and return the steps of A^d*x in the rows;
+    None if x lies in W.  The iterates are read from the list, which is
+    extended in place as far as needed."""
     field = span.field
     m = d = len(span)
     while (steps := span.add(iterates[d - m])) is None:
         d += 1
         if d - m == len(iterates):
             iterates.append([field.dot(row, iterates[-1]) for row in a])
-    if d == m:
-        return None
-    coords = span.coordinates(steps)
-    return Polynomial._raw(field, [field.neg(c) for c in coords[m:]] + [field.one]), coords[:m]
+    return steps if d > m else None
+
+
+def _conductor(field: Field, coords: list) -> Polynomial:
+    """The conductor X^d - sum of c_k*X^k of x from the coordinates c of
+    A^d*x in x's own chain."""
+    return Polynomial._raw(field, [field.neg(c) for c in coords] + [field.one])
 
 
 def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -385,10 +395,13 @@ def _apply(field: Field, a, q: Polynomial, v: list) -> list:
     return out
 
 
-def _merge(field: Field, a, tried: list, degree: int) -> tuple[list, tuple] | None:
+def _merge(field: Field, a, m: int, tried: list, degree: int) -> tuple[list, tuple] | None:
     """(x, merged): the lcm merge, in index order, of the unit vectors of
-    ``tried``, pairs (j, f_j) of an index and a conductor into W, until x
-    has a conductor of the given degree; None if it never does.
+    ``tried`` until x has a conductor of the given degree; None if it
+    never does.  ``tried`` holds (j, steps, made) for each e_j outside W,
+    the span of m vectors: the steps that :func:`_chain` returned for e_j
+    and the own steps of its chain's rows, from which its conductor f_j
+    into W is read only when the merge reaches it.
 
     If x has conductor f = f1*f2 and y conductor g = g1*g2, f1 and g1
     coprime with f1*g1 = lcm(f, g), then f2(A)*x + g2(A)*y has conductor
@@ -402,9 +415,11 @@ def _merge(field: Field, a, tried: list, degree: int) -> tuple[list, tuple] | No
     leaves the key."""
     if not tried:
         return None
-    (j, f), *rest = tried
+    conductors = ((j, _conductor(field, _coordinates(field, made, steps, m)))
+                  for j, steps, made in tried)
+    j, f = next(conductors)
     x, merged = _unit(field, a, j)[0], [(j, f.degree)]
-    for j, g in rest:
+    for j, g in conductors:
         if f.degree == degree:
             break
         lcm_fg = _lcm(f, g)
@@ -440,34 +455,36 @@ def _generators(field: Field, a, factors: list[Polynomial]) -> tuple[list[list],
             if inside[j]:
                 continue
             iterates = _unit(field, a, j)
-            found = _conductor(span, a, iterates)
-            if found is None:
+            steps = _chain(span, a, iterates)
+            if steps is None:
                 inside[j] = True
-            elif found[0].degree == degree:
+            elif len(span) - m == degree:
                 choice = j
                 inside[j] = True
                 break
             else:
+                # Only its chain length is used, unless the unit vectors merge.
+                tried.append((j, steps, span.made[m:]))
                 span.truncate(m)
-                tried.append((j, found[0]))
         else:
-            merge = _merge(field, a, tried, degree)
+            merge = _merge(field, a, m, tried, degree)
             if merge is None:
                 return None
             iterates, choice = [merge[0]], merge[1]
-            found = _conductor(span, a, iterates)
+            steps = _chain(span, a, iterates)
         # A second pass checks the generator: its relation is f(A)*g = 0.
         while True:
-            if found is None or found[0].degree != degree:
+            if steps is None or len(span) - m != degree:
                 return None
-            f, w = found
+            w = _coordinates(field, span.made, steps)
+            f = _conductor(field, w[m:]).coeffs
             correction = [zero] * m
             for start, length in blocks:
                 h = w[start:start + length]
                 if any(h):
                     while not h[-1]:
                         h.pop()
-                    q, r = ops.divmod(h, f.coeffs)
+                    q, r = ops.divmod(h, f)
                     if r:
                         return None
                     correction[start:start + len(q)] = q
@@ -476,7 +493,7 @@ def _generators(field: Field, a, factors: list[Polynomial]) -> tuple[list[list],
             g = [sub(x, dot(correction, row)) for x, row in zip(iterates[0], zip(*columns))]
             span.truncate(m)
             iterates = [g]
-            found = _conductor(span, a, iterates)
+            steps = _chain(span, a, iterates)
         columns += iterates[:degree]
         blocks.append((m, degree))
         choices.append(choice)
@@ -503,10 +520,11 @@ def _cyclic_unit(field: Field, a) -> tuple[Polynomial, tuple[int, list[list]] | 
     mu = Polynomial._raw(field, [field.one])
     for k in range(n):
         iterates = _unit(field, a, k)
-        if k and len(span) < n and _conductor(span, a, iterates) is None:
+        if k and len(span) < n and _chain(span, a, iterates) is None:
             continue
         # e1's chain is the first chain of V; a later start takes its own.
-        f = _conductor(_Span(field) if k else span, a, iterates)[0]
+        own = _Span(field) if k else span
+        f = _conductor(field, _coordinates(field, own.made, _chain(own, a, iterates)))
         if f.degree == n:
             return f, (k, iterates[:n])
         mu = _lcm(mu, f)
@@ -575,6 +593,20 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     return r_mat, t_mat, chain
 
 
+def _rational_krylov(ints: list[list[int]], den: int, g: list[Fraction], length: int) -> list[list[Fraction]]:
+    """[g, A*g, ..., A^(length-1)*g] for A = ints/den over Q, ints the
+    integer rows of den*A: with g = u/e over the common denominator e of
+    g, A^k*g = (ints^k*u)/(den^k*e) is computed in integers, and each
+    entry becomes a Fraction once."""
+    ((e, u),) = _integral([g])
+    columns = [g]
+    for _ in range(length - 1):
+        u = [sum(map(_mul, row, u)) for row in ints]
+        e *= den
+        columns.append([Fraction(x, e) for x in u])
+    return columns
+
+
 def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     """(R, T, chain) of a matrix over Q, computed modulo primes.
 
@@ -588,9 +620,10 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
     vector chosen has the conductor over Q, and a merge records its own
     degrees (:func:`_merge`); so the generators are the images too.  The
     chain and the generators are lifted, the rest of T is computed over
-    Q, and a lift is kept only if every entry of T lies within the
-    reconstruction bound, which makes it the lift of all of T, and it
-    passes :func:`similarity_defect`, which proves T and the chain.
+    Q in integers (:func:`_rational_krylov`), and a lift is kept only if
+    every entry of T lies within the reconstruction bound, which makes it
+    the lift of all of T, and it passes :func:`similarity_defect`, which
+    proves T and the chain.
 
     The product of the primes tried is limited to
     (n*M*D)^(2*n^2) * 2^(64*(n + 2)), D the common denominator of A and M
@@ -602,7 +635,8 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
     """
     n = a.nrows
     den = lcm(*(x.denominator for row in a._rows for x in row))
-    top = max(1, *(abs(x.numerator) * (den // x.denominator) for row in a._rows for x in row))
+    ints = [[x.numerator * (den // x.denominator) for x in row] for row in a._rows]
+    top = max(1, *(abs(x) for row in ints for x in row))
 
     def image(p):
         if den % p == 0:
@@ -620,11 +654,7 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
         factors = [Polynomial._raw(QQ, [next(it) for _ in range(d)] + [QQ.one]) for d in degrees]
         columns = []
         for d in degrees:
-            v = [next(it) for _ in range(n)]
-            columns.append(v)
-            for _ in range(d - 1):
-                v = a.mul_vector_raw(v)
-                columns.append(v)
+            columns += _rational_krylov(ints, den, [next(it) for _ in range(n)], d)
         if any(abs(x.numerator) > bound or x.denominator > bound for v in columns for x in v):
             return None
         try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import matcanon.rnf as rnf
 from matcanon import FieldMismatch, Matrix, Polynomial
@@ -309,3 +310,20 @@ def reference_intertwiners(m, m2) -> list[Matrix]:
     n, n2 = m.size, m2.size
     _, kernel = reference_rank_and_kernel(intertwiner_system(m, m2))
     return [Matrix._raw(m.field, [v[a * n:(a + 1) * n] for a in range(n2)]) for v in kernel]
+
+
+def reference_hadamard_square(m, m2) -> int:
+    """``pairs._hadamard_square`` as it was first written: each equation of
+    :func:`intertwiner_system` built row by row and scaled to integers on
+    its own."""
+    h2 = 1
+    for mi, ti in ((m.m1, m2.m1), (m.m2, m2.m2)):
+        cols = list(zip(*mi._rows))
+        for a, t_row in enumerate(ti._rows):
+            for c, col in enumerate(cols):
+                row = [x for b, x in enumerate(col) if b != c]
+                row += [x for b, x in enumerate(t_row) if b != a]
+                row.append(col[c] - t_row[a])
+                scale = lcm(*(x.denominator for x in row))
+                h2 *= max(1, sum((x.numerator * (scale // x.denominator)) ** 2 for x in row))
+    return h2

@@ -193,7 +193,8 @@ MERSENNE_61 = 2 ** 61 - 1
 
 
 class TestRowPrimitives:
-    """Field.dot and Field.submul against the one-operation-at-a-time loop."""
+    """Field.dot, Field.submul and Field.product against the
+    one-operation-at-a-time loop."""
 
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(10007), GF(MERSENNE_61)], ids=str)
     def test_empty_inputs(self, field):
@@ -233,6 +234,50 @@ class TestRowPrimitives:
         dot = QQ.dot(xs, ys)
         assert dot == acc and isinstance(dot, Fraction)
         assert QQ.submul(xs, f, ys) == [x - f * y for x, y in zip(xs, ys)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_rational_product_matches_triple_loop(self, data):
+        """QQ.product of rows and columns against the Fraction triple loop,
+        on shapes from 1 x n and n x 1 up, with zero rows and columns,
+        integer-only entries, negative entries and small, mixed and large
+        denominators."""
+        denominators = data.draw(st.sampled_from([
+            st.just(1), st.integers(1, 12), st.integers(1, 2 ** 80),
+            st.sampled_from([1, 3, 2 ** 64 + 13, 10 ** 30 + 57])]))
+        entries = st.one_of(st.just(Fraction(0)), st.builds(
+            Fraction, st.integers(-10 ** 20, 10 ** 20), denominators))
+        nrows, inner, ncols = (data.draw(st.integers(1, 6)) for _ in range(3))
+
+        def vectors(count):
+            return [data.draw(st.one_of(st.just([Fraction(0)] * inner),
+                                        st.lists(entries, min_size=inner, max_size=inner)))
+                    for _ in range(count)]
+
+        rows, cols = vectors(nrows), vectors(ncols)
+        expected = []
+        for row in rows:
+            out = []
+            for col in cols:
+                acc = Fraction(0)
+                for x, y in zip(row, col):
+                    acc += x * y
+                out.append(acc)
+            expected.append(out)
+        got = QQ.product(rows, cols)
+        assert got == expected
+        assert all(type(x) is Fraction for out in got for x in out)
+        assert QQ.dot(rows[0], cols[0]) == expected[0][0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 10007, MERSENNE_61]), st.data())
+    def test_prime_field_product_matches_dot(self, p, data):
+        field = GF(p)
+        inner = data.draw(st.integers(1, 6))
+        vector = st.lists(st.integers(0, p - 1), min_size=inner, max_size=inner)
+        rows = data.draw(st.lists(vector, min_size=1, max_size=5))
+        cols = data.draw(st.lists(vector, min_size=1, max_size=5))
+        assert field.product(rows, cols) == [[field.dot(r, c) for c in cols] for r in rows]
 
     def test_near_word_size_modulus(self):
         p = MERSENNE_61

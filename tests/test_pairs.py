@@ -47,6 +47,7 @@ from helpers import (
     rand_invertible,
     rand_matrix,
     rand_monic,
+    reference_hadamard_square,
     reference_intertwiners,
     submatrix,
 )
@@ -668,6 +669,26 @@ class TestRationalLift:
         got, used, ran = hom_primes_used(monkeypatch, m, m2)
         assert got == reference_intertwiners(m, m2) == []
         assert ran == [self.p0, _prime(1)]
+
+    def test_hadamard_square_matches_the_reference(self):
+        """The limit of the lift is unchanged by the per-line sums: the
+        same integer as the equations scaled one by one, on random pairs of
+        sizes 1 to 5 with zeros, integers, shared and large denominators."""
+        rng = random.Random(1501)
+        denominators = [1, 1, 2, 3, 6, 7, 2 ** 40 + 15, 10 ** 12 + 39]
+
+        def member(n):
+            return Matrix(QQ, [[Fraction(rng.randint(-50, 50) * rng.randint(0, 1),
+                                         rng.choice(denominators)) for _ in range(n)]
+                               for _ in range(n)])
+
+        for _ in range(100):
+            n, n2 = rng.randint(1, 5), rng.randint(1, 5)
+            m = PairPoint(member(n), member(n))
+            m2 = PairPoint(member(n2), member(n2))
+            for source, target in ((m, m2), (m2, m), (m, m)):
+                assert matcanon.pairs._hadamard_square(source, target) == (
+                    reference_hadamard_square(source, target))
 
     def test_refused_lift_is_a_basis_failure_at_the_limit(self, monkeypatch):
         """With every lift refused, the primes stop once their product passes

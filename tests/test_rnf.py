@@ -361,19 +361,19 @@ class TestKrylovStage:
             (g * assemble_rnf_matrix(RationalNormalForm([x ** 3, x ** 2, x])) * g.inverse(), None),
             (g * assemble_rnf_matrix(RationalNormalForm([f * f, f])) * g.inverse(), None),
         ]
-        conductor = rnf._conductor
+        chain = rnf._chain
 
         def recording(span, rows, iterates):
             if not any(s is span for s in spans):
                 spans.append(span)
                 built.append([])
             built[next(i for i, s in enumerate(spans) if s is span)].append(iterates)
-            return conductor(span, rows, iterates)
+            return chain(span, rows, iterates)
 
         probe = field if field.characteristic else GF(_prime(0))
         for a, expected in cases:
             spans, built = [], []
-            monkeypatch.setattr(rnf, "_conductor", recording)
+            monkeypatch.setattr(rnf, "_chain", recording)
             assert rnf._cyclic_unit(probe, _mod_rows(a._rows, probe.characteristic)
                                     if probe is not field else a._rows) is None
             monkeypatch.undo()
@@ -648,10 +648,29 @@ class TestCertificate:
             # A broken iterate over Q: every product with A is zero, so the
             # iterates of the lifted generators are, and no lift passes the
             # certificate before the prime bound.
-            mul_vector_raw = Matrix.mul_vector_raw
-            Matrix.mul_vector_raw = lambda self, v: [self.field.zero] * self.nrows
+            rational_krylov = rnf._rational_krylov
+            rnf._rational_krylov = lambda ints, den, g, length: (
+                [g] + [[QQ.zero] * len(g) for _ in range(length - 1)])
             expect_failure("krylov over Q", rnf_transform, Matrix(QQ, [[1, 2], [3, 4]]))
-            Matrix.mul_vector_raw = mul_vector_raw
+            rnf._rational_krylov = rational_krylov
+
+            # A transform over Q spoiled in one entry by a fraction with a
+            # large denominator after the reconstruction bound's check: T
+            # stays invertible, so only the exact products A*T and T*R of
+            # the certificate can refuse it.
+            from fractions import Fraction
+            assemble = rnf._assemble
+
+            def spoiled_assemble(a, factors, columns):
+                r_mat, t_mat, chain = assemble(a, factors, columns)
+                rows = [list(row) for row in t_mat._rows]
+                rows[-1][0] += Fraction(1, 2 ** 89 - 1)
+                return r_mat, Matrix(QQ, rows), chain
+
+            rnf._assemble = spoiled_assemble
+            expect_failure("spoiled over Q", rnf_transform,
+                           Matrix(QQ, [[Fraction(1, 3), 2, 0], [5, Fraction(-7, 2), 1], [0, 4, 6]]))
+            rnf._assemble = assemble
 
             # A broken generator routine: every coordinate of a vector of a
             # span is off by one, so each conductor and each relation is
@@ -659,16 +678,16 @@ class TestCertificate:
             # a cyclic vector, so its generator is a merge; in the second e1
             # is cyclic, and in the third, an eigenvector ahead of the cyclic
             # e2.
-            coordinates = rnf._Span.coordinates
-            rnf._Span.coordinates = lambda self, steps: [
-                self.field.add(x, self.field.one) for x in coordinates(self, steps)]
+            coordinates = rnf._coordinates
+            rnf._coordinates = lambda field, *args: [
+                field.add(x, field.one) for x in coordinates(field, *args)]
             broken = Matrix(GF(5), [[1, 2, 0], [0, 1, 0], [0, 0, 4]])
             expect_failure("rnf", rnf_transform, broken)
             # The chain comes from the same certified run, so it fails too.
             expect_failure("invariant factors", invariant_factors, broken)
             expect_failure("krylov", rnf_transform, Matrix(GF(5), [[1, 2], [3, 4]]))
             expect_failure("krylov scan", rnf_transform, Matrix(GF(5), [[1, 1], [0, 2]]))
-            rnf._Span.coordinates = coordinates
+            rnf._coordinates = coordinates
 
             # A wrong chain: the diagonalization of the derogatory 2I claims
             # (X - 2)^2, for which no unit vector and no merge has a conductor
@@ -720,11 +739,11 @@ class TestCertificate:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
-        assert list(reasons) == ["krylov over Q", "rnf", "invariant factors", "krylov",
+        assert list(reasons) == ["krylov over Q", "spoiled over Q", "rnf", "invariant factors", "krylov",
                                  "krylov scan", "no generator", "reduce", "split", "kernel",
                                  "rank"], proc.stdout
         assert reasons["no generator"] == "no generator of a cyclic summand by the rule"
-        assert "prime bound" in reasons["krylov over Q"]
+        assert all("prime bound" in reasons[label] for label in ("krylov over Q", "spoiled over Q"))
         assert all("certificate" in reasons[label] for label in ("krylov", "krylov scan"))
 
     def test_no_assert_statements_in_package(self):
