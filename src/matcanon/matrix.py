@@ -11,9 +11,9 @@ here and in ``rnf``: it groups the primes by the decisions their runs
 took, combines each group by CRT, lifts it by rational reconstruction
 and returns the first lift that passes the caller's exact check.
 Products run on the field's ``product`` kernel, eliminations on its two
-row primitives, ``dot`` and ``submul``.  ``_krylov`` is the unit-vector Krylov basis of the Hom
-spaces of ``pairs``.  ``similarity_defect`` is the one certificate for
-every change of basis the package returns.
+row primitives, ``dot`` and ``submul``, Krylov chains on ``_Span``, the
+one engine of ``rnf`` and ``pairs``.  ``similarity_defect`` is the one
+certificate for every change of basis the package returns.
 """
 
 from __future__ import annotations
@@ -328,39 +328,87 @@ def _back_substitute(field: Field, rows: list[list], pivots: list[int]) -> list[
     return basis
 
 
-def _krylov(field: Field, a) -> tuple[list[list], list[int], list[list]]:
-    """The Krylov basis of k^n under a (raw rows) from the unit vectors in
-    index order: a chain e_i, a*e_i, ... starts at each e_i outside the span
-    so far and ends before its first dependent iterate.  Returns the basis,
-    the chain lengths and the first dependent iterate of each chain."""
-    n = len(a)
-    zero, one, mul, dot, is_zero, submul = (
-        field.zero, field.one, field.mul, field.dot, field.is_zero, field.submul)
-    echelon = []  # (pivot, the reduced vector scaled to 1 there)
-    basis, lengths, ends = [], [], []
-    for i in range(n):
-        if len(basis) == n:
-            break
-        v = [zero] * n
-        v[i] = one
-        length = 0
-        while len(basis) < n:
-            u = v
-            for c, e in echelon:
-                if not is_zero(u[c]):
-                    u = submul(u, u[c], e)
-            c = next((k for k, x in enumerate(u) if not is_zero(x)), None)
-            if c is None:
-                break
-            s = field.inv(u[c])
-            echelon.append((c, [mul(x, s) for x in u]))
-            basis.append(v)
-            length += 1
-            v = [dot(row, v) for row in a]
-        if length:
-            lengths.append(length)
-            ends.append(v)
-    return basis, lengths, ends
+class _Span:
+    """A row echelon form of the span of vectors b_0, b_1, ... added in
+    turn, each outside the span of those before it.  Row i is b_i less the
+    rows that reduced it, scaled to 1 at its pivot; both are kept in
+    ``made``, so a vector of the span can be written in the b's
+    (:func:`_coordinates`)."""
+
+    __slots__ = ("field", "pivots", "rows", "made")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.pivots, self.rows, self.made = [], [], []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def add(self, v: list) -> list | None:
+        """None after adding v as the next b, if v lies outside the span;
+        otherwise the steps (i, x) with v = sum of x * row_i."""
+        field = self.field
+        submul = field.submul
+        steps = []
+        # Zero is falsy in every field.
+        for i, c in enumerate(self.pivots):
+            x = v[c]
+            if x:
+                v = submul(v, x, self.rows[i])
+                steps.append((i, x))
+        c = next((k for k, x in enumerate(v) if x), None)
+        if c is None:
+            return steps
+        s = field.inv(v[c])
+        self.pivots.append(c)
+        self.rows.append(v if s == field.one else [field.mul(x, s) for x in v])
+        self.made.append((s, steps))
+        return None
+
+    def truncate(self, m: int):
+        del self.pivots[m:], self.rows[m:], self.made[m:]
+
+
+def _unit(field: Field, a, k: int) -> list[list]:
+    """[e_k, A*e_k] for a (raw rows): the start of the Krylov chain of e_k."""
+    v = [field.zero] * len(a)
+    v[k] = field.one
+    return [v, [row[k] for row in a]]
+
+
+def _coordinates(field: Field, made: list, steps: list, start: int = 0) -> list:
+    """The coordinates in b_start, b_start+1, ... of the sum of x * row_i
+    over the steps (i, x), by back substitution through the rows' own
+    steps, ``made`` those of rows start, start+1, ...  Rows below start
+    add only to the coordinates below start, so they are not read."""
+    sub, mul = field.sub, field.mul
+    x = [field.zero] * len(made)
+    for i, s in steps:
+        if i >= start:
+            x[i - start] = s
+    for i in range(len(x) - 1, -1, -1):
+        if x[i]:
+            s, row_steps = made[i]
+            xi = x[i] = mul(x[i], s)
+            for j, y in row_steps:
+                if j >= start:
+                    x[j - start] = sub(x[j - start], mul(xi, y))
+    return x
+
+
+def _chain(span: _Span, a, iterates: list[list]) -> list | None:
+    """Add the chain x, A*x, ..., A^(d-1)*x of x = iterates[0] to the span
+    W, d the degree of the conductor of x into W (the monic f of least
+    degree with f(A)*x in W), and return the steps of A^d*x in the rows;
+    None if x lies in W.  The iterates are read from the list, which is
+    extended in place as far as needed, so A^d*x is iterates[d]."""
+    field = span.field
+    m = d = len(span)
+    while (steps := span.add(iterates[d - m])) is None:
+        d += 1
+        if d - m == len(iterates):
+            iterates.append([field.dot(row, iterates[-1]) for row in a])
+    return steps if d > m else None
 
 
 # -- computations over Q, modulo primes -------------------------------------

@@ -11,10 +11,10 @@ of any size, the fixed simple pair used for splitting, and the change of
 basis that splits one copy of that simple pair off a larger pair.
 
 Every Hom space, and so every change of basis here, comes from
-``intertwiners``.  A map f with f*m1 = m2_1*f is fixed by its values on the
-chain starts of a Krylov basis of m1 built from the unit vectors, so one
-small elimination in those values solves both equations; over Q this runs
-modulo primes.
+``intertwiners``.  A map f with f*m_i = m2_i*f is fixed by its values on
+the generators of a spin of the pair, a basis of m1-chains on the Krylov
+engine of ``matrix``, so one small elimination in those values solves
+both equations; over Q this runs modulo primes.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .errors import (
     TraceNonzero,
 )
 from .fields import GF, QQ, Field, Scalar, sqrt_if_exists
-from .matrix import Matrix, _back_substitute, _clear_above, _forward, _krylov, _mod_rows, _modular_lift
-from .matrix import _product, _unit_basis, block_diagonal, similarity_defect
+from .matrix import Matrix, _Span, _back_substitute, _chain, _clear_above, _forward, _mod_rows, _modular_lift
+from .matrix import _product, _unit, _unit_basis, block_diagonal, similarity_defect
 
 
 class PairPoint:
@@ -296,7 +296,8 @@ def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
     Read row by row, each map is 1 at its last nonzero entry and 0 at those
     of the others, sorted by that entry: the kernel basis of the system of
     these equations in the n2*n entries of f, whose free columns are the
-    last nonzero entries.  Over GF(p) it is :func:`_hom_basis`.  Over Q that
+    last nonzero entries.  Over GF(p) it is :func:`_hom_basis`, which spins
+    one of the pairs (:func:`_spin`).  Over Q that
     runs modulo primes that divide no denominator; as for the kernel in
     ``matrix._rational_rank_and_kernel``, the key is the columns that are
     not free and the values are the entries there, a lift is proved by both
@@ -372,20 +373,23 @@ def _hom_basis(field: Field, s1, s2, t1, t2) -> list[list]:
     """The basis of :func:`intertwiners` over GF(p) from the raw rows of
     M = (s1, s2) and M2 = (t1, t2), each map read row by row.
 
-    If s1 has more than one chain and t1^T fewer (:func:`_krylov`), the
-    transposed problem f^T * t_i^T = s_i^T * f^T is solved.  Any basis of
-    the space gives the same result: reduced echelon form with the entries
-    read from the last.
+    The unknowns are the images of the g generators of the spin of M
+    (:func:`_spin`).  If g*n2 > n and the spin of M2^T has g' generators
+    with g'*n < g*n2, the transposed problem f^T * t_i^T = s_i^T * f^T is
+    solved instead.  Each map is read as F * B^-1 (:func:`_spin_maps`).  Any
+    basis of the space gives the same result: reduced echelon form with the
+    entries read from the last.
     """
-    krylov = _krylov(field, s1)
-    maps = None
-    if len(krylov[1]) > 1:
-        other = _krylov(field, list(zip(*t1)))
-        if len(other[1]) < len(krylov[1]):
-            transposed = (list(zip(*x)) for x in (t2, s1, s2))
-            maps = [list(zip(*g)) for g in _krylov_maps(field, other, *transposed)]
-    if maps is None:
-        maps = _krylov_maps(field, krylov, s2, t1, t2)
+    n, n2 = len(s1), len(t1)
+    spin = _spin(field, s1, s2)
+    g = spin[1].count(None)
+    other = _spin(field, list(zip(*t1)), list(zip(*t2))) if g * n2 > n else None
+    if other and other[1].count(None) * n < g * n2:
+        images, b_inv = _spin_maps(field, other, list(zip(*s1)), list(zip(*s2)))
+        maps = [list(zip(*_product(field, f, b_inv))) for f in images]
+    else:
+        images, b_inv = _spin_maps(field, spin, t1, t2)
+        maps = [_product(field, f, b_inv) for f in images]
     if not maps:
         return []
     rows = [[x for row in reversed(f) for x in reversed(row)] for f in maps]
@@ -394,53 +398,80 @@ def _hom_basis(field: Field, s1, s2, t1, t2) -> list[list]:
     return [row[::-1] for row in reversed(rows)]
 
 
-def _krylov_maps(field: Field, krylov, s2, t1, t2) -> list[list]:
-    """A basis of the f with f*s1 = t1*f and f*s2 = t2*f (raw rows), given
-    the Krylov basis K of s1.
-
-    f is fixed by the images w_j of the r chain starts, as
-    f*K = [w_1, t1*w_1, ..., w_2, ...].  One elimination in the r*n2
-    entries of the w_j solves f*(s1*x) = t1*(f*x) for the last vector x of
-    each chain and f*(s2*K) = t2*(f*K), in coordinates of K.
+def _spin(field: Field, s1, s2) -> tuple[list[list], list, list]:
+    """(basis, origins, relations): a basis b_0, ..., b_(n-1) of k^n spun
+    from the unit vectors under s1 and s2 (raw rows) as in the MeatAxe
+    (Parker 1984; Holt, Eick & O'Brien 2005, ch. 7), in chain order: each
+    s1-chain (``matrix._chain``) starts at the next s2*b, b taken in order,
+    that leaves the span, or, once the span is closed under both members,
+    at the next unit vector outside it, a generator.  ``origins[k]`` is None
+    for a generator and (i, j) for b_k = s_i*b_j (i = 0 for s1, 1 for s2).
+    ``relations`` holds (i, j, v) for each v = s_i*b_j that is not a basis
+    vector: each chain's end and each s2*b in the span.
     """
-    basis, lengths, ends = krylov
+    n, dot = len(s1), field.dot
+    span = _Span(field)
+    basis, origins, relations = [], [], []
+    moved = unit = 0  # the next b whose s2*b is taken, and the next unit vector
+    while len(span) < n:
+        if moved < len(basis):
+            iterates, origin = [[dot(row, basis[moved]) for row in s2]], (1, moved)
+            moved += 1
+        else:
+            iterates, origin = _unit(field, s1, unit), None
+            unit += 1
+        m = len(span)
+        _chain(span, s1, iterates)
+        d = len(span) - m
+        if d:
+            basis += iterates[:d]
+            origins += [origin] + [(0, k) for k in range(m, m + d - 1)]
+            relations.append((0, m + d - 1, iterates[d]))
+        elif origin is not None:
+            relations.append((1, moved - 1, iterates[0]))
+    relations += [(1, j, [dot(row, basis[j]) for row in s2]) for j in range(moved, n)]
+    return basis, origins, relations
+
+
+def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
+    """(images, B^-1), B the matrix of the basis of the spin of (s1, s2)
+    (:func:`_spin`), and images F = f*B for each f of a basis of the f with
+    f*s_i = t_i*f (raw rows).  The unknowns are the images w_l of the
+    generators.  The image of b_k = s_i*b_j is t_i times that of b_j, so it
+    is P_k*w_l for a word P_k in t1 and t2 and the generator l of b_k.  Each
+    relation s_i*b_j = sum of c[k]*b_k, c read from B^-1, gives the n2
+    equations t_i*P_j*w_l = sum of c[k]*P_k*w_l(k); one elimination solves
+    them.
+    """
+    basis, origins, relations = spin
     n2 = len(t1)
-    dot, sub = field.dot, field.sub
-    k = list(zip(*basis))
-    k_inv = Matrix._raw(field, k).inverse()._rows
-    powers = [Matrix.identity(field, n2)._rows]  # t1^t up to the longest chain
-    for _ in range(max(lengths)):
-        powers.append(_product(field, t1, powers[-1]))
-    # table[a][u][t] = t1^t[a][u]; dot stops at its shorter argument, so
-    # dot(table[a][u], x) sums x[t] * t1^t[a][u] over the t of x.
-    table = [list(zip(*(p[a] for p in powers))) for a in range(n2)]
-    starts = [sum(lengths[:j]) for j in range(len(lengths))]
-
-    def equations(x, j, y):
-        """The n2 equations sum_l x[l] * (f*K)_l = y * w_j in the unknowns."""
-        parts = [x[o:o + length] for o, length in zip(starts, lengths)]
-        out = []
-        for a, y_row in enumerate(y):
-            row = [dot(table[a][u], part) for part in parts for u in range(n2)]
-            row[j * n2:(j + 1) * n2] = map(sub, row[j * n2:(j + 1) * n2], y_row)
-            out.append(row)
-        return out
-
+    sub, members = field.sub, (t1, t2)
+    words, owners, starts = [], [], []  # P_k, l(k) and the first b of each generator
+    for k, origin in enumerate(origins):
+        if origin is None:
+            words.append(Matrix.identity(field, n2)._rows)
+            owners.append(len(starts))
+            starts.append(k)
+        else:
+            words.append(_product(field, members[origin[0]], words[origin[1]]))
+            owners.append(owners[origin[1]])
+    b_inv = Matrix._raw(field, list(zip(*basis))).inverse()._rows
+    coords = field.product([v for _, _, v in relations], b_inv)
+    # sums[l][r][a*n2 + u] = sum of c[k]*P_k[a][u] over the b_k of generator l.
+    sums = [field.product([c[start:end] for c in coords],
+                          list(zip(*([x for row in p for x in row] for p in words[start:end]))))
+            for start, end in zip(starts, starts[1:] + [len(origins)])]
     system = []
-    for j, end in enumerate(ends):
-        system += equations([dot(row, end) for row in k_inv], j, powers[lengths[j]])
-    moved = list(zip(*_product(field, k_inv, _product(field, s2, k))))
-    tails = [_product(field, t2, p) for p in powers[:-1]]
-    for j, (o, length) in enumerate(zip(starts, lengths)):
-        for t in range(length):
-            system += equations(moved[o + t], j, tails[t])
+    for r, (i, j, _) in enumerate(relations):
+        lhs, l = _product(field, members[i], words[j]), owners[j]
+        for a in range(n2):
+            row = [x for part in sums for x in part[r][a * n2:(a + 1) * n2]]
+            row[l * n2:(l + 1) * n2] = map(sub, row[l * n2:(l + 1) * n2], lhs[a])
+            system.append(row)
     pivots, _ = _forward(field, system)
-    maps = []
-    for w in _back_substitute(field, system, pivots):
-        cols = [[dot(row, w[j * n2:(j + 1) * n2]) for row in p]
-                for j, length in enumerate(lengths) for p in powers[:length]]
-        maps.append(_product(field, list(zip(*cols)), k_inv))
-    return maps
+    images = [list(zip(*([field.dot(row, w[l * n2:(l + 1) * n2]) for row in p] for p, l in zip(words, owners))))
+              for w in _back_substitute(field, system, pivots)]
+    return images, b_inv
 
 
 def simple_pair(n: int, field: Field) -> PairPoint:

@@ -15,10 +15,11 @@ The chain (P_1, ..., P_r), P_{i+1} | P_i, of a cyclic matrix comes from a
 scan of the unit vectors, which also proves a matrix derogatory; the
 chain of a derogatory matrix is the diagonal of X*I - A reduced over k[X]
 (divide-with-remainder pivoting, smallest-degree pivot first).  Every
-step is a rational operation in the entries of A, polynomial in n.  (R, T)
-is certified by A * T == T * R with det T != 0; no inverse is formed.
-Over Q all of it runs modulo word-size primes, lifted by
-``matrix._modular_lift``.  ``invariant_factors`` is the chain of
+step is a rational operation in the entries of A, polynomial in n, and
+the chains run on ``matrix._Span``, the Krylov engine shared with
+``pairs``.  (R, T) is certified by A * T == T * R with det T != 0; no
+inverse is formed.  Over Q all of it runs modulo word-size primes, lifted
+by ``matrix._modular_lift``.  ``invariant_factors`` is the chain of
 ``rnf_transform`` on every field, so every chain is certified.
 """
 
@@ -38,7 +39,8 @@ from .errors import (
     NotMonic,
 )
 from .fields import GF, QQ, Field, _integral
-from .matrix import Matrix, _mod_rows, _modular_lift, block_diagonal, similarity_defect
+from .matrix import Matrix, _Span, _chain, _coordinates, _mod_rows, _modular_lift, _unit
+from .matrix import block_diagonal, similarity_defect
 from .poly import Polynomial
 
 
@@ -281,91 +283,8 @@ def invariant_factors(a: Matrix) -> RationalNormalForm:
 
 
 # ---------------------------------------------------------------------------
-# Krylov chains of unit vectors, conductors and the generators of T.
+# Conductors and the generators of T, on the Krylov engine of ``matrix``.
 # ---------------------------------------------------------------------------
-
-
-class _Span:
-    """A row echelon form of the span of vectors b_0, b_1, ... added in
-    turn, each outside the span of those before it.  Row i is b_i less the
-    rows that reduced it, scaled to 1 at its pivot; both are kept in
-    ``made``, so a vector of the span can be written in the b's
-    (:func:`_coordinates`)."""
-
-    __slots__ = ("field", "pivots", "rows", "made")
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.pivots, self.rows, self.made = [], [], []
-
-    def __len__(self):
-        return len(self.rows)
-
-    def add(self, v: list) -> list | None:
-        """None after adding v as the next b, if v lies outside the span;
-        otherwise the steps (i, x) with v = sum of x * row_i."""
-        field = self.field
-        submul = field.submul
-        steps = []
-        # Zero is falsy in every field.
-        for i, c in enumerate(self.pivots):
-            x = v[c]
-            if x:
-                v = submul(v, x, self.rows[i])
-                steps.append((i, x))
-        c = next((k for k, x in enumerate(v) if x), None)
-        if c is None:
-            return steps
-        s = field.inv(v[c])
-        self.pivots.append(c)
-        self.rows.append(v if s == field.one else [field.mul(x, s) for x in v])
-        self.made.append((s, steps))
-        return None
-
-    def truncate(self, m: int):
-        del self.pivots[m:], self.rows[m:], self.made[m:]
-
-
-def _unit(field: Field, a, k: int) -> list[list]:
-    """[e_k, A*e_k] for a (raw rows): the start of the Krylov chain of e_k."""
-    v = [field.zero] * len(a)
-    v[k] = field.one
-    return [v, [row[k] for row in a]]
-
-
-def _coordinates(field: Field, made: list, steps: list, start: int = 0) -> list:
-    """The coordinates in b_start, b_start+1, ... of the sum of x * row_i
-    over the steps (i, x), by back substitution through the rows' own
-    steps, ``made`` those of rows start, start+1, ...  Rows below start
-    add only to the coordinates below start, so they are not read."""
-    sub, mul = field.sub, field.mul
-    x = [field.zero] * len(made)
-    for i, s in steps:
-        if i >= start:
-            x[i - start] = s
-    for i in range(len(x) - 1, -1, -1):
-        if x[i]:
-            s, row_steps = made[i]
-            xi = x[i] = mul(x[i], s)
-            for j, y in row_steps:
-                if j >= start:
-                    x[j - start] = sub(x[j - start], mul(xi, y))
-    return x
-
-
-def _chain(span: _Span, a, iterates: list[list]) -> list | None:
-    """Add the chain x, A*x, ..., A^(d-1)*x of x = iterates[0] to the span
-    W, d the degree of the conductor of x into W (the monic f of least
-    degree with f(A)*x in W), and return the steps of A^d*x in the rows;
-    None if x lies in W.  The iterates are read from the list, which is
-    extended in place as far as needed."""
-    field = span.field
-    m = d = len(span)
-    while (steps := span.add(iterates[d - m])) is None:
-        d += 1
-        if d - m == len(iterates):
-            iterates.append([field.dot(row, iterates[-1]) for row in a])
-    return steps if d > m else None
 
 
 def _conductor(field: Field, coords: list) -> Polynomial:

@@ -1,11 +1,17 @@
 """Trace-zero 2x2 pairs: invariants, fibres, reduction, Hom, splitting."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
+import matcanon
 import matcanon.matrix
 import matcanon.pairs
 from matcanon import (
@@ -40,7 +46,8 @@ from matcanon import (
 from bruteforce import invertible_matrices, simultaneously_similar
 
 from matcanon.matrix import _prime
-from matcanon.pairs import _krylov
+from matcanon.matrix import _Span, _chain, _unit
+from matcanon.pairs import _spin
 
 from helpers import (
     intertwiner_system,
@@ -568,9 +575,28 @@ def reference_cases(field):
 REFERENCE_FIELDS = [GF(2), GF(3), GF(7), GF(10007), QQ]
 
 
+def chain_count(field, a):
+    """The number of chains of the unit-vector Krylov basis of a (raw rows)."""
+    span = _Span(field)
+    return sum(1 for k in range(len(a)) if _chain(span, a, _unit(field, a, k)) is not None)
+
+
+def generators(field, m):
+    """The number of generators of the spin of the pair m."""
+    return _spin(field, m.m1._rows, m.m2._rows)[1].count(None)
+
+
+def diagonal_pair(field, entries, rng):
+    """(diag(entries), a random matrix)."""
+    n = len(entries)
+    return PairPoint(Matrix(field, [[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)]),
+                     rand_matrix(field, n, rng))
+
+
 class TestKrylovPath:
-    """intertwiners works from a Krylov basis of a first member; the full
-    intertwiner system of tests/helpers.py is its reference."""
+    """intertwiners solves for the images of the generators of a spin of
+    one pair, a Krylov basis under both members; the full intertwiner
+    system of tests/helpers.py is its reference."""
 
     @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
     def test_equals_the_reference(self, field):
@@ -580,43 +606,203 @@ class TestKrylovPath:
 
     @pytest.mark.parametrize("field", REFERENCE_FIELDS[:4], ids=str)
     def test_orientation_rule(self, field, monkeypatch):
-        """The transposed problem is solved exactly when m1 has more than one
-        chain and m2_1^T has fewer; each orientation occurs."""
+        """The transposed problem is solved exactly when g*n2 > n and the
+        spin of M2^T has g' generators with g'*n < g*n2; each orientation
+        occurs."""
         sizes = []
-        maps = matcanon.pairs._krylov_maps
+        spin_maps = matcanon.pairs._spin_maps
 
-        def recording(field, krylov, s2, t1, t2):
-            sizes.append(len(krylov[0]))
-            return maps(field, krylov, s2, t1, t2)
+        def recording(field, spin, t1, t2):
+            sizes.append(len(spin[0]))
+            return spin_maps(field, spin, t1, t2)
 
-        monkeypatch.setattr(matcanon.pairs, "_krylov_maps", recording)
+        monkeypatch.setattr(matcanon.pairs, "_spin_maps", recording)
         taken = set()
         for name, m, m2 in reference_cases(field):
             for source, target in ((m, m2), (m2, m)):
                 if source.size == target.size:
                     continue
-                chains = len(_krylov(field, source.m1._rows)[1])
-                other = len(_krylov(field, target.m1.transpose()._rows)[1])
-                transposed = chains > 1 and other < chains
+                n, n2 = source.size, target.size
+                g = generators(field, source)
+                transposed = g * n2 > n and generators(field, PairPoint(
+                    target.m1.transpose(), target.m2.transpose())) * n < g * n2
                 sizes.clear()
                 assert intertwiners(source, target) == reference_intertwiners(source, target), name
-                assert sizes == [target.size if transposed else source.size], name
+                assert sizes == [n2 if transposed else n], name
                 taken.add(transposed)
         assert taken == {False, True}
+
+    def test_spin_by_hand(self):
+        """Oracle by hand over GF(7), s1 = [[0,1,0],[1,1,0],[0,0,3]].  e0 ->
+        e1 -> e0 + e1 closes the first chain under s1.  With s2 the cyclic
+        shift e0 -> e1 -> e2 -> e0, s2*e0 = e1 lies in the span, s2*e1 = e2
+        does not and starts a chain, s1*e2 = 3*e2 ends it, and s2*e2 = e0:
+        one generator.  With s2 the swap of e0 and e1, the span of e0 and
+        e1 is closed under both members, so e2 is a second generator."""
+        field = GF(7)
+        s1 = [[0, 1, 0], [1, 1, 0], [0, 0, 3]]
+        shift = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        units = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert _spin(field, s1, shift) == (units, [None, (0, 0), (1, 1)], [
+            (0, 1, [1, 1, 0]),  # s1*b1 = b0 + b1
+            (1, 0, [0, 1, 0]),  # s2*b0 = b1
+            (0, 2, [0, 0, 3]),  # s1*b2 = 3*b2
+            (1, 2, [1, 0, 0]),  # s2*b2 = b0
+        ])
+        assert _spin(field, s1, swap) == (units, [None, (0, 0), None], [
+            (0, 1, [1, 1, 0]), (1, 0, [0, 1, 0]), (1, 1, [1, 0, 0]), (0, 2, [0, 0, 3]), (1, 2, [0, 0, 1]),
+        ])
+        for s2 in (shift, swap):
+            m = PairPoint(Matrix(field, s1), Matrix(field, s2))
+            assert intertwiners(m, m) == reference_intertwiners(m, m)
+
+    @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+    def test_generators_against_chains(self, field):
+        """The simple pair spins from e1 alone, and no spin has more
+        generators than its first member has unit-vector chains."""
+        for size in (3, 4, 5):
+            if not field.characteristic or size - 2 <= field.characteristic:
+                assert generators(field, simple_pair(size, field)) == 1
+        for name, m, m2 in reference_cases(field):
+            for point in (m, m2):
+                assert generators(field, point) <= chain_count(field, point.m1._rows), name
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_diagonal_first_members(self, n):
+        """(diag(1..n), random) over GF(10007): every unit vector is an
+        eigenvector of the first member, so it has n chains, and the spin
+        has one generator."""
+        field = GF(10007)
+        rng = random.Random(f"diagonal/{n}")
+        m = diagonal_pair(field, range(1, n + 1), rng)
+        other = diagonal_pair(field, range(1, n + 1), rng)
+        assert chain_count(field, m.m1._rows) == n and generators(field, m) == 1
+        for source, target in ((m, m), (m, other), (other, m)):
+            assert intertwiners(source, target) == reference_intertwiners(source, target)
+
+    def test_repeated_diagonal_entries(self):
+        """Diagonal first members over GF(3) repeat their entries."""
+        field = GF(3)
+        rng = random.Random("repeated")
+        for n in (6, 8, 10):
+            m = diagonal_pair(field, [rng.randrange(3) for _ in range(n)], rng)
+            other = diagonal_pair(field, [k % 3 for k in range(n - 1)], rng)
+            for source, target in ((m, m), (m, other), (other, m)):
+                assert intertwiners(source, target) == reference_intertwiners(source, target)
+
+    @pytest.mark.parametrize("field", [GF(7), GF(10007), QQ], ids=str)
+    def test_direct_sums_of_several_generators(self, field):
+        """S(4) (+) S(5) and S(3) (+) S(4) (+) S(5) of the simple pairs: no
+        unit vector of one block reaches the others, so the spin has one
+        generator per block."""
+        rng = random.Random(f"sums/{field}")
+        two = simple_pair(4, field).direct_sum(simple_pair(5, field))
+        three = simple_pair(3, field).direct_sum(two)
+        assert (generators(field, two), generators(field, three)) == (2, 3)
+        other = PairPoint(rand_matrix(field, 5, rng), rand_matrix(field, 5, rng))
+        for m in (two, three):
+            for source, target in ((m, m), (m, two), (two, m), (m, other), (other, m)):
+                assert intertwiners(source, target) == reference_intertwiners(source, target)
+
+    @pytest.mark.parametrize("field", [GF(2), GF(10007), QQ], ids=str)
+    def test_one_member_zero(self, field):
+        rng = random.Random(f"zero/{field}")
+        for n, n2 in ((4, 4), (5, 3), (3, 6)):
+            zero = Matrix.zeros(field, n, n)
+            points = [PairPoint(zero, rand_matrix(field, n, rng)), PairPoint(rand_matrix(field, n, rng), zero)]
+            target = PairPoint(rand_matrix(field, n2, rng), Matrix.zeros(field, n2, n2))
+            for m in points:
+                for source, t in ((m, m), (m, target), (target, m)):
+                    assert intertwiners(source, t) == reference_intertwiners(source, t)
+
+    @pytest.mark.parametrize("field", [GF(3), GF(10007), QQ], ids=str)
+    def test_sizes_apart(self, field):
+        """n != n2: the simple pair S(5) against S(5) (+) X, X random of
+        size 2 or 4, conjugated; Hom(S(5), M) is not zero."""
+        rng = random.Random(f"sizes/{field}")
+        s = simple_pair(5, field)
+        for k in (2, 4):
+            m = s.direct_sum(PairPoint(rand_matrix(field, k, rng), rand_matrix(field, k, rng)))
+            m = m.conjugated_by(rand_invertible(field, m.size, rng))
+            assert intertwiners(s, m)
+            for source, target in ((s, m), (m, s)):
+                assert intertwiners(source, target) == reference_intertwiners(source, target)
 
     def test_chains_of_unit_vectors(self):
         """Oracle by hand: e0 -> e1 -> e0 + e1 closes the first chain under
         a; e2 is outside its span and a*e2 = 3*e2."""
         field = GF(7)
-        a = Matrix(field, [[0, 1, 0], [1, 1, 0], [0, 0, 3]])
-        basis, lengths, ends = _krylov(field, a._rows)
+        a = [[0, 1, 0], [1, 1, 0], [0, 0, 3]]
+        span, basis, lengths, ends = _Span(field), [], [], []
+        for k in range(3):
+            iterates, m = _unit(field, a, k), len(span)
+            if _chain(span, a, iterates) is not None:
+                length = len(span) - m
+                basis += iterates[:length]
+                lengths.append(length)
+                ends.append(iterates[length])
         assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert lengths == [2, 1]
+        assert lengths == [2, 1] and chain_count(field, a) == 2
         assert ends == [[1, 1, 0], [0, 0, 3]]
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatch):
             intertwiners(simple_pair(4, QQ), simple_pair(4, GF(7)))
+
+    def test_spoiled_coordinates_end_in_basis_failure(self):
+        """Under ``python -O``, maps read through wrong coordinates of the
+        unit vectors end in BasisFailure: both pair changes of basis fail
+        their certificates, and over Q no lift passes the exact check
+        before the prime bound."""
+        script = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            from matcanon import (GF, QQ, BasisFailure, Matrix, PairPoint, QForm, intertwiners,
+                                  reduce_to_q, simple_pair, split_off_simple)
+            if __debug__:
+                sys.exit("not running under -O")
+
+            def expect_failure(label, call, *args):
+                try:
+                    call(*args)
+                except BasisFailure as exc:
+                    print(label, "BasisFailure:", exc)
+                else:
+                    sys.exit(f"{label}: no BasisFailure")
+
+            # B^-1, B the matrix of the spin basis, with every entry off by
+            # one where the maps are read from it: its columns are the
+            # coordinates of the unit vectors, and each map f is read as
+            # F * B^-1 from the images F of the basis vectors.  The relations
+            # keep their coordinates, so the spaces keep their dimensions
+            # and only the maps are wrong.
+            import matcanon.pairs as pairs
+            spin_maps = pairs._spin_maps
+
+            def spoiled(field, spin, t1, t2):
+                images, b_inv = spin_maps(field, spin, t1, t2)
+                return images, [[field.add(x, field.one) for x in row] for row in b_inv]
+
+            pairs._spin_maps = spoiled
+            field = GF(7)
+            expect_failure("reduce", reduce_to_q, QForm(field(1), field(2), field(4)).realize())
+            field = GF(11)
+            tail = QForm(field(1), field(2), field(4)).realize()
+            expect_failure("split", split_off_simple, simple_pair(4, field).direct_sum(tail))
+            m = PairPoint(Matrix(QQ, [[1, 2], [0, 1]]), Matrix(QQ, [[Fraction(1, 2), 0], [3, 1]]))
+            expect_failure("hom over Q", intertwiners, m, m)
+        """)
+        src = str(Path(matcanon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
+        assert list(reasons) == ["reduce", "split", "hom over Q"], proc.stdout
+        assert "certificate" in reasons["reduce"] and "certificate" in reasons["split"]
+        assert "prime bound" in reasons["hom over Q"]
 
 
 def hom_primes_used(monkeypatch, m, m2):
