@@ -79,10 +79,7 @@ def _parse_block(tokens: _Tokens, override: Field | None) -> Matrix:
     ncols = tokens.next_int("column count")
     if nrows < 1 or ncols < 1:
         raise ParseError(f"matrix shape {nrows}x{ncols} is not positive")
-    rows = []
-    for _ in range(nrows):
-        rows.append([field.canon(tokens.next("matrix entry")) for _ in range(ncols)])
-    return Matrix(field, rows)
+    return Matrix._raw(field, [[field.canon(tokens.next("matrix entry")) for _ in range(ncols)] for _ in range(nrows)])
 
 
 def parse_matrix_text(text: str, override: Field | None = None) -> Matrix:

@@ -13,12 +13,13 @@ basis that splits one copy of that simple pair off a larger pair.
 Every Hom space, and so every change of basis here, comes from
 ``intertwiners``.  A map f with f*m_i = m2_i*f is fixed by its values on
 the generators of a spin of the pair, a basis of m1-chains on the Krylov
-engine of ``matrix``, so one small elimination in those values solves
-both equations; over Q this runs modulo primes.
+engine of ``matrix``, and the relations of the spin cut those values down
+one at a time; over Q this runs modulo primes.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import lcm
 
 from .errors import (
@@ -296,8 +297,7 @@ def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
     Read row by row, each map is 1 at its last nonzero entry and 0 at those
     of the others, sorted by that entry: the kernel basis of the system of
     these equations in the n2*n entries of f, whose free columns are the
-    last nonzero entries.  Over GF(p) it is :func:`_hom_basis`, which spins
-    one of the pairs (:func:`_spin`).  Over Q that
+    last nonzero entries.  Over GF(p) it is :func:`_hom_basis`; over Q that
     runs modulo primes that divide no denominator; as for the kernel in
     ``matrix._rational_rank_and_kernel``, the key is the columns that are
     not free and the values are the entries there, a lift is proved by both
@@ -371,14 +371,11 @@ def _hadamard_square(m: PairPoint, m2: PairPoint) -> int:
 
 def _hom_basis(field: Field, s1, s2, t1, t2) -> list[list]:
     """The basis of :func:`intertwiners` over GF(p) from the raw rows of
-    M = (s1, s2) and M2 = (t1, t2), each map read row by row.
-
-    The unknowns are the images of the g generators of the spin of M
-    (:func:`_spin`).  If g*n2 > n and the spin of M2^T has g' generators
-    with g'*n < g*n2, the transposed problem f^T * t_i^T = s_i^T * f^T is
-    solved instead.  Each map is read as F * B^-1 (:func:`_spin_maps`).  Any
-    basis of the space gives the same result: reduced echelon form with the
-    entries read from the last.
+    M = (s1, s2) and M2 = (t1, t2), each map read row by row: the maps
+    F * B^-1 of :func:`_spin_maps` on the spin of M, or on that of M2^T for
+    f^T * t_i^T = s_i^T * f^T if g*n2 > n and its g' generators give
+    g'*n < g*n2, in reduced echelon form with the entries read from the
+    last, which depends on the space alone.
     """
     n, n2 = len(s1), len(t1)
     spin = _spin(field, s1, s2)
@@ -435,17 +432,17 @@ def _spin(field: Field, s1, s2) -> tuple[list[list], list, list]:
 
 def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
     """(images, B^-1), B the matrix of the basis of the spin of (s1, s2)
-    (:func:`_spin`), and images F = f*B for each f of a basis of the f with
-    f*s_i = t_i*f (raw rows).  The unknowns are the images w_l of the
-    generators.  The image of b_k = s_i*b_j is t_i times that of b_j, so it
-    is P_k*w_l for a word P_k in t1 and t2 and the generator l of b_k.  Each
-    relation s_i*b_j = sum of c[k]*b_k, c read from B^-1, gives the n2
-    equations t_i*P_j*w_l = sum of c[k]*P_k*w_l(k); one elimination solves
-    them.
+    (:func:`_spin`), and images F = f*B for a basis of the f with
+    f*s_i = t_i*f (raw rows).  b_k = s_i*b_j maps to P_k*w_l(k), w_l the
+    image of generator l and P_k = t_i*P_j.  Each relation s_i*b_j = sum of
+    c[k]*b_k, c read from B^-1 once B*B^-1 = I is checked, cuts the kernel
+    K of those before by the n2 equations sum of c[k]*P_k*w_l(k) =
+    t_i*P_j*w_l(j) (the MeatAxe; Holt, Eick & O'Brien 2005, ch. 7): in an
+    echelon form while K has more than n2 columns, then on Q_k = P_k*K_l(k),
+    times the kernel of the residual sum of c[k]*Q_k - t_i*Q_j.
     """
     basis, origins, relations = spin
-    n2 = len(t1)
-    sub, members = field.sub, (t1, t2)
+    n2, members = len(t1), (t1, t2)
     words, owners, starts = [], [], []  # P_k, l(k) and the first b of each generator
     for k, origin in enumerate(origins):
         if origin is None:
@@ -455,23 +452,39 @@ def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
         else:
             words.append(_product(field, members[origin[0]], words[origin[1]]))
             owners.append(owners[origin[1]])
-    b_inv = Matrix._raw(field, list(zip(*basis))).inverse()._rows
-    coords = field.product([v for _, _, v in relations], b_inv)
-    # sums[l][r][a*n2 + u] = sum of c[k]*P_k[a][u] over the b_k of generator l.
-    sums = [field.product([c[start:end] for c in coords],
-                          list(zip(*([x for row in p for x in row] for p in words[start:end]))))
-            for start, end in zip(starts, starts[1:] + [len(origins)])]
-    system = []
-    for r, (i, j, _) in enumerate(relations):
-        lhs, l = _product(field, members[i], words[j]), owners[j]
-        for a in range(n2):
-            row = [x for part in sums for x in part[r][a * n2:(a + 1) * n2]]
-            row[l * n2:(l + 1) * n2] = map(sub, row[l * n2:(l + 1) * n2], lhs[a])
-            system.append(row)
-    pivots, _ = _forward(field, system)
-    images = [list(zip(*([field.dot(row, w[l * n2:(l + 1) * n2]) for row in p] for p, l in zip(words, owners))))
-              for w in _back_substitute(field, system, pivots)]
-    return images, b_inv
+    b = list(zip(*basis))
+    b_inv = Matrix._raw(field, b).inverse()._rows
+    if Matrix._raw(field, _product(field, b, b_inv)) != Matrix.identity(field, len(b)):
+        raise BasisFailure("the spin basis times its computed inverse is not the identity")
+    width, span = len(starts) * n2, _Span(field)
+
+    def images():  # Q_k for K the kernel of the echelon form, its rows sorted by pivot
+        rows = sorted(zip(span.pivots, span.rows))
+        kernel = _back_substitute(field, [r for _, r in rows] or [[field.zero] * width], [c for c, _ in rows])
+        return [field.product(p, [v[l * n2:(l + 1) * n2] for v in kernel]) for p, l in zip(words, owners)]
+
+    q = words if width == n2 else None  # Q_k, once K has at most n2 columns
+    for (i, j, _), c in zip(relations, field.product([v for _, _, v in relations], b_inv)):
+        lhs = _product(field, members[i], words[j] if q is None else q[j])
+        if q is None:
+            sums = [field.product([c[s:e]], list(zip(*map(chain.from_iterable, words[s:e]))))[0]
+                    if any(c[s:e]) else [field.zero] * n2 * n2 for s, e in zip(starts, starts[1:] + [len(words)])]
+            sums[owners[j]] = list(map(field.sub, sums[owners[j]], chain.from_iterable(lhs)))
+            for a in range(n2):
+                span.add([x for part in sums for x in part[a * n2:(a + 1) * n2]])
+            q = images() if len(span) >= width - n2 else None
+        else:
+            d = len(lhs[0])
+            sums = field.product([c], list(zip(*map(chain.from_iterable, q))))[0]
+            residual = [list(map(field.sub, sums[a * d:(a + 1) * d], lhs[a])) for a in range(n2)]
+            pivots, _ = _forward(field, residual)
+            if pivots:
+                x = _back_substitute(field, residual, pivots)
+                q = [field.product(p, x) for p in q]
+        if q is not None and not q[0][0]:  # K is empty
+            return [], b_inv
+    columns = [list(zip(*p)) for p in q or images()]
+    return [list(zip(*(cols[e] for cols in columns))) for e in range(len(columns[0]))], b_inv
 
 
 def simple_pair(n: int, field: Field) -> PairPoint:

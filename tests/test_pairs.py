@@ -805,6 +805,145 @@ class TestKrylovPath:
         assert "prime bound" in reasons["hom over Q"]
 
 
+def solved_relations(monkeypatch, m, m2):
+    """intertwiners(m, m2), and for each call of _spin_maps (one per prime
+    over Q) its spin and the widths of the residuals it eliminated: one
+    per relation solved once the kernel has at most n2 columns."""
+    calls = []
+    spin_maps, forward = matcanon.pairs._spin_maps, matcanon.pairs._forward
+
+    def recording(field, spin, t1, t2):
+        widths = []
+        calls.append((spin, widths))
+        monkeypatch.setattr(matcanon.pairs, "_forward", lambda f, rows: widths.append(len(rows[0])) or forward(f, rows))
+        try:
+            return spin_maps(field, spin, t1, t2)
+        finally:
+            monkeypatch.setattr(matcanon.pairs, "_forward", forward)
+
+    monkeypatch.setattr(matcanon.pairs, "_spin_maps", recording)
+    return intertwiners(m, m2), calls
+
+
+STRESS_FIELDS = [GF(2), GF(3), GF(10007), QQ]
+
+
+class TestRelationByRelation:
+    """_spin_maps solves one relation at a time: in an echelon form while
+    the kernel is wider than n2 columns, then on the images of the basis.
+    Cases beyond the range of reference_cases, each against
+    reference_intertwiners; over Q at n <= 6."""
+
+    @pytest.mark.parametrize("field", STRESS_FIELDS, ids=str)
+    def test_zero_and_scalar_pairs(self, field):
+        """Every n2 x n map is an intertwiner: dimension n^2, with n
+        generators for the zero pair and no relation that cuts the kernel."""
+        for n in (8, 12) if field.characteristic else (4, 6):
+            zero = Matrix.zeros(field, n, n)
+            one = Matrix.identity(field, n)
+            for m in (PairPoint(zero, zero), PairPoint(one.scale(2), one.scale(3))):
+                maps = intertwiners(m, m)
+                assert len(maps) == n * n and maps == reference_intertwiners(m, m)
+
+    @pytest.mark.parametrize("field", STRESS_FIELDS, ids=str)
+    def test_three_copies(self, field, monkeypatch):
+        """P (+) P (+) P for a random pair P of size 4 (2 over Q): g = 3 and
+        dimension 9.  Over GF(p), with n2 = 12, the kernel crosses from
+        36 columns to at most 12 partway through the relations; over Q,
+        Hom(P (+) P, P (+) S) with S random of size 3 does."""
+        rng = random.Random(f"three/{field}")
+        k = 4 if field.characteristic else 2
+        p = PairPoint(rand_matrix(field, k, rng), rand_matrix(field, k, rng))
+        three = p.direct_sum(p).direct_sum(p)
+        assert generators(field, three) == 3
+        maps = intertwiners(three, three)
+        assert len(maps) == 9 and maps == reference_intertwiners(three, three)
+        source, target = (three, three) if field.characteristic else (
+            p.direct_sum(p), p.direct_sum(PairPoint(rand_matrix(field, 3, rng), rand_matrix(field, 3, rng))))
+        maps, calls = solved_relations(monkeypatch, source, target)
+        assert maps and maps == reference_intertwiners(source, target)
+        for spin, widths in calls:
+            assert spin[1].count(None) > 1 and 0 < len(widths) < len(spin[2])
+
+    @pytest.mark.parametrize("field, n", [(field, n) for field in STRESS_FIELDS[:3] for n in (12, 16)] + [(QQ, 6)],
+                             ids=str)
+    def test_diagonal_first_members(self, field, n):
+        """(diag(1..n), random): n chains of the first member, one
+        generator; over GF(2) and GF(3) the diagonal repeats its entries."""
+        m = diagonal_pair(field, range(1, n + 1), random.Random(f"diagonal/{field}/{n}"))
+        assert intertwiners(m, m) == reference_intertwiners(m, m)
+
+    @pytest.mark.parametrize("field", STRESS_FIELDS, ids=str)
+    def test_kernel_empties_partway(self, field, monkeypatch):
+        """Two random pairs of one size: Hom is zero, and the kernel is
+        empty before the last relation."""
+        rng = random.Random(f"apart/{field}")
+        n = 8 if field.characteristic else 5
+        m, m2 = (PairPoint(rand_matrix(field, n, rng), rand_matrix(field, n, rng)) for _ in range(2))
+        maps, calls = solved_relations(monkeypatch, m, m2)
+        assert maps == [] == reference_intertwiners(m, m2)
+        assert all(len(widths) < len(spin[2]) for spin, widths in calls)
+
+    @pytest.mark.parametrize("field", STRESS_FIELDS, ids=str)
+    def test_unequal_sizes(self, field):
+        """M = P (+) R conjugated and P, sizes 5 + 3 and 5 (4 + 2 and 4 over
+        Q): Hom is not zero in either direction."""
+        rng = random.Random(f"unequal/{field}")
+        k, r = (5, 3) if field.characteristic else (4, 2)
+        p = PairPoint(rand_matrix(field, k, rng), rand_matrix(field, k, rng))
+        m = p.direct_sum(PairPoint(rand_matrix(field, r, rng), rand_matrix(field, r, rng)))
+        m = m.conjugated_by(rand_invertible(field, k + r, rng))
+        for source, target in ((m, p), (p, m)):
+            maps = intertwiners(source, target)
+            assert maps and maps == reference_intertwiners(source, target)
+
+    def test_spoiled_inverse_is_a_basis_failure(self):
+        """Under ``python -O``, a spoiled Matrix.inverse fails the check
+        B*B^-1 = I of the spin basis before any coordinate is read: a
+        BasisFailure over GF(p) and over Q, where every prime refuses, and
+        from split_off_simple, not a Hom too small or NotInW."""
+        script = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            from matcanon import GF, QQ, BasisFailure, Matrix, PairPoint, QForm, intertwiners
+            from matcanon import simple_pair, split_off_simple
+            if __debug__:
+                sys.exit("not running under -O")
+
+            def expect_failure(label, call, *args):
+                try:
+                    call(*args)
+                except BasisFailure as exc:
+                    print(label, "BasisFailure:", exc)
+                else:
+                    sys.exit(f"{label}: no BasisFailure")
+
+            inverse = Matrix.inverse
+
+            def spoiled(self):  # every entry off by one
+                field = self.field
+                return Matrix._raw(field, [[field.add(x, field.one) for x in row] for row in inverse(self)._rows])
+
+            Matrix.inverse = spoiled
+            m = PairPoint(Matrix(GF(7), [[1, 2], [0, 1]]), Matrix(GF(7), [[4, 0], [3, 1]]))
+            expect_failure("hom over GF(7)", intertwiners, m, m)
+            m = PairPoint(Matrix(QQ, [[1, 2], [0, 1]]), Matrix(QQ, [[Fraction(1, 2), 0], [3, 1]]))
+            expect_failure("hom over Q", intertwiners, m, m)
+            field = GF(11)
+            tail = QForm(field(1), field(2), field(4)).realize()
+            expect_failure("split", split_off_simple, simple_pair(4, field).direct_sum(tail))
+        """)
+        src = str(Path(matcanon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
+        assert list(reasons) == ["hom over GF(7)", "hom over Q", "split"], proc.stdout
+        assert all("inverse" in reason for reason in reasons.values()), proc.stdout
+
+
 def hom_primes_used(monkeypatch, m, m2):
     """intertwiners(m, m2) over Q, the indices of the primes tried and the
     primes that _hom_basis ran modulo."""
