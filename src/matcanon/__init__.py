@@ -33,6 +33,7 @@ from .errors import (
     NotInW,
     NotInY,
     NotMonic,
+    NotPrime,
     ParseError,
     RootsMissingInField,
     SingularMatrix,

@@ -77,5 +77,9 @@ class DegenerateDiagonal(MatcanonError):
     """Diagonal entries of the fixed simple pair collide in the field."""
 
 
+class NotPrime(MatcanonError, ValueError):
+    """A GF(p) modulus that is not a prime, or too large to prove one."""
+
+
 class ParseError(MatcanonError):
     """Malformed matrix, pair, or scalar text input."""

@@ -11,11 +11,13 @@ field methods, so they never pay for wrapper allocation in inner loops.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul as _mul
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DivisionByZero, FieldMismatch, NotPrime, ParseError
 
 _INT_LITERAL = re.compile(r"[+-]?[0-9]+")
 
@@ -97,10 +99,22 @@ class Field:
 
     # Raw-value interface implemented by subclasses:
     #   zero, one, canon, add, sub, mul, neg, inv, is_zero, sqrt
-    # the two row primitives every elimination and matrix-vector product runs on:
+    # the two row primitives every elimination runs on:
     #   dot(xs, ys) = sum of x*y, reduced once;  submul(xs, f, ys) = [x - f*y]
-    # and the one kernel of every matrix product:
+    # the one kernel of every matrix product:
     #   product(rows, cols) = [[dot(row, col) for col in cols] for row in rows]
+    # and of every Krylov chain, built once per matrix A (raw rows):
+    #   operator(rows) = the map v -> A*v
+    # Over GF(p) both pack: a line of residues becomes one integer with a
+    # 64-bit slot per entry, so a sum of k products is k integer
+    # multiply-adds and one % p an entry (Kronecker substitution; Dumas,
+    # Fousse & Salvy, J. Symbolic Comput. 46, 2011).  The slots are exact
+    # while k*(p-1)**2 < 2**64, so never for p > 2**32; below
+    # _PACKED_ENTRIES entries, the measured crossover, the plain loops run.
+
+    def operator(self, rows):
+        dot = self.dot
+        return lambda v: [dot(row, v) for row in rows]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -115,6 +129,32 @@ def _integral(vectors) -> list[tuple[int, list[int]]]:
         out.append((d, [x.numerator for x in v] if d == 1 else
                     [x.numerator * (d // x.denominator) for x in v]))
     return out
+
+
+# The measured crossover (README, "Notes on algorithms"): a packed product
+# pays once its result has this many entries, a packed operator once A
+# has (n >= 5); below, the plain delayed-reduction loops are faster.
+_PACKED_ENTRIES = 24
+
+
+def _pack(lines) -> list[int]:
+    """Each line of residues below 2**64 as one integer whose 64-bit slot c,
+    bits 64*c to 64*c + 63, holds entry c."""
+    return [int.from_bytes(array("Q", line), sys.byteorder) for line in lines]
+
+
+def _unpack(x: int, slots: int, p: int) -> list[int]:
+    """The residues modulo p of the first ``slots`` 64-bit slots of x."""
+    return [y % p for y in memoryview(x.to_bytes(8 * slots, sys.byteorder)).cast("Q")]
+
+
+def _packed_product(rows, cols, p: int) -> list[list[int]]:
+    """[[dot(row, col) for col in cols] for row in rows] modulo p, one
+    integer multiply-add a term: the k lines (col[j] for col in cols) are
+    packed once, and row*cols is the sum of row[j] times line j, whose
+    slots carry nothing while each slot's sum stays below 2**64."""
+    lines = _pack(zip(*cols))
+    return [_unpack(sum(map(_mul, row, lines)), len(cols), p) for row in rows]
 
 
 class Rationals(Field):
@@ -283,15 +323,18 @@ class PrimeField(Field):
         if not isinstance(p, int) or isinstance(p, bool):
             raise ParseError(f"prime modulus must be an integer, got {p!r}")
         if p >= MAX_MODULUS:
-            raise ValueError(
+            raise NotPrime(
                 f"modulus {p} is too large: primality is proved only below {MAX_MODULUS}"
             )
         if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise NotPrime(f"modulus {p} is not prime")
         self.p = p
         self.characteristic = p
         self.zero = 0
         self.one = 1 % p
+        # The most products of two residues that one 64-bit slot sums
+        # exactly, k*(p-1)**2 < 2**64; none once p > 2**32.
+        self._slot_terms = ((1 << 64) - 1) // (p - 1) ** 2
 
     def canon(self, value) -> int:
         if isinstance(value, Scalar):
@@ -331,7 +374,19 @@ class PrimeField(Field):
 
     def product(self, rows, cols):
         p = self.p
+        if len(rows) * len(cols) >= _PACKED_ENTRIES and len(cols[0]) <= self._slot_terms:
+            # The longer side goes into the slots.
+            if len(rows) > len(cols):
+                return [list(line) for line in zip(*_packed_product(cols, rows, p))]
+            return _packed_product(rows, cols, p)
         return [[sum(map(_mul, row, col)) % p for col in cols] for row in rows]
+
+    def operator(self, rows):
+        if len(rows) * len(rows[0]) < _PACKED_ENTRIES or len(rows[0]) > self._slot_terms:
+            return super().operator(rows)
+        p, slots = self.p, len(rows)
+        columns = _pack(zip(*rows))
+        return lambda v: _unpack(sum(map(_mul, v, columns)), slots, p)
 
     @staticmethod
     def is_zero(a) -> bool:

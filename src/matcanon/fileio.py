@@ -12,7 +12,7 @@ the first.
 
 from __future__ import annotations
 
-from .errors import FieldMismatch, ParseError
+from .errors import FieldMismatch, NotPrime, ParseError
 from .fields import GF, QQ, Field, parse_int
 from .matrix import Matrix
 
@@ -54,7 +54,7 @@ def parse_field_words(words: list[str]) -> Field:
             raise ParseError(f"bad prime {words[1]!r}") from exc
         try:
             return GF(p)
-        except ValueError as exc:
+        except NotPrime as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"expected 'Q' or 'GF <p>', got {' '.join(words)!r}")
 

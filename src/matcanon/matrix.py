@@ -11,9 +11,10 @@ here and in ``rnf``: it groups the primes by the decisions their runs
 took, combines each group by CRT, lifts it by rational reconstruction
 and returns the first lift that passes the caller's exact check.
 Products run on the field's ``product`` kernel, eliminations on its two
-row primitives, ``dot`` and ``submul``, Krylov chains on ``_Span``, the
-one engine of ``rnf`` and ``pairs``.  ``similarity_defect`` is the one
-certificate for every change of basis the package returns.
+row primitives, ``dot`` and ``submul``, and Krylov chains on its
+``operator`` and on ``_Span``, the one engine of ``rnf`` and ``pairs``.
+``similarity_defect`` is the one certificate for every change of basis
+the package returns.
 """
 
 from __future__ import annotations
@@ -396,18 +397,18 @@ def _coordinates(field: Field, made: list, steps: list, start: int = 0) -> list:
     return x
 
 
-def _chain(span: _Span, a, iterates: list[list]) -> list | None:
+def _chain(span: _Span, op, iterates: list[list]) -> list | None:
     """Add the chain x, A*x, ..., A^(d-1)*x of x = iterates[0] to the span
     W, d the degree of the conductor of x into W (the monic f of least
     degree with f(A)*x in W), and return the steps of A^d*x in the rows;
-    None if x lies in W.  The iterates are read from the list, which is
+    None if x lies in W.  ``op`` is the map v -> A*v
+    (``field.operator``).  The iterates are read from the list, which is
     extended in place as far as needed, so A^d*x is iterates[d]."""
-    field = span.field
     m = d = len(span)
     while (steps := span.add(iterates[d - m])) is None:
         d += 1
         if d - m == len(iterates):
-            iterates.append([field.dot(row, iterates[-1]) for row in a])
+            iterates.append(op(iterates[-1]))
     return steps if d > m else None
 
 

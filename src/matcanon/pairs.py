@@ -381,14 +381,19 @@ def _hom_basis(field: Field, s1, s2, t1, t2) -> list[list]:
     spin = _spin(field, s1, s2)
     g = spin[1].count(None)
     other = _spin(field, list(zip(*t1)), list(zip(*t2))) if g * n2 > n else None
-    if other and other[1].count(None) * n < g * n2:
+    flip = other is not None and other[1].count(None) * n < g * n2
+    if flip:
         images, b_inv = _spin_maps(field, other, list(zip(*s1)), list(zip(*s2)))
-        maps = [list(zip(*_product(field, f, b_inv))) for f in images]
     else:
         images, b_inv = _spin_maps(field, spin, t1, t2)
-        maps = [_product(field, f, b_inv) for f in images]
-    if not maps:
+    if not images:
         return []
+    # All the maps F * B^-1 in one product, which packs B^-1 once.
+    h = len(images[0])
+    stacked = _product(field, list(chain.from_iterable(images)), b_inv)
+    maps = [stacked[k:k + h] for k in range(0, len(stacked), h)]
+    if flip:
+        maps = [list(zip(*f)) for f in maps]
     rows = [[x for row in reversed(f) for x in reversed(row)] for f in maps]
     pivots, _ = _forward(field, rows)
     _clear_above(field, rows, pivots)
@@ -406,19 +411,19 @@ def _spin(field: Field, s1, s2) -> tuple[list[list], list, list]:
     ``relations`` holds (i, j, v) for each v = s_i*b_j that is not a basis
     vector: each chain's end and each s2*b in the span.
     """
-    n, dot = len(s1), field.dot
+    n, op1, op2 = len(s1), field.operator(s1), field.operator(s2)
     span = _Span(field)
     basis, origins, relations = [], [], []
     moved = unit = 0  # the next b whose s2*b is taken, and the next unit vector
     while len(span) < n:
         if moved < len(basis):
-            iterates, origin = [[dot(row, basis[moved]) for row in s2]], (1, moved)
+            iterates, origin = [op2(basis[moved])], (1, moved)
             moved += 1
         else:
             iterates, origin = _unit(field, s1, unit), None
             unit += 1
         m = len(span)
-        _chain(span, s1, iterates)
+        _chain(span, op1, iterates)
         d = len(span) - m
         if d:
             basis += iterates[:d]
@@ -426,7 +431,7 @@ def _spin(field: Field, s1, s2) -> tuple[list[list], list, list]:
             relations.append((0, m + d - 1, iterates[d]))
         elif origin is not None:
             relations.append((1, moved - 1, iterates[0]))
-    relations += [(1, j, [dot(row, basis[j]) for row in s2]) for j in range(moved, n)]
+    relations += [(1, j, op2(basis[j])) for j in range(moved, n)]
     return basis, origins, relations
 
 
@@ -477,10 +482,11 @@ def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
             d = len(lhs[0])
             sums = field.product([c], list(zip(*map(chain.from_iterable, q))))[0]
             residual = [list(map(field.sub, sums[a * d:(a + 1) * d], lhs[a])) for a in range(n2)]
-            pivots, _ = _forward(field, residual)
-            if pivots:
-                x = _back_substitute(field, residual, pivots)
-                q = [field.product(p, x) for p in q]
+            if any(map(any, residual)):
+                x = _back_substitute(field, residual, _forward(field, residual)[0])
+                # Every Q_k times X in one product, which packs X once.
+                stacked = field.product(list(chain.from_iterable(q)), x)
+                q = [stacked[k:k + n2] for k in range(0, len(stacked), n2)]
         if q is not None and not q[0][0]:  # K is empty
             return [], b_inv
     columns = [list(zip(*p)) for p in q or images()]

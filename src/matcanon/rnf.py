@@ -305,16 +305,16 @@ def _lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     return f * g // _gcd(f, g)
 
 
-def _apply(field: Field, a, q: Polynomial, v: list) -> list:
-    """q(A)*v for a (raw rows), by Horner's rule."""
-    add, mul, dot = field.add, field.mul, field.dot
+def _apply(field: Field, op, q: Polynomial, v: list) -> list:
+    """q(A)*v by Horner's rule, op the map v -> A*v."""
+    add, mul = field.add, field.mul
     out = [field.zero] * len(v)
     for c in reversed(q.coeffs):
-        out = [add(dot(row, out), mul(c, x)) for row, x in zip(a, v)]
+        out = [add(y, mul(c, x)) for y, x in zip(op(out), v)]
     return out
 
 
-def _merge(field: Field, a, m: int, tried: list, degree: int) -> tuple[list, tuple] | None:
+def _merge(field: Field, a, op, m: int, tried: list, degree: int) -> tuple[list, tuple] | None:
     """(x, merged): the lcm merge, in index order, of the unit vectors of
     ``tried`` until x has a conductor of the given degree; None if it
     never does.  ``tried`` holds (j, steps, made) for each e_j outside W,
@@ -348,19 +348,19 @@ def _merge(field: Field, a, m: int, tried: list, degree: int) -> tuple[list, tup
         while (e := _gcd(rest_f, u)).degree:
             rest_f = rest_f // e
         f1 = f // rest_f
-        y = _apply(field, a, g * f1 // lcm_fg, _unit(field, a, j)[0])
-        x = [field.add(s, t) for s, t in zip(_apply(field, a, rest_f, x), y)]
+        y = _apply(field, op, g * f1 // lcm_fg, _unit(field, a, j)[0])
+        x = [field.add(s, t) for s, t in zip(_apply(field, op, rest_f, x), y)]
         f = lcm_fg
         merged.append((j, g.degree, f1.degree, f.degree))
     return (x, tuple(merged)) if f.degree == degree else None
 
 
-def _generators(field: Field, a, factors: list[Polynomial]) -> tuple[list[list], tuple] | None:
-    """The columns of T for the chain ``factors`` of a (raw rows), by the
-    rule of the module docstring, and the unit vectors chosen or merged.
-    Unit vectors in W stay in it and are not tried again.  None if a step
-    fails, which happens only modulo a prime that the run over Q does not
-    map to."""
+def _generators(field: Field, a, op, factors: list[Polynomial]) -> tuple[list[list], tuple] | None:
+    """The columns of T for the chain ``factors`` of a (raw rows, op the
+    map v -> A*v), by the rule of the module docstring, and the unit
+    vectors chosen or merged.  Unit vectors in W stay in it and are not
+    tried again.  None if a step fails, which happens only modulo a prime
+    that the run over Q does not map to."""
     n = len(a)
     zero, dot, sub = field.zero, field.dot, field.sub
     ops = field.poly_ops()
@@ -374,7 +374,7 @@ def _generators(field: Field, a, factors: list[Polynomial]) -> tuple[list[list],
             if inside[j]:
                 continue
             iterates = _unit(field, a, j)
-            steps = _chain(span, a, iterates)
+            steps = _chain(span, op, iterates)
             if steps is None:
                 inside[j] = True
             elif len(span) - m == degree:
@@ -386,11 +386,11 @@ def _generators(field: Field, a, factors: list[Polynomial]) -> tuple[list[list],
                 tried.append((j, steps, span.made[m:]))
                 span.truncate(m)
         else:
-            merge = _merge(field, a, m, tried, degree)
+            merge = _merge(field, a, op, m, tried, degree)
             if merge is None:
                 return None
             iterates, choice = [merge[0]], merge[1]
-            steps = _chain(span, a, iterates)
+            steps = _chain(span, op, iterates)
         # A second pass checks the generator: its relation is f(A)*g = 0.
         while True:
             if steps is None or len(span) - m != degree:
@@ -412,18 +412,18 @@ def _generators(field: Field, a, factors: list[Polynomial]) -> tuple[list[list],
             g = [sub(x, dot(correction, row)) for x, row in zip(iterates[0], zip(*columns))]
             span.truncate(m)
             iterates = [g]
-            steps = _chain(span, a, iterates)
+            steps = _chain(span, op, iterates)
         columns += iterates[:degree]
         blocks.append((m, degree))
         choices.append(choice)
     return columns, tuple(choices)
 
 
-def _cyclic_unit(field: Field, a) -> tuple[Polynomial, tuple[int, list[list]] | None] | None:
-    """(mu, first) for a cyclic a (raw rows), mu its minimal polynomial and
-    first (k, [e_k, A*e_k, ..., A^(n-1)*e_k]) for the first unit vector
-    e_k that is a cyclic vector, or None if no unit vector is; None if a
-    is derogatory.
+def _cyclic_unit(field: Field, a, op) -> tuple[Polynomial, tuple[int, list[list]] | None] | None:
+    """(mu, first) for a cyclic a (raw rows, op the map v -> A*v), mu its
+    minimal polynomial and first (k, [e_k, A*e_k, ..., A^(n-1)*e_k]) for
+    the first unit vector e_k that is a cyclic vector, or None if no unit
+    vector is; None if a is derogatory.
 
     The scan builds the unit-vector Krylov basis one chain at a time and
     keeps mu, the lcm of the minimal polynomials of the chain starts so
@@ -439,11 +439,11 @@ def _cyclic_unit(field: Field, a) -> tuple[Polynomial, tuple[int, list[list]] | 
     mu = Polynomial._raw(field, [field.one])
     for k in range(n):
         iterates = _unit(field, a, k)
-        if k and len(span) < n and _chain(span, a, iterates) is None:
+        if k and len(span) < n and _chain(span, op, iterates) is None:
             continue
         # e1's chain is the first chain of V; a later start takes its own.
         own = _Span(field) if k else span
-        f = _conductor(field, _coordinates(field, own.made, _chain(own, a, iterates)))
+        f = _conductor(field, _coordinates(field, own.made, _chain(own, op, iterates)))
         if f.degree == n:
             return f, (k, iterates[:n])
         mu = _lcm(mu, f)
@@ -459,7 +459,8 @@ def _normal_form(field: Field, a) -> tuple[list[Polynomial], list[list], tuple] 
     Krylov basis of the scan's cyclic unit vector, if it found one, else
     the rule's (:func:`_generators`).  The key is the degrees of the chain
     and the unit vectors chosen or merged."""
-    mu, first = _cyclic_unit(field, a) or (None, None)
+    op = field.operator(a)
+    mu, first = _cyclic_unit(field, a, op) or (None, None)
     if mu is None:
         factors = [Polynomial._raw(field, c) for c in reversed(_diagonalize(field, _char_matrix(field, a)))
                    if len(c) > 1]
@@ -468,7 +469,7 @@ def _normal_form(field: Field, a) -> tuple[list[Polynomial], list[list], tuple] 
     if first is not None:
         choices, columns = (first[0],), first[1]
     else:
-        built = _generators(field, a, factors)
+        built = _generators(field, a, op, factors)
         if built is None:
             return None
         columns, choices = built

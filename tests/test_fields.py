@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from matcanon import GF, QQ, DivisionByZero, FieldMismatch, sqrt_if_exists
+from matcanon import GF, QQ, DivisionByZero, FieldMismatch, MatcanonError, NotPrime, sqrt_if_exists
 from matcanon.fields import _is_prime
 
 
@@ -77,10 +77,11 @@ class TestCanonicalForm:
             QQ(0.5)
 
     def test_primality_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPrime):
             GF(6)
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPrime):
             GF(1)
+        assert issubclass(NotPrime, MatcanonError) and issubclass(NotPrime, ValueError)
         assert GF(2).characteristic == 2
         assert GF(7919).characteristic == 7919
 
@@ -89,7 +90,7 @@ class TestCanonicalForm:
         psi13 = 3317044064679887385961981
         assert not _is_prime(psi12)
         for n in (psi12, psi13):
-            with pytest.raises(ValueError):
+            with pytest.raises(NotPrime):
                 GF(n)
 
     def test_large_prime_accepted(self):

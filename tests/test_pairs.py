@@ -578,7 +578,8 @@ REFERENCE_FIELDS = [GF(2), GF(3), GF(7), GF(10007), QQ]
 def chain_count(field, a):
     """The number of chains of the unit-vector Krylov basis of a (raw rows)."""
     span = _Span(field)
-    return sum(1 for k in range(len(a)) if _chain(span, a, _unit(field, a, k)) is not None)
+    op = field.operator(a)
+    return sum(1 for k in range(len(a)) if _chain(span, op, _unit(field, a, k)) is not None)
 
 
 def generators(field, m):
@@ -737,7 +738,7 @@ class TestKrylovPath:
         span, basis, lengths, ends = _Span(field), [], [], []
         for k in range(3):
             iterates, m = _unit(field, a, k), len(span)
-            if _chain(span, a, iterates) is not None:
+            if _chain(span, field.operator(a), iterates) is not None:
                 length = len(span) - m
                 basis += iterates[:length]
                 lengths.append(length)
@@ -807,19 +808,29 @@ class TestKrylovPath:
 
 def solved_relations(monkeypatch, m, m2):
     """intertwiners(m, m2), and for each call of _spin_maps (one per prime
-    over Q) its spin and the widths of the residuals it eliminated: one
-    per relation solved once the kernel has at most n2 columns."""
+    over Q) its spin, the widths of the residuals it eliminated (one per
+    relation with a nonzero residual once the kernel has at most n2
+    columns) and the rows it added to the echelon form (n2 per relation
+    read while the kernel is wider)."""
     calls = []
-    spin_maps, forward = matcanon.pairs._spin_maps, matcanon.pairs._forward
+    spin_maps, forward, span = matcanon.pairs._spin_maps, matcanon.pairs._forward, matcanon.pairs._Span
 
     def recording(field, spin, t1, t2):
-        widths = []
-        calls.append((spin, widths))
+        widths, added = [], []
+        calls.append((spin, widths, added))
+
+        class CountingSpan(span):
+            def add(self, v):
+                added.append(len(v))
+                return super().add(v)
+
         monkeypatch.setattr(matcanon.pairs, "_forward", lambda f, rows: widths.append(len(rows[0])) or forward(f, rows))
+        monkeypatch.setattr(matcanon.pairs, "_Span", CountingSpan)
         try:
             return spin_maps(field, spin, t1, t2)
         finally:
             monkeypatch.setattr(matcanon.pairs, "_forward", forward)
+            monkeypatch.setattr(matcanon.pairs, "_Span", span)
 
     monkeypatch.setattr(matcanon.pairs, "_spin_maps", recording)
     return intertwiners(m, m2), calls
@@ -862,8 +873,9 @@ class TestRelationByRelation:
             p.direct_sum(p), p.direct_sum(PairPoint(rand_matrix(field, 3, rng), rand_matrix(field, 3, rng))))
         maps, calls = solved_relations(monkeypatch, source, target)
         assert maps and maps == reference_intertwiners(source, target)
-        for spin, widths in calls:
-            assert spin[1].count(None) > 1 and 0 < len(widths) < len(spin[2])
+        n2 = target.size
+        for spin, widths, added in calls:
+            assert spin[1].count(None) > 1 and 0 < len(added) // n2 < len(spin[2]) and len(widths) < len(spin[2])
 
     @pytest.mark.parametrize("field, n", [(field, n) for field in STRESS_FIELDS[:3] for n in (12, 16)] + [(QQ, 6)],
                              ids=str)
@@ -882,7 +894,7 @@ class TestRelationByRelation:
         m, m2 = (PairPoint(rand_matrix(field, n, rng), rand_matrix(field, n, rng)) for _ in range(2))
         maps, calls = solved_relations(monkeypatch, m, m2)
         assert maps == [] == reference_intertwiners(m, m2)
-        assert all(len(widths) < len(spin[2]) for spin, widths in calls)
+        assert all(len(widths) < len(spin[2]) for spin, widths, _ in calls)
 
     @pytest.mark.parametrize("field", STRESS_FIELDS, ids=str)
     def test_unequal_sizes(self, field):

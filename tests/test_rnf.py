@@ -363,19 +363,19 @@ class TestKrylovStage:
         ]
         chain = rnf._chain
 
-        def recording(span, rows, iterates):
+        def recording(span, op, iterates):
             if not any(s is span for s in spans):
                 spans.append(span)
                 built.append([])
             built[next(i for i, s in enumerate(spans) if s is span)].append(iterates)
-            return chain(span, rows, iterates)
+            return chain(span, op, iterates)
 
         probe = field if field.characteristic else GF(_prime(0))
         for a, expected in cases:
             spans, built = [], []
             monkeypatch.setattr(rnf, "_chain", recording)
-            assert rnf._cyclic_unit(probe, _mod_rows(a._rows, probe.characteristic)
-                                    if probe is not field else a._rows) is None
+            rows = _mod_rows(a._rows, probe.characteristic) if probe is not field else a._rows
+            assert rnf._cyclic_unit(probe, rows, probe.operator(rows)) is None
             monkeypatch.undo()
             units = [[next(k for k, x in enumerate(v[0]) if x) for v in lists] for lists in built]
             if expected is not None:
@@ -396,7 +396,7 @@ class TestKrylovStage:
                 a = Matrix(field, [[diagonal[i] if i == j else below[j] if i == j + 1 else 0 for j in range(4)]
                                    for i in range(4)])
                 mu = minimal_polynomial_oracle(a)
-                scan = rnf._cyclic_unit(field, a._rows)
+                scan = rnf._cyclic_unit(field, a._rows, field.operator(a._rows))
                 assert (scan[0] if scan else None) == (mu if mu.degree == 4 else None)
 
     def test_rational_fallbacks(self, monkeypatch):
