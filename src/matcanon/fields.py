@@ -20,6 +20,7 @@ from operator import mul as _mul
 from .errors import DivisionByZero, FieldMismatch, NotPrime, ParseError
 
 _INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+_INT_LITERALS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
 
 
 def parse_int(text: str) -> int:
@@ -99,22 +100,31 @@ class Field:
 
     # Raw-value interface implemented by subclasses:
     #   zero, one, canon, add, sub, mul, neg, inv, is_zero, sqrt
-    # the two row primitives every elimination runs on:
+    # the two row primitives every plain elimination runs on:
     #   dot(xs, ys) = sum of x*y, reduced once;  submul(xs, f, ys) = [x - f*y]
     # the one kernel of every matrix product:
     #   product(rows, cols) = [[dot(row, col) for col in cols] for row in rows]
     # and of every Krylov chain, built once per matrix A (raw rows):
     #   operator(rows) = the map v -> A*v
-    # Over GF(p) both pack: a line of residues becomes one integer with a
-    # 64-bit slot per entry, so a sum of k products is k integer
-    # multiply-adds and one % p an entry (Kronecker substitution; Dumas,
-    # Fousse & Salvy, J. Symbolic Comput. 46, 2011).  The slots are exact
-    # while k*(p-1)**2 < 2**64, so never for p > 2**32; below
-    # _PACKED_ENTRIES entries, the measured crossover, the plain loops run.
+    # and the parser's: canon_words(words) = [canon(w) for w in words].
+    # Over GF(p) both kernels pack: a line of residues becomes one integer
+    # with a 64-bit slot per entry (_line), so a sum of k products is k
+    # integer multiply-adds and one % p an entry (Kronecker substitution;
+    # Dumas, Fousse & Salvy, J. Symbolic Comput. 46, 2011).  The slots are
+    # exact while k*(p-1)**2 < 2**64, that is k <= _slot_terms (0 on Q and
+    # for p > 2**32); below _PACKED_ENTRIES entries, the measured
+    # crossover, the plain loops run.  matrix._Span and matrix._forward
+    # reduce packed lines of residues under the same slot bound, k the
+    # updates a line takes plus one, and the same crossover on the square
+    # of their pivots (matrix._packs).
+    _slot_terms = 0
 
     def operator(self, rows):
         dot = self.dot
         return lambda v: [dot(row, v) for row in rows]
+
+    def canon_words(self, words: list[str]) -> list:
+        return [self.canon(w) for w in words]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -137,10 +147,19 @@ def _integral(vectors) -> list[tuple[int, list[int]]]:
 _PACKED_ENTRIES = 24
 
 
+_SLOT = (1 << 64) - 1
+
+
+def _line(values) -> int:
+    """A line of residues below 2**64 as one integer whose 64-bit slot c,
+    bits 64*c to 64*c + 63, holds entry c; slot c of x is
+    x >> 64*c & _SLOT."""
+    return int.from_bytes(array("Q", values), sys.byteorder)
+
+
 def _pack(lines) -> list[int]:
-    """Each line of residues below 2**64 as one integer whose 64-bit slot c,
-    bits 64*c to 64*c + 63, holds entry c."""
-    return [int.from_bytes(array("Q", line), sys.byteorder) for line in lines]
+    """Each line of residues as one integer (:func:`_line`)."""
+    return list(map(_line, lines))
 
 
 def _unpack(x: int, slots: int, p: int) -> list[int]:
@@ -351,6 +370,18 @@ class PrimeField(Field):
             except ValueError as exc:
                 raise ParseError(f"bad GF({self.p}) literal {value!r}") from exc
         raise ParseError(f"cannot interpret {value!r} as an element of {self}")
+
+    def canon_words(self, words):
+        # One regex over the space-joined words (str.split tokens) checks
+        # every literal; int refuses only too many digits.  Otherwise canon
+        # reports the first bad word.
+        if _INT_LITERALS.fullmatch(" ".join(words)):
+            p = self.p
+            try:
+                return [x % p for x in map(int, words)]
+            except ValueError:
+                pass
+        return super().canon_words(words)
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -32,6 +32,12 @@ class _Tokens:
         self.pos += 1
         return word
 
+    def take(self, count: int) -> list[str]:
+        """The next count words, or as many as are left."""
+        words = self.words[self.pos:self.pos + count]
+        self.pos += len(words)
+        return words
+
     def next_int(self, what: str) -> int:
         word = self.next(what)
         try:
@@ -79,7 +85,11 @@ def _parse_block(tokens: _Tokens, override: Field | None) -> Matrix:
     ncols = tokens.next_int("column count")
     if nrows < 1 or ncols < 1:
         raise ParseError(f"matrix shape {nrows}x{ncols} is not positive")
-    return Matrix._raw(field, [[field.canon(tokens.next("matrix entry")) for _ in range(ncols)] for _ in range(nrows)])
+    # A bad entry is reported before a missing one, as in reading order.
+    entries = field.canon_words(tokens.take(nrows * ncols))
+    if len(entries) < nrows * ncols:
+        tokens.next("matrix entry")
+    return Matrix._raw(field, [entries[i:i + ncols] for i in range(0, len(entries), ncols)])
 
 
 def parse_matrix_text(text: str, override: Field | None = None) -> Matrix:

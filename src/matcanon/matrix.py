@@ -13,6 +13,11 @@ and returns the first lift that passes the caller's exact check.
 Products run on the field's ``product`` kernel, eliminations on its two
 row primitives, ``dot`` and ``submul``, and Krylov chains on its
 ``operator`` and on ``_Span``, the one engine of ``rnf`` and ``pairs``.
+Over word-size GF(p) the forward pass and ``_Span`` reduce rows packed
+into one integer with a 64-bit slot per entry (``fields._line``): one
+slot read and one integer multiply-add per update, one ``% p`` per entry
+when a row is unpacked (delayed reduction, as in Dumas, Giorgi & Pernet,
+ACM TOMS 35(3), 2008).
 ``similarity_defect`` is the one certificate for every change of basis
 the package returns.
 """
@@ -32,7 +37,7 @@ from .errors import (
     NonSquare,
     SingularMatrix,
 )
-from .fields import GF, Field, Scalar, _is_prime
+from .fields import _PACKED_ENTRIES, _SLOT, GF, Field, Scalar, _is_prime, _line, _pack, _unpack
 
 
 class Matrix:
@@ -260,15 +265,34 @@ def _product(field: Field, x: Sequence[Sequence], y: Sequence[Sequence]) -> list
     return field.product(x, list(zip(*y)))
 
 
+def _packs(field: Field, applied: int, pivots: int) -> bool:
+    """Whether a reduction of lines of residues runs on packed lines
+    (``fields._line``), when each line takes at most ``applied`` updates
+    by at most ``pivots`` pivot lines: a slot then stays below
+    (applied+1)*(p-1)**2, which must be below 2**64, and the square of
+    the pivots must have ``_PACKED_ENTRIES`` entries, the rule reusing
+    that crossover which lost least time on the measured shapes (README,
+    "Notes on algorithms")."""
+    return applied < field._slot_terms and pivots * pivots >= _PACKED_ENTRIES
+
+
 def _forward(field: Field, rows: list[list]) -> tuple[list[int], int]:
     """In-place forward elimination to row echelon form.
 
     Pivot rows are neither normalized nor cleared above; each row below
     a pivot is updated from the pivot column on.  Returns the pivot
     columns and the number of row swaps.
+
+    Over word-size GF(p) the rows are packed lines (:func:`_packs`; a row
+    takes at most nrows - 1 updates): x = slot c of a row, reduced, and
+    the update is one integer multiply-add by p - x/pivot, the pivot row
+    reduced once when it is found.  Every row and count is that of the
+    plain loop.
     """
-    mul, inv, is_zero, submul = field.mul, field.inv, field.is_zero, field.submul
     nrows, ncols = len(rows), len(rows[0])
+    if _packs(field, nrows - 1, min(nrows, ncols)):
+        return _forward_packed(field.p, rows)
+    mul, inv, is_zero, submul = field.mul, field.inv, field.is_zero, field.submul
     pivots: list[int] = []
     swaps = 0
     r = 0
@@ -291,6 +315,37 @@ def _forward(field: Field, rows: list[list]) -> tuple[list[int], int]:
                 row[c:] = submul(row[c:], mul(x, inv_p), prow)
         pivots.append(c)
         r += 1
+    return pivots, swaps
+
+
+def _forward_packed(p: int, rows: list[list]) -> tuple[list[int], int]:
+    """:func:`_forward` on packed lines over GF(p)."""
+    nrows, ncols = len(rows), len(rows[0])
+    lines = _pack(rows)
+    pivots: list[int] = []
+    swaps = 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        shift = c << 6
+        pivot_row = next((i for i in range(r, nrows) if (lines[i] >> shift & _SLOT) % p), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            lines[r], lines[pivot_row] = lines[pivot_row], lines[r]
+            swaps += 1
+        prow = rows[r] = _unpack(lines[r], ncols, p)
+        line = _line(prow)
+        inv_p = pow(prow[c], -1, p)
+        # Rows r+1 .. pivot_row are zero in column c after the swap.
+        for i in range(pivot_row + 1, nrows):
+            x = (lines[i] >> shift & _SLOT) % p
+            if x:
+                lines[i] += (p - x * inv_p % p) * line
+        pivots.append(c)
+        r += 1
+    rows[r:] = [_unpack(x, ncols, p) for x in lines[r:]]
     return pivots, swaps
 
 
@@ -334,13 +389,20 @@ class _Span:
     turn, each outside the span of those before it.  Row i is b_i less the
     rows that reduced it, scaled to 1 at its pivot; both are kept in
     ``made``, so a vector of the span can be written in the b's
-    (:func:`_coordinates`)."""
+    (:func:`_coordinates`).  ``rows`` holds the rows as residues.
 
-    __slots__ = ("field", "pivots", "rows", "made")
+    Over word-size GF(p) a vector of n entries is reduced as a packed line
+    (:func:`_packs`; it takes at most n updates): x = slot c_i of the line,
+    reduced, and the update by row i is one integer multiply-add by p - x,
+    row i kept packed too (``lines``).  The line is reduced once, when it
+    is unpacked to find its pivot, so steps, rows and ``made`` are those
+    of the plain loop."""
+
+    __slots__ = ("field", "pivots", "rows", "made", "lines")
 
     def __init__(self, field: Field):
         self.field = field
-        self.pivots, self.rows, self.made = [], [], []
+        self.pivots, self.rows, self.made, self.lines = [], [], [], []
 
     def __len__(self):
         return len(self.rows)
@@ -349,25 +411,40 @@ class _Span:
         """None after adding v as the next b, if v lies outside the span;
         otherwise the steps (i, x) with v = sum of x * row_i."""
         field = self.field
-        submul = field.submul
         steps = []
-        # Zero is falsy in every field.
-        for i, c in enumerate(self.pivots):
-            x = v[c]
-            if x:
-                v = submul(v, x, self.rows[i])
-                steps.append((i, x))
+        packed = _packs(field, len(v), len(v))
+        if packed:
+            p, x = field.p, _line(v)
+            for i, c in enumerate(self.pivots):
+                if y := (x >> (c << 6) & _SLOT) % p:
+                    x += (p - y) * self.lines[i]
+                    steps.append((i, y))
+            v = _unpack(x, len(v), p)
+        else:
+            submul = field.submul
+            # Zero is falsy in every field.
+            for i, c in enumerate(self.pivots):
+                x = v[c]
+                if x:
+                    v = submul(v, x, self.rows[i])
+                    steps.append((i, x))
         c = next((k for k, x in enumerate(v) if x), None)
         if c is None:
             return steps
+        if len(self.rows) == len(v):
+            raise BasisFailure("a vector is outside a span of the whole space")
         s = field.inv(v[c])
+        if s != field.one:
+            v = [field.mul(x, s) for x in v]
         self.pivots.append(c)
-        self.rows.append(v if s == field.one else [field.mul(x, s) for x in v])
+        self.rows.append(v)
+        if packed:
+            self.lines.append(_line(v))
         self.made.append((s, steps))
         return None
 
     def truncate(self, m: int):
-        del self.pivots[m:], self.rows[m:], self.made[m:]
+        del self.pivots[m:], self.rows[m:], self.made[m:], self.lines[m:]
 
 
 def _unit(field: Field, a, k: int) -> list[list]:

@@ -31,6 +31,7 @@ from .errors import (
     NotInW,
     NotInY,
     RootsMissingInField,
+    SingularMatrix,
     TraceNonzero,
 )
 from .fields import GF, QQ, Field, Scalar, sqrt_if_exists
@@ -458,7 +459,10 @@ def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
             words.append(_product(field, members[origin[0]], words[origin[1]]))
             owners.append(owners[origin[1]])
     b = list(zip(*basis))
-    b_inv = Matrix._raw(field, b).inverse()._rows
+    try:
+        b_inv = Matrix._raw(field, b).inverse()._rows
+    except SingularMatrix:  # only a broken span spins a dependent basis
+        raise BasisFailure("the spin basis is singular") from None
     if Matrix._raw(field, _product(field, b, b_inv)) != Matrix.identity(field, len(b)):
         raise BasisFailure("the spin basis times its computed inverse is not the identity")
     width, span = len(starts) * n2, _Span(field)

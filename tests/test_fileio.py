@@ -3,6 +3,7 @@
 import pytest
 
 from matcanon import GF, QQ, FieldMismatch, Matrix, ParseError
+from matcanon.fields import Field, PrimeField
 from matcanon.fileio import (
     field_label,
     format_matrix,
@@ -132,3 +133,32 @@ class TestIntegerLiterals:
             parse_field_words(["GF", "1_3"])
         with pytest.raises(ParseError):
             parse_field_words(["GF", "\u0661\u0663"])
+
+
+def outcome(text):
+    try:
+        return parse_matrix_text(text)
+    except (ParseError, FieldMismatch) as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkEntries:
+    """GF(p) reads a block's entries in one pass (PrimeField.canon_words);
+    every matrix and every message is that of canon on each entry in
+    reading order, so a bad entry is reported before a missing one."""
+
+    @pytest.mark.parametrize("text", [
+        "field GF 7\n2 2\n1 2 -3 +40\n",
+        "field GF 7\n2 2\n1 x 3 4\n",
+        "field GF 7\n2 2\n1 2 3\n",
+        "field GF 7\n2 2\n1 x\n",
+        "field GF 7\n2 2\n1 2 3 4_0\n",
+        "field GF 7\n1 2\n\u0663 y\n",
+        "field GF 7\n1 2\n1 " + "9" * 5000 + "\n",
+        "field GF 10007\n3 3\n" + " ".join(str(k * 997) for k in range(9)) + "\n",
+        "field GF 2\n1 1\n-1\n",
+    ])
+    def test_same_as_canon_per_entry(self, text, monkeypatch):
+        got = outcome(text)
+        monkeypatch.setattr(PrimeField, "canon_words", Field.canon_words)
+        assert got == outcome(text)

@@ -1,7 +1,9 @@
-"""The packed GF(p) kernels of ``fields`` (``PrimeField.product`` and
-``PrimeField.operator``) against the plain loops they replace: on random
-shapes at and around the slot bound k*(p-1)**2 < 2**64, and through
-``rnf_transform`` with the kernels forced back to the plain loops."""
+"""The packed GF(p) kernels against the plain loops they replace: the
+products and operators of ``fields`` (``PrimeField.product`` and
+``PrimeField.operator``) and the packed row reductions of ``matrix``
+(``_Span`` and ``_forward``), on random shapes at and around the slot
+bound k*(p-1)**2 < 2**64, and through ``rnf_transform`` and
+``intertwiners`` with every kernel forced back to the plain loops."""
 
 import random
 from math import isqrt
@@ -9,11 +11,12 @@ from math import isqrt
 import pytest
 
 import matcanon.fields as fields
-from matcanon import GF, Matrix, rnf_transform
+import matcanon.matrix as matrix
+from matcanon import GF, Matrix, PairPoint, intertwiners, rnf_transform
 from matcanon.fields import PrimeField, _is_prime
 from matcanon.rnf import RationalNormalForm, assemble_rnf_matrix
 
-from helpers import rand_monic
+from helpers import rand_invertible, rand_matrix, rand_monic
 
 
 def plain_product(field, rows, cols):
@@ -121,18 +124,24 @@ def with_chain(field, parts, rng):
     return Matrix(field, rows)
 
 
-def with_plain_kernels(monkeypatch, a):
-    """rnf_transform(a) with PrimeField.product and operator forced to the
-    plain loops."""
+def plain_reductions(patch):
+    """Turn off the packing of matrix._Span and matrix._forward."""
+    patch.setattr(matrix, "_packs", lambda field, applied, pivots: False)
+
+
+def with_plain_kernels(monkeypatch, compute, *args):
+    """compute(*args) with PrimeField.product and operator forced to the
+    plain loops and _Span and _forward to their plain reductions."""
     with monkeypatch.context() as patch:
         patch.setattr(PrimeField, "product", plain_product)
         patch.setattr(PrimeField, "operator", plain_operator)
-        return rnf_transform(a)
+        plain_reductions(patch)
+        return compute(*args)
 
 
 class TestTransformOnPlainKernels:
-    """(R, T, chain) are the same with the packed kernels and with the
-    plain loops, n = 32 to 64.  Derogatory matrices stop at n = 32 over
+    """(R, T, chain) are the same with the packed kernels and reductions
+    and with the plain loops, n = 32 to 64.  Derogatory matrices stop at n = 32 over
     GF(10007), where the k[X] diagonalization of their chain, which runs
     on neither kernel, takes 12 s at n = 64."""
 
@@ -142,7 +151,7 @@ class TestTransformOnPlainKernels:
         field = GF(p)
         rng = random.Random(f"dense/{p}/{n}")
         a = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-        assert rnf_transform(a) == with_plain_kernels(monkeypatch, a)
+        assert rnf_transform(a) == with_plain_kernels(monkeypatch, rnf_transform, a)
 
     @pytest.mark.parametrize("p, parts", [
         (2, (64,)), (3, (48,)), (10007, (64,)),
@@ -153,5 +162,188 @@ class TestTransformOnPlainKernels:
         a = with_chain(field, parts, random.Random(f"chain/{p}/{parts}"))
         packed = rnf_transform(a)
         assert tuple(f.degree for f in packed[2]) == parts
-        assert packed == with_plain_kernels(monkeypatch, a)
+        assert packed == with_plain_kernels(monkeypatch, rnf_transform, a)
 
+
+def recorded_lines(monkeypatch):
+    """A list that gets one entry per line that matrix packs."""
+    lines, line = [], matrix._line
+    monkeypatch.setattr(matrix, "_line", lambda values: lines.append(1) or line(values))
+    return lines
+
+
+def span_trace(field, vectors):
+    """The steps returned for each vector added in turn to a _Span, and its
+    pivots, rows and made."""
+    span = matrix._Span(field)
+    steps = [span.add(list(v)) for v in vectors]
+    return steps, span.pivots, span.rows, span.made
+
+
+def span_inputs(p, n, rng):
+    """Sequences of vectors of length n to add to a span: random residues,
+    Krylov iterates, every entry p - 1, every entry p - 1 but one 1, and
+    zero vectors and sums of earlier vectors among random ones."""
+    rand = [[rng.randrange(p) for _ in range(n)] for _ in range(n + 2)]
+    a, v = [[rng.randrange(p) for _ in range(n)] for _ in range(n)], [1] + [0] * (n - 1)
+    krylov = [v]
+    for _ in range(n + 1):
+        krylov.append([sum(x * y for x, y in zip(row, krylov[-1])) % p for row in a])
+    top = [[p - 1] * n for _ in range(3)]
+    near_top = [[1 if j == k else p - 1 for j in range(n)] for k in range(n)] + [[p - 1] * n]
+    mixed = [[0] * n, rand[0], rand[1], [0] * n,
+             [(x + y) % p for x, y in zip(rand[0], rand[1])]] + rand[2:] + [[(x - y) % p for x, y in zip(rand[2], rand[0])]]
+    return [rand, krylov, top, near_top, mixed]
+
+
+def forward_trace(field, rows):
+    """(pivots, swaps, rows) of _forward on a copy of the rows."""
+    rows = [list(row) for row in rows]
+    pivots, swaps = matrix._forward(field, rows)
+    return pivots, swaps, rows
+
+
+def forward_inputs(p, rng):
+    """Matrices for _forward: 1 x k, k x 1, wide, tall and square, random,
+    of rank r < min(rows, cols), all p - 1, p - 1 off a zero diagonal,
+    and zero leading columns and a zero row."""
+    def rand(r, c):
+        return [[rng.randrange(p) for _ in range(c)] for _ in range(r)]
+
+    def rank(r, c, k):
+        return plain_product(GF(p), rand(r, k), list(zip(*rand(k, c))))
+
+    return [rand(1, 1), rand(1, 30), rand(30, 1), rand(5, 5), rand(5, 12), rand(8, 40), rand(12, 5),
+           rand(40, 8), rand(24, 24), rand(33, 33), rank(12, 12, 4), rank(8, 30, 5), rank(30, 8, 6),
+           rank(24, 24, 23), [[p - 1] * 16 for _ in range(16)],
+           [[0 if i == j else p - 1 for j in range(12)] for i in range(12)],
+           [[0] * 3 + row for row in rand(10, 9)] + [[0] * 12]]
+
+
+class TestPackedReductions:
+    """_Span and _forward on packed lines against their plain loops: the
+    same steps, pivots, rows, made, swaps, and the same ranks, kernels,
+    determinants and inverses."""
+
+    @pytest.mark.parametrize("p", [2, 3, 10007])
+    def test_span_matches_plain_loop(self, p, monkeypatch):
+        field = GF(p)
+        rng = random.Random(f"span/{p}")
+        lines = recorded_lines(monkeypatch)
+        for n in (1, 2, 4, 5, 8, 24, 40):
+            for vectors in span_inputs(p, n, rng):
+                lines.clear()
+                packed = span_trace(field, vectors)
+                assert bool(lines) == (n * n >= fields._PACKED_ENTRIES)
+                with monkeypatch.context() as patch:
+                    plain_reductions(patch)
+                    assert packed == span_trace(field, vectors)
+
+    def test_span_slot_bound(self, monkeypatch):
+        """The largest prime p with (n+1)*(p-1)**2 < 2**64 reduces vectors
+        of n entries on packed lines, n updates at most, and matches the
+        plain loop; the next prime takes the plain loop."""
+        rng = random.Random("span slot bound")
+        lines = recorded_lines(monkeypatch)
+        for n in (5, 8, 24, 40):
+            p = largest_packed_prime(n + 1)
+            for q, packed in ((p, True), (next_prime(p), False)):
+                field = GF(q)
+                for vectors in span_inputs(q, n, rng):
+                    lines.clear()
+                    got = span_trace(field, vectors)
+                    assert bool(lines) == packed
+                    with monkeypatch.context() as patch:
+                        plain_reductions(patch)
+                        assert got == span_trace(field, vectors)
+
+    @pytest.mark.parametrize("p", [2, 3, 10007])
+    def test_forward_matches_plain_loop(self, p, monkeypatch):
+        field = GF(p)
+        rng = random.Random(f"forward/{p}")
+        lines = recorded_lines(monkeypatch)
+        for rows in forward_inputs(p, rng):
+            lines.clear()
+            got = forward_trace(field, rows)
+            assert bool(lines) == (min(len(rows), len(rows[0])) ** 2 >= fields._PACKED_ENTRIES)
+            with monkeypatch.context() as patch:
+                plain_reductions(patch)
+                assert got == forward_trace(field, rows)
+            assert all(0 <= x < p for row in got[2] for x in row)
+
+    def test_forward_slot_bound(self, monkeypatch):
+        """A row of an n-row matrix takes at most n - 1 updates: the largest
+        prime p with n*(p-1)**2 < 2**64 takes the packed path and matches
+        the plain loop; the next prime takes the plain loop."""
+        rng = random.Random("forward slot bound")
+        lines = recorded_lines(monkeypatch)
+        for r, c in ((5, 5), (5, 40), (24, 24), (40, 8)):
+            p = largest_packed_prime(r)
+            for q, packed in ((p, True), (next_prime(p), False)):
+                field = GF(q)
+                for rows in ([[rng.randrange(q) for _ in range(c)] for _ in range(r)],
+                             [[q - 1] * c for _ in range(r)],
+                             [[1 if i == j else q - 1 for j in range(c)] for i in range(r)]):
+                    lines.clear()
+                    got = forward_trace(field, rows)
+                    assert bool(lines) == packed
+                    with monkeypatch.context() as patch:
+                        plain_reductions(patch)
+                        assert got == forward_trace(field, rows)
+
+    @pytest.mark.parametrize("p", [2, 3, 10007, largest_packed_prime(24)])
+    def test_matrix_routines_match_plain_loop(self, p, monkeypatch):
+        """rank, det, inverse and rank_and_kernel, square n = 5 to 24, of
+        full rank and rank-deficient, and wide and tall kernels."""
+        field = GF(p)
+        rng = random.Random(f"routines/{p}")
+        cases = [rand_invertible(field, n, rng) for n in (5, 8, 24)]
+        cases += [rand_matrix(field, n, rng, k) * rand_matrix(field, k, rng, n) for n, k in ((6, 3), (24, 20))]
+        cases += [rand_matrix(field, 6, rng, 30), rand_matrix(field, 30, rng, 6), Matrix.zeros(field, 8, 8)]
+        for m in cases:
+            got = [m.rank(), m.rank_and_kernel()]
+            if m.is_square:
+                got += [m.det(), m.inverse() if m.is_invertible() else None]
+            with monkeypatch.context() as patch:
+                plain_reductions(patch)
+                want = [m.rank(), m.rank_and_kernel()]
+                if m.is_square:
+                    want += [m.det(), m.inverse() if m.is_invertible() else None]
+            assert got == want
+
+
+def hom_cases(field):
+    """The pairs of tests/test_pairs.py TestRelationByRelation over GF(p):
+    zero and scalar pairs at n = 8 and 12, three copies of a random pair of
+    size 4, (diag(1..n), random) at n = 12 and 16, two random pairs of
+    size 8, and P (+) R conjugated against P, sizes 5 + 3 and 5."""
+    rng = random.Random(f"hom/{field}")
+
+    def pair(n):
+        return PairPoint(rand_matrix(field, n, rng), rand_matrix(field, n, rng))
+
+    out = []
+    for n in (8, 12):
+        zero, one = Matrix.zeros(field, n, n), Matrix.identity(field, n)
+        out += [(PairPoint(zero, zero),) * 2, (PairPoint(one.scale(2), one.scale(3)),) * 2]
+    p = pair(4)
+    out.append((p.direct_sum(p).direct_sum(p),) * 2)
+    for n in (12, 16):
+        diagonal = Matrix(field, [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)])
+        m = PairPoint(diagonal, rand_matrix(field, n, rng))
+        out.append((m, m))
+    out.append((pair(8), pair(8)))
+    p = pair(5)
+    m = p.direct_sum(pair(3)).conjugated_by(rand_invertible(field, 8, rng))
+    out += [(m, p), (p, m)]
+    return out
+
+
+class TestHomOnPlainKernels:
+    """Every Hom basis is the same with the packed kernels and reductions
+    and with the plain loops."""
+
+    @pytest.mark.parametrize("p", [2, 3, 10007])
+    def test_relation_by_relation_cases(self, p, monkeypatch):
+        for m, m2 in hom_cases(GF(p)):
+            assert intertwiners(m, m2) == with_plain_kernels(monkeypatch, intertwiners, m, m2)

@@ -956,6 +956,68 @@ class TestRelationByRelation:
         assert all("inverse" in reason for reason in reasons.values()), proc.stdout
 
 
+    def test_spoiled_packed_span_is_a_basis_failure(self):
+        """Under ``python -O``, a packed _Span whose stored lines are not its
+        rows ends in BasisFailure from intertwiners and split_off_simple
+        over GF(10007), n = 8 and 10, not in SingularMatrix: a line one off
+        in the slot after its pivot spins a dependent basis, and a line
+        packed before its row was scaled to 1 at the pivot leaves the pivot
+        slot nonzero, which the span refuses once it holds the whole
+        space."""
+        script = textwrap.dedent("""
+            import resource, sys
+            import matcanon.matrix as matrix
+            from matcanon import GF, BasisFailure, QForm, intertwiners, simple_pair, split_off_simple
+            if __debug__:
+                sys.exit("not running under -O")
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+            def expect_failure(label, call, *args):
+                try:
+                    call(*args)
+                except BasisFailure as exc:
+                    print(label, "BasisFailure:", exc)
+                else:
+                    sys.exit(f"{label}: no BasisFailure")
+
+            add = matrix._Span.add
+
+            def off_slot(span, v):
+                steps = add(span, v)
+                if steps is None and span.lines and span.pivots[-1] + 1 < len(v):
+                    span.lines[-1] += 1 << 64 * (span.pivots[-1] + 1)
+                return steps
+
+            def unscaled(span, v):
+                steps = add(span, v)
+                if steps is None and span.lines:
+                    field = span.field
+                    s = field.inv(span.made[-1][0])
+                    span.lines[-1] = matrix._line([field.mul(x, s) for x in span.rows[-1]])
+                return steps
+
+            field = GF(10007)
+            tail = QForm(field(1), field(2), field(4)).realize()
+            for spoil in (off_slot, unscaled):
+                matrix._Span.add = spoil
+                for n in (8, 10):
+                    m = simple_pair(n - 2, field).direct_sum(tail)
+                    expect_failure(f"hom {spoil.__name__} {n}", intertwiners, m, m)
+                    expect_failure(f"split {spoil.__name__} {n}", split_off_simple, m)
+            matrix._Span.add = add
+        """)
+        src = str(Path(matcanon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
+        assert len(reasons) == 8, proc.stdout
+        assert all("singular" in reason for label, reason in reasons.items() if "off_slot" in label), proc.stdout
+        assert all("outside a span" in reason for label, reason in reasons.items() if "unscaled" in label), proc.stdout
+
+
 def hom_primes_used(monkeypatch, m, m2):
     """intertwiners(m, m2) over Q, the indices of the primes tried and the
     primes that _hom_basis ran modulo."""

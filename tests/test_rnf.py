@@ -746,6 +746,65 @@ class TestCertificate:
         assert all("prime bound" in reasons[label] for label in ("krylov over Q", "spoiled over Q"))
         assert all("certificate" in reasons[label] for label in ("krylov", "krylov scan"))
 
+    def test_spoiled_packed_span_raises_under_optimize(self):
+        """Under ``python -O``, a packed _Span whose stored lines are not its
+        rows ends in BasisFailure from rnf_transform over GF(10007), n = 8
+        and 12: a line one off in the slot after its pivot spoils every
+        reduction by it and fails the certificate, and a line packed before
+        its row was scaled to 1 at the pivot leaves the pivot slot nonzero,
+        which the span refuses once it holds the whole space."""
+        script = textwrap.dedent("""
+            import random, resource, sys
+            import matcanon.matrix as matrix
+            from matcanon import GF, BasisFailure, Matrix, rnf_transform
+            if __debug__:
+                sys.exit("not running under -O")
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+            def expect_failure(label, call, *args):
+                try:
+                    call(*args)
+                except BasisFailure as exc:
+                    print(label, "BasisFailure:", exc)
+                else:
+                    sys.exit(f"{label}: no BasisFailure")
+
+            add = matrix._Span.add
+
+            def off_slot(span, v):
+                steps = add(span, v)
+                if steps is None and span.lines and span.pivots[-1] + 1 < len(v):
+                    span.lines[-1] += 1 << 64 * (span.pivots[-1] + 1)
+                return steps
+
+            def unscaled(span, v):
+                steps = add(span, v)
+                if steps is None and span.lines:
+                    field = span.field
+                    s = field.inv(span.made[-1][0])
+                    span.lines[-1] = matrix._line([field.mul(x, s) for x in span.rows[-1]])
+                return steps
+
+            rng = random.Random(1)
+            field = GF(10007)
+            for spoil in (off_slot, unscaled):
+                matrix._Span.add = spoil
+                for n in (8, 12):
+                    a = Matrix(field, [[rng.randrange(10007) for _ in range(n)] for _ in range(n)])
+                    expect_failure(f"{spoil.__name__} {n}", rnf_transform, a)
+            matrix._Span.add = add
+        """)
+        src = str(Path(matcanon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
+        assert list(reasons) == ["off_slot 8", "off_slot 12", "unscaled 8", "unscaled 12"], proc.stdout
+        assert all("certificate" in reasons[f"off_slot {n}"] for n in (8, 12)), proc.stdout
+        assert all("outside a span" in reasons[f"unscaled {n}"] for n in (8, 12)), proc.stdout
+
     def test_no_assert_statements_in_package(self):
         package = Path(matcanon.__file__).resolve().parent
         found = []
