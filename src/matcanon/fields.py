@@ -113,10 +113,10 @@ class Field:
     # Dumas, Fousse & Salvy, J. Symbolic Comput. 46, 2011).  The slots are
     # exact while k*(p-1)**2 < 2**64, that is k <= _slot_terms (0 on Q and
     # for p > 2**32); below _PACKED_ENTRIES entries, the measured
-    # crossover, the plain loops run.  matrix._Span and matrix._forward
-    # reduce packed lines of residues under the same slot bound, k the
-    # updates a line takes plus one, and the same crossover on the square
-    # of their pivots (matrix._packs).
+    # crossover, the plain loops run.  matrix._Span, the one row reduction
+    # of every elimination, reduces packed lines of residues under the same
+    # slot bound, k the updates a line takes plus one, and the same
+    # crossover on the square of its pivots (matrix._packs).
     _slot_terms = 0
 
     def operator(self, rows):

@@ -1,19 +1,22 @@
 """Dense exact matrices over Q or GF(p).
 
 Entries are stored row-major as raw field values in nested tuples, so
-matrices are immutable and hashable.  Elimination-based routines (rank,
-kernel, inverse, determinant) share one forward elimination pass that
-pivots on the first nonzero entry in column order, which makes every
-output deterministic.  Over Q, rank and kernel run that pass modulo
-word-size primes and return only a kernel basis proved exactly over Q.
+matrices are immutable and hashable.  Every elimination runs on one
+engine, ``_Span``: it adds rows in turn, reduces each by the rows found
+before it and pivots on its first nonzero entry, so pivots are found row
+by row.  Rank, kernel, inverse and determinant, and the Krylov chains of
+``rnf`` and ``pairs``, read its rows, and every output is one that does
+not depend on the order of the pivots: pivot columns, ranks, unit kernel
+bases, reduced echelon forms, determinants and inverses.  Over Q, rank
+and kernel run modulo word-size primes and return only a kernel basis
+proved exactly over Q.
 ``_modular_lift`` is the one driver of such computations modulo primes,
 here and in ``rnf``: it groups the primes by the decisions their runs
 took, combines each group by CRT, lifts it by rational reconstruction
 and returns the first lift that passes the caller's exact check.
 Products run on the field's ``product`` kernel, eliminations on its two
 row primitives, ``dot`` and ``submul``, and Krylov chains on its
-``operator`` and on ``_Span``, the one engine of ``rnf`` and ``pairs``.
-Over word-size GF(p) the forward pass and ``_Span`` reduce rows packed
+``operator`` too.  Over word-size GF(p) ``_Span`` reduces rows packed
 into one integer with a 64-bit slot per entry (``fields._line``): one
 slot read and one integer multiply-add per update, one ``% p`` per entry
 when a row is unpacked (delayed reduction, as in Dumas, Giorgi & Pernet,
@@ -37,7 +40,7 @@ from .errors import (
     NonSquare,
     SingularMatrix,
 )
-from .fields import _PACKED_ENTRIES, _SLOT, GF, Field, Scalar, _is_prime, _line, _pack, _unpack
+from .fields import _PACKED_ENTRIES, _SLOT, GF, Field, Scalar, _is_prime, _line, _unpack
 
 
 class Matrix:
@@ -186,15 +189,14 @@ class Matrix:
 
     def _rank_and_kernel_raw(self) -> tuple[int, list[list]]:
         """Rank and raw kernel basis: the one place that picks between
-        the forward pass plus back substitution over GF(p) and the modular
-        method over Q.
+        the echelon form of a span plus back substitution over GF(p) and
+        the modular method over Q.
         """
         field = self.field
         if not field.characteristic:
             return _rational_rank_and_kernel(self._rows)
-        rows = [list(row) for row in self._rows]
-        pivots, _ = _forward(field, rows)
-        return len(pivots), _back_substitute(field, rows, pivots)
+        pivots, rows = _echelon(field, self._rows)
+        return len(pivots), _back_substitute(field, pivots, rows, self.ncols)
 
     def rank(self) -> int:
         return self._rank_and_kernel_raw()[0]
@@ -216,24 +218,33 @@ class Matrix:
         n = self.nrows
         one, zero = field.one, field.zero
         aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(self._rows)]
-        pivots, _ = _forward(field, aug)
+        pivots, rows = _echelon(field, aug)
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is not invertible")
-        _clear_above(field, aug, pivots)
-        return Matrix._raw(field, [row[n:] for row in aug])
+        _clear_above(field, pivots, rows)
+        return Matrix._raw(field, [row[n:] for row in rows])
 
     def det(self) -> Scalar:
+        """Over a span of the rows (:class:`_Span`): row i of the span is
+        s_i times row i less a sum of the span's rows before it, and sorted
+        by pivot column the span's rows are unit upper triangular, so det
+        is the sign of the pivot columns in the order found over the
+        product of the s_i."""
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
         field = self.field
-        rows = [list(row) for row in self._rows]
-        pivots, swaps = _forward(field, rows)
-        if len(pivots) < self.nrows:
+        span = _Span(field)
+        for row in self._rows:
+            span.add(row)
+        if len(span) < self.nrows:
             return Scalar(field, field.zero)
-        det = field.neg(field.one) if swaps % 2 else field.one
-        for i in range(self.nrows):
-            det = field.mul(det, rows[i][i])
-        return Scalar(field, det)
+        scales = field.one
+        for s, _ in span.made:
+            scales = field.mul(scales, s)
+        pivots = span.pivots
+        inversions = sum(c > d for k, c in enumerate(pivots) for d in pivots[k + 1:])
+        det = field.inv(scales)
+        return Scalar(field, field.neg(det) if inversions % 2 else det)
 
     def is_invertible(self) -> bool:
         # Full rank; over Q the rank is proved modulo primes with no Fractions.
@@ -265,111 +276,44 @@ def _product(field: Field, x: Sequence[Sequence], y: Sequence[Sequence]) -> list
     return field.product(x, list(zip(*y)))
 
 
-def _packs(field: Field, applied: int, pivots: int) -> bool:
-    """Whether a reduction of lines of residues runs on packed lines
-    (``fields._line``), when each line takes at most ``applied`` updates
-    by at most ``pivots`` pivot lines: a slot then stays below
-    (applied+1)*(p-1)**2, which must be below 2**64, and the square of
-    the pivots must have ``_PACKED_ENTRIES`` entries, the rule reusing
-    that crossover which lost least time on the measured shapes (README,
-    "Notes on algorithms")."""
-    return applied < field._slot_terms and pivots * pivots >= _PACKED_ENTRIES
+def _packs(field: Field, n: int) -> bool:
+    """Whether a span reduces vectors of n entries on packed lines
+    (``fields._line``): a vector takes at most n updates by at most n
+    rows, so a slot stays below (n+1)*(p-1)**2, which must be below
+    2**64, and the square of the pivots must have ``_PACKED_ENTRIES``
+    entries, the rule reusing that crossover which lost least time on the
+    measured shapes (README, "Notes on algorithms")."""
+    return n < field._slot_terms and n * n >= _PACKED_ENTRIES
 
 
-def _forward(field: Field, rows: list[list]) -> tuple[list[int], int]:
-    """In-place forward elimination to row echelon form.
-
-    Pivot rows are neither normalized nor cleared above; each row below
-    a pivot is updated from the pivot column on.  Returns the pivot
-    columns and the number of row swaps.
-
-    Over word-size GF(p) the rows are packed lines (:func:`_packs`; a row
-    takes at most nrows - 1 updates): x = slot c of a row, reduced, and
-    the update is one integer multiply-add by p - x/pivot, the pivot row
-    reduced once when it is found.  Every row and count is that of the
-    plain loop.
-    """
-    nrows, ncols = len(rows), len(rows[0])
-    if _packs(field, nrows - 1, min(nrows, ncols)):
-        return _forward_packed(field.p, rows)
-    mul, inv, is_zero, submul = field.mul, field.inv, field.is_zero, field.submul
-    pivots: list[int] = []
-    swaps = 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            swaps += 1
-        prow = rows[r][c:]
-        inv_p = inv(prow[0])
-        # Rows r+1 .. pivot_row are zero in column c after the swap.
-        for i in range(pivot_row + 1, nrows):
-            row = rows[i]
-            x = row[c]
-            if not is_zero(x):
-                row[c:] = submul(row[c:], mul(x, inv_p), prow)
-        pivots.append(c)
-        r += 1
-    return pivots, swaps
+def _echelon(field: Field, rows: Iterable[Sequence]) -> tuple[list[int], list[list]]:
+    """The pivot columns and rows of a row echelon form of the rows, each
+    row 1 at its pivot column: the rows are added in turn to a
+    :class:`_Span`, whose rows are returned sorted by pivot column."""
+    span = _Span(field)
+    for row in rows:
+        span.add(row)
+    ordered = sorted(zip(span.pivots, span.rows))
+    return [c for c, _ in ordered], [row for _, row in ordered]
 
 
-def _forward_packed(p: int, rows: list[list]) -> tuple[list[int], int]:
-    """:func:`_forward` on packed lines over GF(p)."""
-    nrows, ncols = len(rows), len(rows[0])
-    lines = _pack(rows)
-    pivots: list[int] = []
-    swaps = 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        shift = c << 6
-        pivot_row = next((i for i in range(r, nrows) if (lines[i] >> shift & _SLOT) % p), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            lines[r], lines[pivot_row] = lines[pivot_row], lines[r]
-            swaps += 1
-        prow = rows[r] = _unpack(lines[r], ncols, p)
-        line = _line(prow)
-        inv_p = pow(prow[c], -1, p)
-        # Rows r+1 .. pivot_row are zero in column c after the swap.
-        for i in range(pivot_row + 1, nrows):
-            x = (lines[i] >> shift & _SLOT) % p
-            if x:
-                lines[i] += (p - x * inv_p % p) * line
-        pivots.append(c)
-        r += 1
-    rows[r:] = [_unpack(x, ncols, p) for x in lines[r:]]
-    return pivots, swaps
-
-
-def _clear_above(field: Field, rows: list[list], pivots: list[int]):
-    """In-place reduced row echelon form of a forward-eliminated matrix:
-    each pivot row is scaled to 1 at its pivot, which is cleared above."""
-    mul, is_zero, submul = field.mul, field.is_zero, field.submul
+def _clear_above(field: Field, pivots: list[int], rows: list[list]):
+    """In-place reduced row echelon form of rows from :func:`_echelon`:
+    each pivot column is cleared above its row."""
+    submul = field.submul
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
-        row = rows[r]
-        inv_p = field.inv(row[c])
-        row[c:] = [mul(x, inv_p) for x in row[c:]]
+        row = rows[r][c:]
         for i in range(r):
             x = rows[i][c]
-            if not is_zero(x):
-                rows[i][c:] = submul(rows[i][c:], x, row[c:])
+            if x:
+                rows[i][c:] = submul(rows[i][c:], x, row)
 
 
-def _back_substitute(field: Field, rows: list[list], pivots: list[int]) -> list[list]:
-    """Kernel basis of a forward-eliminated matrix, one vector per free
-    column: 1 there, 0 at the other free columns."""
-    zero, one, neg, mul, dot = field.zero, field.one, field.neg, field.mul, field.dot
-    ncols = len(rows[0])
-    inv_pivots = [field.inv(rows[r][c]) for r, c in enumerate(pivots)]
+def _back_substitute(field: Field, pivots: list[int], rows: list[list], ncols: int) -> list[list]:
+    """Kernel basis of rows from :func:`_echelon` with ncols columns, one
+    vector per free column: 1 there, 0 at the other free columns."""
+    zero, one, neg, dot = field.zero, field.one, field.neg, field.dot
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -379,7 +323,7 @@ def _back_substitute(field: Field, rows: list[list], pivots: list[int]) -> list[
         v[free] = one
         for r in range(len(pivots) - 1, -1, -1):
             c = pivots[r]
-            v[c] = neg(mul(dot(rows[r][c + 1:], v[c + 1:]), inv_pivots[r]))
+            v[c] = neg(dot(rows[r][c + 1:], v[c + 1:]))
         basis.append(v)
     return basis
 
@@ -389,7 +333,10 @@ class _Span:
     turn, each outside the span of those before it.  Row i is b_i less the
     rows that reduced it, scaled to 1 at its pivot; both are kept in
     ``made``, so a vector of the span can be written in the b's
-    (:func:`_coordinates`).  ``rows`` holds the rows as residues.
+    (:func:`_coordinates`).  ``rows`` holds the rows as residues.  It is
+    the one row reduction of the package: the Krylov chains of ``rnf``
+    and ``pairs``, ``det``, and, through :func:`_echelon`, every rank,
+    kernel, inverse and Hom echelon form.
 
     Over word-size GF(p) a vector of n entries is reduced as a packed line
     (:func:`_packs`; it takes at most n updates): x = slot c_i of the line,
@@ -407,12 +354,12 @@ class _Span:
     def __len__(self):
         return len(self.rows)
 
-    def add(self, v: list) -> list | None:
+    def add(self, v: Sequence) -> list | None:
         """None after adding v as the next b, if v lies outside the span;
         otherwise the steps (i, x) with v = sum of x * row_i."""
         field = self.field
         steps = []
-        packed = _packs(field, len(v), len(v))
+        packed = _packs(field, len(v))
         if packed:
             p, x = field.p, _line(v)
             for i, c in enumerate(self.pivots):
@@ -421,12 +368,12 @@ class _Span:
                     steps.append((i, y))
             v = _unpack(x, len(v), p)
         else:
-            submul = field.submul
-            # Zero is falsy in every field.
+            submul, v = field.submul, list(v)
+            # Zero is falsy in every field; row i is zero before its pivot.
             for i, c in enumerate(self.pivots):
                 x = v[c]
                 if x:
-                    v = submul(v, x, self.rows[i])
+                    v[c:] = submul(v[c:], x, self.rows[i][c:])
                     steps.append((i, x))
         c = next((k for k, x in enumerate(v) if x), None)
         if c is None:
@@ -435,7 +382,8 @@ class _Span:
             raise BasisFailure("a vector is outside a span of the whole space")
         s = field.inv(v[c])
         if s != field.one:
-            v = [field.mul(x, s) for x in v]
+            mul = field.mul
+            v[c:] = [mul(x, s) for x in v[c:]]
         self.pivots.append(c)
         self.rows.append(v)
         if packed:
@@ -596,8 +544,9 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
     """Rank and kernel basis over Q by elimination modulo primes.
 
     Each row is scaled to integers, which changes neither the rank nor the
-    kernel.  Modulo each prime the forward pass gives the pivot columns,
-    the key of ``_modular_lift``, and back substitution a kernel basis,
+    kernel.  Modulo each prime an echelon form (:func:`_echelon`) gives
+    the pivot columns, the key of ``_modular_lift``, and back
+    substitution a kernel basis,
     whose pivot entries are lifted.  A lift is accepted once every vector
     v satisfies rows * v == 0 in integers; a full-rank prime has no vector
     to test.
@@ -624,9 +573,8 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
 
     def image(p):
         field = GF(p)
-        reduced = [[x % p for x in row] for row in ints]
-        pivots, _ = _forward(field, reduced)
-        return tuple(pivots), [v[c] for v in _back_substitute(field, reduced, pivots) for c in pivots]
+        pivots, reduced = _echelon(field, ([x % p for x in row] for row in ints))
+        return tuple(pivots), [v[c] for v in _back_substitute(field, pivots, reduced, ncols) for c in pivots]
 
     def accept(pivots, entries, bound):
         basis = _unit_basis(ncols, pivots, entries)

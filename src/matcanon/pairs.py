@@ -35,7 +35,7 @@ from .errors import (
     TraceNonzero,
 )
 from .fields import GF, QQ, Field, Scalar, sqrt_if_exists
-from .matrix import Matrix, _Span, _back_substitute, _chain, _clear_above, _forward, _mod_rows, _modular_lift
+from .matrix import Matrix, _Span, _back_substitute, _chain, _clear_above, _echelon, _mod_rows, _modular_lift
 from .matrix import _product, _unit, _unit_basis, block_diagonal, similarity_defect
 
 
@@ -396,8 +396,8 @@ def _hom_basis(field: Field, s1, s2, t1, t2) -> list[list]:
     if flip:
         maps = [list(zip(*f)) for f in maps]
     rows = [[x for row in reversed(f) for x in reversed(row)] for f in maps]
-    pivots, _ = _forward(field, rows)
-    _clear_above(field, rows, pivots)
+    pivots, rows = _echelon(field, rows)
+    _clear_above(field, pivots, rows)
     return [row[::-1] for row in reversed(rows)]
 
 
@@ -469,7 +469,7 @@ def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
 
     def images():  # Q_k for K the kernel of the echelon form, its rows sorted by pivot
         rows = sorted(zip(span.pivots, span.rows))
-        kernel = _back_substitute(field, [r for _, r in rows] or [[field.zero] * width], [c for c, _ in rows])
+        kernel = _back_substitute(field, [c for c, _ in rows], [r for _, r in rows], width)
         return [field.product(p, [v[l * n2:(l + 1) * n2] for v in kernel]) for p, l in zip(words, owners)]
 
     q = words if width == n2 else None  # Q_k, once K has at most n2 columns
@@ -487,7 +487,7 @@ def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
             sums = field.product([c], list(zip(*map(chain.from_iterable, q))))[0]
             residual = [list(map(field.sub, sums[a * d:(a + 1) * d], lhs[a])) for a in range(n2)]
             if any(map(any, residual)):
-                x = _back_substitute(field, residual, _forward(field, residual)[0])
+                x = _back_substitute(field, *_echelon(field, residual), d)
                 # Every Q_k times X in one product, which packs X once.
                 stacked = field.product(list(chain.from_iterable(q)), x)
                 q = [stacked[k:k + n2] for k in range(0, len(stacked), n2)]

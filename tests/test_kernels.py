@@ -1,9 +1,9 @@
 """The packed GF(p) kernels against the plain loops they replace: the
 products and operators of ``fields`` (``PrimeField.product`` and
-``PrimeField.operator``) and the packed row reductions of ``matrix``
-(``_Span`` and ``_forward``), on random shapes at and around the slot
-bound k*(p-1)**2 < 2**64, and through ``rnf_transform`` and
-``intertwiners`` with every kernel forced back to the plain loops."""
+``PrimeField.operator``) and the packed row reduction of ``matrix``
+(``_Span``, alone and through ``_echelon``), on random shapes at and
+around the slot bound k*(p-1)**2 < 2**64, and through ``rnf_transform``
+and ``intertwiners`` with every kernel forced back to the plain loops."""
 
 import random
 from math import isqrt
@@ -125,13 +125,13 @@ def with_chain(field, parts, rng):
 
 
 def plain_reductions(patch):
-    """Turn off the packing of matrix._Span and matrix._forward."""
-    patch.setattr(matrix, "_packs", lambda field, applied, pivots: False)
+    """Turn off the packing of matrix._Span."""
+    patch.setattr(matrix, "_packs", lambda field, n: False)
 
 
 def with_plain_kernels(monkeypatch, compute, *args):
     """compute(*args) with PrimeField.product and operator forced to the
-    plain loops and _Span and _forward to their plain reductions."""
+    plain loops and _Span to its plain reduction."""
     with monkeypatch.context() as patch:
         patch.setattr(PrimeField, "product", plain_product)
         patch.setattr(PrimeField, "operator", plain_operator)
@@ -196,15 +196,18 @@ def span_inputs(p, n, rng):
     return [rand, krylov, top, near_top, mixed]
 
 
-def forward_trace(field, rows):
-    """(pivots, swaps, rows) of _forward on a copy of the rows."""
-    rows = [list(row) for row in rows]
-    pivots, swaps = matrix._forward(field, rows)
-    return pivots, swaps, rows
+def echelon_trace(field, rows):
+    """(pivots, rows) of _echelon, checked to be a row echelon form with
+    each row 1 at its pivot column and the input rows left as they were."""
+    copy = [list(row) for row in rows]
+    pivots, echelon = matrix._echelon(field, rows)
+    assert rows == copy and pivots == sorted(set(pivots))
+    assert all(row[c] == 1 and not any(row[:c]) for c, row in zip(pivots, echelon))
+    return pivots, echelon
 
 
-def forward_inputs(p, rng):
-    """Matrices for _forward: 1 x k, k x 1, wide, tall and square, random,
+def echelon_inputs(p, rng):
+    """Matrices for _echelon: 1 x k, k x 1, wide, tall and square, random,
     of rank r < min(rows, cols), all p - 1, p - 1 off a zero diagonal,
     and zero leading columns and a zero row."""
     def rand(r, c):
@@ -221,9 +224,10 @@ def forward_inputs(p, rng):
 
 
 class TestPackedReductions:
-    """_Span and _forward on packed lines against their plain loops: the
-    same steps, pivots, rows, made, swaps, and the same ranks, kernels,
-    determinants and inverses."""
+    """_Span on packed lines against its plain loop: the same steps,
+    pivots, rows and made, for vectors added in turn and for the echelon
+    forms of _echelon, and the same ranks, kernels, determinants and
+    inverses."""
 
     @pytest.mark.parametrize("p", [2, 3, 10007])
     def test_span_matches_plain_loop(self, p, monkeypatch):
@@ -258,38 +262,38 @@ class TestPackedReductions:
                         assert got == span_trace(field, vectors)
 
     @pytest.mark.parametrize("p", [2, 3, 10007])
-    def test_forward_matches_plain_loop(self, p, monkeypatch):
+    def test_echelon_matches_plain_loop(self, p, monkeypatch):
         field = GF(p)
         rng = random.Random(f"forward/{p}")
         lines = recorded_lines(monkeypatch)
-        for rows in forward_inputs(p, rng):
+        for rows in echelon_inputs(p, rng):
             lines.clear()
-            got = forward_trace(field, rows)
-            assert bool(lines) == (min(len(rows), len(rows[0])) ** 2 >= fields._PACKED_ENTRIES)
+            got = echelon_trace(field, rows)
+            assert bool(lines) == (len(rows[0]) ** 2 >= fields._PACKED_ENTRIES)
             with monkeypatch.context() as patch:
                 plain_reductions(patch)
-                assert got == forward_trace(field, rows)
-            assert all(0 <= x < p for row in got[2] for x in row)
+                assert got == echelon_trace(field, rows)
+            assert all(0 <= x < p for row in got[1] for x in row)
 
-    def test_forward_slot_bound(self, monkeypatch):
-        """A row of an n-row matrix takes at most n - 1 updates: the largest
-        prime p with n*(p-1)**2 < 2**64 takes the packed path and matches
-        the plain loop; the next prime takes the plain loop."""
+    def test_echelon_slot_bound(self, monkeypatch):
+        """A row of c entries takes at most c updates: the largest prime p
+        with (c+1)*(p-1)**2 < 2**64 takes the packed path and matches the
+        plain loop; the next prime takes the plain loop."""
         rng = random.Random("forward slot bound")
         lines = recorded_lines(monkeypatch)
         for r, c in ((5, 5), (5, 40), (24, 24), (40, 8)):
-            p = largest_packed_prime(r)
+            p = largest_packed_prime(c + 1)
             for q, packed in ((p, True), (next_prime(p), False)):
                 field = GF(q)
                 for rows in ([[rng.randrange(q) for _ in range(c)] for _ in range(r)],
                              [[q - 1] * c for _ in range(r)],
                              [[1 if i == j else q - 1 for j in range(c)] for i in range(r)]):
                     lines.clear()
-                    got = forward_trace(field, rows)
+                    got = echelon_trace(field, rows)
                     assert bool(lines) == packed
                     with monkeypatch.context() as patch:
                         plain_reductions(patch)
-                        assert got == forward_trace(field, rows)
+                        assert got == echelon_trace(field, rows)
 
     @pytest.mark.parametrize("p", [2, 3, 10007, largest_packed_prime(24)])
     def test_matrix_routines_match_plain_loop(self, p, monkeypatch):

@@ -27,6 +27,7 @@ from helpers import (
     permutation_sign,
     rand_invertible,
     rand_matrix,
+    rand_scalar_raw,
     reference_inverse,
     reference_rank_and_kernel,
     submatrix,
@@ -180,7 +181,9 @@ class TestDeterminant:
         assert not Matrix(QQ, [[1, 1], [1, 1]]).is_invertible()
 
 
-ELIM_FIELDS = [GF(2), GF(3), GF(10007), QQ]
+# _prime(0) is above 2**32, so its spans run the plain loop, as every
+# rank, rnf and Hom over Q does modulo its primes.
+ELIM_FIELDS = [GF(2), GF(3), GF(10007), GF(_prime(0)), QQ]
 
 
 def elimination_cases(field, seed, max_n=5):
@@ -199,7 +202,8 @@ def elimination_cases(field, seed, max_n=5):
 
 @pytest.mark.parametrize("field", ELIM_FIELDS, ids=str)
 class TestAgainstGaussJordan:
-    """The forward pass with back substitution against full Gauss-Jordan."""
+    """The echelon form of a span with back substitution against full
+    Gauss-Jordan."""
 
     def test_rank_and_kernel_basis(self, field):
         for seed in range(4):
@@ -239,6 +243,62 @@ class TestAgainstGaussJordan:
                         a.inverse()
                 else:
                     assert a.inverse() == ref
+
+
+def rand_nonzero(field, rng):
+    while True:
+        x = rand_scalar_raw(field, rng)
+        if not field.is_zero(x):
+            return x
+
+
+def plu(field, n, rng, singular):
+    """(P*L*U, sign(P) times the product of the diagonal of U): P a random
+    permutation matrix, L random unit lower triangular and U random upper
+    triangular with a nonzero diagonal, one entry of it 0 if singular."""
+    zero, one = field.zero, field.one
+    perm = rng.sample(range(n), n)
+    diagonal = [rand_nonzero(field, rng) for _ in range(n)]
+    if singular:
+        diagonal[rng.randrange(n)] = zero
+    p = Matrix(field, [[one if j == perm[i] else zero for j in range(n)] for i in range(n)])
+    lower = Matrix(field, [[rand_scalar_raw(field, rng) if j < i else one if j == i else zero
+                            for j in range(n)] for i in range(n)])
+    upper = Matrix(field, [[rand_scalar_raw(field, rng) if j > i else diagonal[i] if j == i else zero
+                            for j in range(n)] for i in range(n)])
+    det = one if permutation_sign(perm) > 0 else field.neg(one)
+    for x in diagonal:
+        det = field.mul(det, x)
+    return p * lower * upper, det
+
+
+DET_CASES = [(field, n) for field in ELIM_FIELDS[:4] for n in (8, 16, 24, 40)] + [(QQ, n) for n in (4, 8, 12)]
+
+
+class TestDetBeyondLeibniz:
+    """det past the Leibniz range, where its sign comes from the order in
+    which the span found its pivots: P*L*U has det sign(P) times the
+    product of the diagonal of U, and an anti-diagonal matrix the sign of
+    the reversal times the product of its entries."""
+
+    @pytest.mark.parametrize("field, n", DET_CASES, ids=str)
+    def test_plu(self, field, n):
+        rng = random.Random(f"plu/{field}/{n}")
+        for singular in (False, False, True):
+            a, det = plu(field, n, rng, singular)
+            assert a.det().value == det
+            if not singular:
+                assert a.inverse() * a == Matrix.identity(field, n)
+
+    @pytest.mark.parametrize("field, n", DET_CASES, ids=str)
+    def test_anti_diagonal(self, field, n):
+        rng = random.Random(f"anti-diagonal/{field}/{n}")
+        entries = [rand_nonzero(field, rng) for _ in range(n)]
+        a = Matrix(field, [[entries[i] if i + j == n - 1 else 0 for j in range(n)] for i in range(n)])
+        det = field.one if permutation_sign(range(n - 1, -1, -1)) > 0 else field.neg(field.one)
+        for x in entries:
+            det = field.mul(det, x)
+        assert a.det().value == det
 
 
 def modular_primes_used(monkeypatch, a):

@@ -813,7 +813,7 @@ def solved_relations(monkeypatch, m, m2):
     columns) and the rows it added to the echelon form (n2 per relation
     read while the kernel is wider)."""
     calls = []
-    spin_maps, forward, span = matcanon.pairs._spin_maps, matcanon.pairs._forward, matcanon.pairs._Span
+    spin_maps, echelon, span = matcanon.pairs._spin_maps, matcanon.pairs._echelon, matcanon.pairs._Span
 
     def recording(field, spin, t1, t2):
         widths, added = [], []
@@ -824,12 +824,12 @@ def solved_relations(monkeypatch, m, m2):
                 added.append(len(v))
                 return super().add(v)
 
-        monkeypatch.setattr(matcanon.pairs, "_forward", lambda f, rows: widths.append(len(rows[0])) or forward(f, rows))
+        monkeypatch.setattr(matcanon.pairs, "_echelon", lambda f, rows: widths.append(len(rows[0])) or echelon(f, rows))
         monkeypatch.setattr(matcanon.pairs, "_Span", CountingSpan)
         try:
             return spin_maps(field, spin, t1, t2)
         finally:
-            monkeypatch.setattr(matcanon.pairs, "_forward", forward)
+            monkeypatch.setattr(matcanon.pairs, "_echelon", echelon)
             monkeypatch.setattr(matcanon.pairs, "_Span", span)
 
     monkeypatch.setattr(matcanon.pairs, "_spin_maps", recording)

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -35,6 +36,8 @@ from matcanon import (
     rnf_transform,
     similarity_defect,
 )
+from matcanon.cli import main
+from matcanon.fileio import format_matrix
 from matcanon.matrix import _mod_rows, _prime
 from bruteforce import conjugation_orbit
 
@@ -620,6 +623,39 @@ class TestCertificate:
         assert similarity_defect(a, Matrix.identity(QQ, 3), t) == (
             "conjugation does not reproduce the claimed form"
         )
+
+    @pytest.mark.parametrize("field", [GF(2), GF(10007), QQ], ids=str)
+    def test_singular_krylov_transform_is_refused(self, field, capsys, tmp_path):
+        """T = [v, A*v, ..., A^(n-1)*v] for an eigenvector v of A and R the
+        companion of the characteristic polynomial satisfy A*T = T*R by
+        Cayley-Hamilton, but T has rank 1: only the rank of T refuses it,
+        in similarity_defect and in ``matcanon verify``."""
+        rng = random.Random(f"singular krylov/{field}")
+        n = 5
+        s = rand_invertible(field, n, rng)
+        u = Matrix(field, [[x if j >= i else 0 for j, x in enumerate(row)]
+                           for i, row in enumerate(rand_matrix(field, n, rng)._rows)])
+        a = s * u * s.inverse()
+        x = Polynomial.x(field)
+        chi = Polynomial.constant(field, 1)
+        for i in range(n):
+            chi = chi * (x - Polynomial.constant(field, u._rows[i][i]))
+        r = companion(chi)
+        columns = [s.column_raw(0)]  # A * s*e_1 = u[0][0] * s*e_1
+        for _ in range(n - 1):
+            columns.append(a.mul_vector_raw(columns[-1]))
+        t = Matrix.from_columns(field, columns)
+        assert a * t == t * r and t.rank() == 1
+        assert similarity_defect(a, r, t) == "transform is singular"
+        paths = []
+        for name, m in (("a", a), ("r", r), ("t", t)):
+            path = tmp_path / f"{name}.mat"
+            path.write_text(format_matrix(m))
+            paths.append(str(path))
+        code = main(["verify", *paths, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1 and payload["status"] == "mismatch"
+        assert payload["reason"] == "transform is singular"
 
     def test_failure_raises_under_optimize(self):
         """The certificate, the failed-generator check and the prime bound
