@@ -108,15 +108,19 @@ class Field:
     #   operator(rows) = the map v -> A*v
     # and the parser's: canon_words(words) = [canon(w) for w in words].
     # Over GF(p) both kernels pack: a line of residues becomes one integer
-    # with a 64-bit slot per entry (_line), so a sum of k products is k
-    # integer multiply-adds and one % p an entry (Kronecker substitution;
-    # Dumas, Fousse & Salvy, J. Symbolic Comput. 46, 2011).  The slots are
-    # exact while k*(p-1)**2 < 2**64, that is k <= _slot_terms (0 on Q and
-    # for p > 2**32); below _PACKED_ENTRIES entries, the measured
-    # crossover, the plain loops run.  matrix._Span, the one row reduction
-    # of every elimination, reduces packed lines of residues under the same
-    # slot bound, k the updates a line takes plus one, and the same
-    # crossover on the square of its pivots (matrix._packs).
+    # with a slot of w bits per entry (_line), so a sum of k products is k
+    # integer multiply-adds and one reduction of the line (Kronecker
+    # substitution; Dumas, Fousse & Salvy, J. Symbolic Comput. 46, 2011).
+    # A slot's sum reaches at most k*(p-1)**2, and PrimeField._layout takes
+    # the narrowest w of 8, 16, 32 and 64 bits that holds it; byte lines
+    # are reduced by one bytes.translate, wider ones by one % p an entry.
+    # The widest slot is exact while k*(p-1)**2 < 2**64, that is
+    # k <= _slot_terms (0 on Q and for p > 2**32); below _PACKED_ENTRIES
+    # entries, the measured crossover, the plain loops run.  matrix._Span,
+    # the one row reduction of every elimination, reduces packed lines of
+    # residues whose slots reach at most (p-1) + n*(p-1)**2 for vectors of
+    # n entries, by the same rule, and packs under the same slot bound and
+    # crossover (matrix._packs).
     _slot_terms = 0
 
     def operator(self, rows):
@@ -147,33 +151,52 @@ def _integral(vectors) -> list[tuple[int, list[int]]]:
 _PACKED_ENTRIES = 24
 
 
-_SLOT = (1 << 64) - 1
+# The slot widths of packed lines in bits, narrowest first, each with the
+# array code of its words: 8, 16, 32 and 64 bits.
+_WIDTHS = sorted({8 * array(code).itemsize: code for code in "BHIQ"}.items())
+# Lines are little-endian integers: slot c is bits w*c to w*c + w - 1.
+_SWAP = sys.byteorder == "big"
 
 
-def _line(values) -> int:
-    """A line of residues below 2**64 as one integer whose 64-bit slot c,
-    bits 64*c to 64*c + 63, holds entry c; slot c of x is
-    x >> 64*c & _SLOT."""
-    return int.from_bytes(array("Q", values), sys.byteorder)
+def _line(values, layout) -> int:
+    """A line of residues as one integer whose slot c of w bits, bits w*c
+    to w*c + w - 1, holds entry c, w the width of the layout
+    (``PrimeField._layout``); slot c of x is x >> w*c & (2**w - 1)."""
+    w, code, _ = layout
+    if w == 8:
+        return int.from_bytes(bytes(values), "little")
+    words = array(code, values)
+    if _SWAP:
+        words.byteswap()
+    return int.from_bytes(words, "little")
 
 
-def _pack(lines) -> list[int]:
+def _pack(lines, layout) -> list[int]:
     """Each line of residues as one integer (:func:`_line`)."""
-    return list(map(_line, lines))
+    return [_line(values, layout) for values in lines]
 
 
-def _unpack(x: int, slots: int, p: int) -> list[int]:
-    """The residues modulo p of the first ``slots`` 64-bit slots of x."""
-    return [y % p for y in memoryview(x.to_bytes(8 * slots, sys.byteorder)).cast("Q")]
+def _unpack(x: int, slots: int, p: int, layout) -> list[int]:
+    """The residues modulo p of the first ``slots`` slots of x: byte slots
+    by one ``bytes.translate`` through the table of b % p, wider ones by
+    one ``% p`` a slot."""
+    w, code, residues = layout
+    data = x.to_bytes(slots * w >> 3, "little")
+    if residues is not None:
+        return list(data.translate(residues))
+    words = array(code, data)
+    if _SWAP:
+        words.byteswap()
+    return [y % p for y in words]
 
 
-def _packed_product(rows, cols, p: int) -> list[list[int]]:
+def _packed_product(rows, cols, p: int, layout) -> list[list[int]]:
     """[[dot(row, col) for col in cols] for row in rows] modulo p, one
     integer multiply-add a term: the k lines (col[j] for col in cols) are
     packed once, and row*cols is the sum of row[j] times line j, whose
-    slots carry nothing while each slot's sum stays below 2**64."""
-    lines = _pack(zip(*cols))
-    return [_unpack(sum(map(_mul, row, lines)), len(cols), p) for row in rows]
+    slots carry nothing while each slot's sum fits the layout's width."""
+    lines = _pack(zip(*cols), layout)
+    return [_unpack(sum(map(_mul, row, lines)), len(cols), p, layout) for row in rows]
 
 
 class Rationals(Field):
@@ -354,6 +377,8 @@ class PrimeField(Field):
         # The most products of two residues that one 64-bit slot sums
         # exactly, k*(p-1)**2 < 2**64; none once p > 2**32.
         self._slot_terms = ((1 << 64) - 1) // (p - 1) ** 2
+        # b % p for each byte b, which reduces a line of byte slots.
+        self._residues = bytes(b % p for b in range(256))
 
     def canon(self, value) -> int:
         if isinstance(value, Scalar):
@@ -403,21 +428,30 @@ class PrimeField(Field):
         p = self.p
         return [(x - f * y) % p for x, y in zip(xs, ys)]
 
+    def _layout(self, bound: int):
+        """(w, array code, table) of packed lines whose slots never exceed
+        bound: w the narrowest width of ``_WIDTHS`` with bound < 2**w, and
+        the table of b % p (``bytes.translate``) when w is 8, else None."""
+        w, code = next(width for width in _WIDTHS if bound >> width[0] == 0)
+        return w, code, self._residues if w == 8 else None
+
     def product(self, rows, cols):
         p = self.p
         if len(rows) * len(cols) >= _PACKED_ENTRIES and len(cols[0]) <= self._slot_terms:
+            layout = self._layout(len(cols[0]) * (p - 1) ** 2)
             # The longer side goes into the slots.
             if len(rows) > len(cols):
-                return [list(line) for line in zip(*_packed_product(cols, rows, p))]
-            return _packed_product(rows, cols, p)
+                return [list(line) for line in zip(*_packed_product(cols, rows, p, layout))]
+            return _packed_product(rows, cols, p, layout)
         return [[sum(map(_mul, row, col)) % p for col in cols] for row in rows]
 
     def operator(self, rows):
-        if len(rows) * len(rows[0]) < _PACKED_ENTRIES or len(rows[0]) > self._slot_terms:
+        n = len(rows[0])
+        if len(rows) * n < _PACKED_ENTRIES or n > self._slot_terms:
             return super().operator(rows)
-        p, slots = self.p, len(rows)
-        columns = _pack(zip(*rows))
-        return lambda v: _unpack(sum(map(_mul, v, columns)), slots, p)
+        p, slots, layout = self.p, len(rows), self._layout(n * (self.p - 1) ** 2)
+        columns = _pack(zip(*rows), layout)
+        return lambda v: _unpack(sum(map(_mul, v, columns)), slots, p, layout)
 
     @staticmethod
     def is_zero(a) -> bool:

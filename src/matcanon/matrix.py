@@ -17,10 +17,12 @@ and returns the first lift that passes the caller's exact check.
 Products run on the field's ``product`` kernel, eliminations on its two
 row primitives, ``dot`` and ``submul``, and Krylov chains on its
 ``operator`` too.  Over word-size GF(p) ``_Span`` reduces rows packed
-into one integer with a 64-bit slot per entry (``fields._line``): one
-slot read and one integer multiply-add per update, one ``% p`` per entry
-when a row is unpacked (delayed reduction, as in Dumas, Giorgi & Pernet,
-ACM TOMS 35(3), 2008).
+into one integer with a slot per entry (``fields._line``), 8, 16, 32 or
+64 bits wide, the narrowest that holds the largest sum a slot reaches:
+one slot read and one integer multiply-add per update, and one reduction
+when a row is unpacked, by ``bytes.translate`` for byte slots and one
+``% p`` per entry for wider ones (delayed reduction, as in Dumas, Giorgi
+& Pernet, ACM TOMS 35(3), 2008).
 ``similarity_defect`` is the one certificate for every change of basis
 the package returns.
 """
@@ -40,7 +42,7 @@ from .errors import (
     NonSquare,
     SingularMatrix,
 )
-from .fields import _PACKED_ENTRIES, _SLOT, GF, Field, Scalar, _is_prime, _line, _unpack
+from .fields import _PACKED_ENTRIES, GF, Field, Scalar, _is_prime, _line, _unpack
 
 
 class Matrix:
@@ -341,15 +343,19 @@ class _Span:
     Over word-size GF(p) a vector of n entries is reduced as a packed line
     (:func:`_packs`; it takes at most n updates): x = slot c_i of the line,
     reduced, and the update by row i is one integer multiply-add by p - x,
-    row i kept packed too (``lines``).  The line is reduced once, when it
-    is unpacked to find its pivot, so steps, rows and ``made`` are those
-    of the plain loop."""
+    row i kept packed too (``lines``).  A slot thus reaches at most
+    (p-1) + n*(p-1)**2, and the first vector added fixes ``layout``, the
+    narrowest slot width that holds that bound (``PrimeField._layout``);
+    it is False for the plain loop.  The line is reduced once, when it is
+    unpacked to find its pivot, so steps, rows and ``made`` are those of
+    the plain loop."""
 
-    __slots__ = ("field", "pivots", "rows", "made", "lines")
+    __slots__ = ("field", "pivots", "rows", "made", "lines", "layout")
 
     def __init__(self, field: Field):
         self.field = field
         self.pivots, self.rows, self.made, self.lines = [], [], [], []
+        self.layout = None
 
     def __len__(self):
         return len(self.rows)
@@ -359,14 +365,18 @@ class _Span:
         otherwise the steps (i, x) with v = sum of x * row_i."""
         field = self.field
         steps = []
-        packed = _packs(field, len(v))
-        if packed:
-            p, x = field.p, _line(v)
+        layout = self.layout
+        if layout is None:  # the first vector fixes it: n entries, n updates at most
+            n, p = len(v), field.characteristic
+            layout = self.layout = _packs(field, n) and field._layout(p - 1 + n * (p - 1) ** 2)
+        if layout:
+            p, w, x = field.p, layout[0], _line(v, layout)
+            mask = (1 << w) - 1
             for i, c in enumerate(self.pivots):
-                if y := (x >> (c << 6) & _SLOT) % p:
+                if y := (x >> c * w & mask) % p:
                     x += (p - y) * self.lines[i]
                     steps.append((i, y))
-            v = _unpack(x, len(v), p)
+            v = _unpack(x, len(v), p, layout)
         else:
             submul, v = field.submul, list(v)
             # Zero is falsy in every field; row i is zero before its pivot.
@@ -386,8 +396,8 @@ class _Span:
             v[c:] = [mul(x, s) for x in v[c:]]
         self.pivots.append(c)
         self.rows.append(v)
-        if packed:
-            self.lines.append(_line(v))
+        if layout:
+            self.lines.append(_line(v, layout))
         self.made.append((s, steps))
         return None
 

@@ -179,10 +179,20 @@ class QForm:
         return f"QForm({self.a11}, {self.b11}, {self.b21})"
 
 
+def _det2(m: Matrix) -> Scalar:
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
 def invariants(pair: Sl2Pair) -> InvariantTriple:
-    """(det A, tr AB, det B); unchanged under simultaneous conjugation."""
-    ab = pair.a * pair.b
-    return InvariantTriple(pair.a.det(), ab.trace(), pair.b.det())
+    """(det A, tr AB, det B); unchanged under simultaneous conjugation.
+
+    Read off the entries, a11*a22 - a12*a21, the sum of a_ij*b_ji and
+    b11*b22 - b12*b21, with no elimination or product kernel, so that no
+    fault of those engines can change the triple unseen.
+    """
+    a, b = pair.a, pair.b
+    tr = a[0, 0] * b[0, 0] + a[0, 1] * b[1, 0] + a[1, 0] * b[0, 1] + a[1, 1] * b[1, 1]
+    return InvariantTriple(_det2(a), tr, _det2(b))
 
 
 def g_value(y: InvariantTriple) -> Scalar:
@@ -210,7 +220,9 @@ def q_points(y: InvariantTriple) -> list[QForm]:
     """All points of Q in the fibre over y, sorted by (a11, b11).
 
     There are four in odd characteristic (two square-root choices each for
-    a11 and b11) and exactly one in characteristic 2.
+    a11 and b11) and exactly one in characteristic 2.  Each point is checked
+    to have the triple y, read off its coordinates, and BasisFailure is
+    raised if one has not.
     """
     if g_value(y).is_zero():
         raise NotInY(f"{y!r} lies outside Y")
@@ -221,6 +233,9 @@ def q_points(y: InvariantTriple) -> list[QForm]:
         for b11 in roots_b
     ]
     points.sort(key=lambda q: (q.a11.value, q.b11.value))
+    for q in points:
+        if q.invariants() != y:
+            raise BasisFailure(f"fibre point {q!r} has the triple {q.invariants()!r}, not {y!r}")
     return points
 
 
@@ -473,6 +488,7 @@ def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
         return [field.product(p, [v[l * n2:(l + 1) * n2] for v in kernel]) for p, l in zip(words, owners)]
 
     q = words if width == n2 else None  # Q_k, once K has at most n2 columns
+    combine = None  # c -> the sum of c[k]*Q_k, read row by row, for the Q_k of q
     for (i, j, _), c in zip(relations, field.product([v for _, _, v in relations], b_inv)):
         lhs = _product(field, members[i], words[j] if q is None else q[j])
         if q is None:
@@ -484,13 +500,15 @@ def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
             q = images() if len(span) >= width - n2 else None
         else:
             d = len(lhs[0])
-            sums = field.product([c], list(zip(*map(chain.from_iterable, q))))[0]
+            if combine is None:  # packs the Q_k once, until a residual cuts K
+                combine = field.operator(list(zip(*map(chain.from_iterable, q))))
+            sums = combine(c)
             residual = [list(map(field.sub, sums[a * d:(a + 1) * d], lhs[a])) for a in range(n2)]
             if any(map(any, residual)):
                 x = _back_substitute(field, *_echelon(field, residual), d)
                 # Every Q_k times X in one product, which packs X once.
                 stacked = field.product(list(chain.from_iterable(q)), x)
-                q = [stacked[k:k + n2] for k in range(0, len(stacked), n2)]
+                q, combine = [stacked[k:k + n2] for k in range(0, len(stacked), n2)], None
         if q is not None and not q[0][0]:  # K is empty
             return [], b_inv
     columns = [list(zip(*p)) for p in q or images()]

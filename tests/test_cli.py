@@ -220,6 +220,35 @@ class TestPairsCommands:
         assert code == 0
         assert payload["t_invariants"] == ["10", "8", "7"]
 
+    def test_triples_do_not_read_det(self, capsys, tmp_path, qpair7, monkeypatch):
+        """The triples of `pairs invariants` and of a split's tail are read
+        off the entries, so a Matrix.det with its sign flipped changes
+        neither (it gave (1, 1, 4) for (6, 1, 3) when they read det)."""
+        from matcanon import QForm, simple_pair
+        field = GF(11)
+        m = simple_pair(4, field).direct_sum(QForm(field(1), field(2), field(4)).realize())
+        path = tmp_path / "m.mat"
+        path.write_text(format_pair(m.m1, m.m2))
+        argvs = [("pairs", "invariants", qpair7), ("pairs", "split", str(path))]
+        want = [run_json(capsys, *argv) for argv in argvs]
+        det = Matrix.det
+        monkeypatch.setattr(Matrix, "det", lambda self: -det(self))
+        assert Matrix(GF(7), [[1, 1], [0, 6]]).det() == GF(7)(1)
+        assert [run_json(capsys, *argv) for argv in argvs] == want
+        assert want[0][1]["triple"] == ["6", "1", "3"] and want[1][1]["t_invariants"] == ["10", "8", "7"]
+
+    @pytest.mark.parametrize("field", [["Q"], ["GF", "101"]])
+    def test_spoiled_square_root_is_refused(self, capsys, monkeypatch, field):
+        """A fibre point off its triple, here from square roots that are
+        twice the true ones, is a BasisFailure (exit 2), not an answer."""
+        import matcanon.pairs
+        sqrt = matcanon.pairs.sqrt_if_exists
+        code, payload = run_json(capsys, "pairs", "fiber", "-4", "3", "-9", "--field", *field)
+        assert code == 0 and payload["count"] == 4
+        monkeypatch.setattr(matcanon.pairs, "sqrt_if_exists", lambda x: tuple(r * 2 for r in sqrt(x)))
+        code, payload = run_json(capsys, "pairs", "fiber", "-4", "3", "-9", "--field", *field)
+        assert code == 2 and payload["error"] == "BasisFailure", payload
+
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):

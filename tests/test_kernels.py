@@ -1,10 +1,14 @@
 """The packed GF(p) kernels against the plain loops they replace: the
 products and operators of ``fields`` (``PrimeField.product`` and
 ``PrimeField.operator``) and the packed row reduction of ``matrix``
-(``_Span``, alone and through ``_echelon``), on random shapes at and
-around the slot bound k*(p-1)**2 < 2**64, and through ``rnf_transform``
-and ``intertwiners`` with every kernel forced back to the plain loops."""
+(``_Span``, alone and through ``_echelon`` and ``det``), on random shapes
+at and around the slot bound k*(p-1)**2 < 2**64 and on both sides of each
+narrower slot width, and through ``rnf_transform`` and ``intertwiners``
+with every kernel forced back to the plain loops.  The full
+``rnf --verify`` output, T included, of matrices at n = 16 to 40 is
+pinned by digest."""
 
+import hashlib
 import random
 from math import isqrt
 
@@ -13,7 +17,9 @@ import pytest
 import matcanon.fields as fields
 import matcanon.matrix as matrix
 from matcanon import GF, Matrix, PairPoint, intertwiners, rnf_transform
+from matcanon.cli import main
 from matcanon.fields import PrimeField, _is_prime
+from matcanon.fileio import format_matrix
 from matcanon.rnf import RationalNormalForm, assemble_rnf_matrix
 
 from helpers import rand_invertible, rand_matrix, rand_monic
@@ -58,9 +64,9 @@ def shapes(rng):
 
 
 def recorded_packs(monkeypatch):
-    """A list that gets one entry per call of fields._pack."""
+    """A list that gets the slot width of each call of fields._pack."""
     packs, pack = [], fields._pack
-    monkeypatch.setattr(fields, "_pack", lambda lines: packs.append(1) or pack(lines))
+    monkeypatch.setattr(fields, "_pack", lambda lines, layout: packs.append(layout[0]) or pack(lines, layout))
     return packs
 
 
@@ -166,9 +172,9 @@ class TestTransformOnPlainKernels:
 
 
 def recorded_lines(monkeypatch):
-    """A list that gets one entry per line that matrix packs."""
+    """A list that gets the slot width of each line that matrix packs."""
     lines, line = [], matrix._line
-    monkeypatch.setattr(matrix, "_line", lambda values: lines.append(1) or line(values))
+    monkeypatch.setattr(matrix, "_line", lambda values, layout: lines.append(layout[0]) or line(values, layout))
     return lines
 
 
@@ -351,3 +357,107 @@ class TestHomOnPlainKernels:
     def test_relation_by_relation_cases(self, p, monkeypatch):
         for m, m2 in hom_cases(GF(p)):
             assert intertwiners(m, m2) == with_plain_kernels(monkeypatch, intertwiners, m, m2)
+
+
+def narrowest_width(bound: int) -> int:
+    """The narrowest of the slot widths 8, 16, 32 and 64 that holds bound."""
+    return next(w for w in (8, 16, 32, 64) if bound < 1 << w)
+
+
+# (p, k, width): k the products a slot sums (the inner dimension of a
+# product, the columns of an operator), on both sides of each width limit
+# k*(p-1)**2 < 2**w, and the largest prime below 2**32, whose one product
+# fills a 64-bit slot.  With every entry p - 1, GF(2) at k = 255 fills a
+# byte slot.
+PRODUCT_WIDTHS = [(2, 40, 8), (2, 255, 8), (2, 256, 16), (3, 63, 8), (3, 64, 16), (7, 7, 8), (7, 8, 16), (251, 1, 16), (251, 2, 32),
+                  (10007, 42, 32), (10007, 43, 64), (4294967291, 1, 64)]
+# (p, n, width) for spans of vectors of n entries, whose slots reach
+# (p-1) + n*(p-1)**2.
+SPAN_WIDTHS = [(2, 40, 8), (3, 63, 8), (3, 64, 16), (7, 6, 8), (7, 7, 16), (113, 5, 16), (113, 6, 32),
+               (10007, 42, 32), (10007, 43, 64)]
+
+
+class TestSlotWidths:
+    """Each packed kernel takes the narrowest slot that holds its largest
+    sum, and matches the plain loops on both sides of each width limit,
+    with random entries and with every entry p - 1."""
+
+    @pytest.mark.parametrize("p, k, width", PRODUCT_WIDTHS, ids=str)
+    def test_product_and_operator(self, p, k, width, monkeypatch):
+        assert narrowest_width(k * (p - 1) ** 2) == width
+        field = GF(p)
+        rng = random.Random(f"widths/{p}/{k}")
+        packs = recorded_packs(monkeypatch)
+        for entry in (lambda: rng.randrange(p), lambda: p - 1):
+            rows = [[entry() for _ in range(k)] for _ in range(3)]
+            cols = [[entry() for _ in range(k)] for _ in range(9)]
+            packs.clear()
+            assert field.product(rows, cols) == plain_product(field, rows, cols)
+            assert field.product(cols, rows) == plain_product(field, cols, rows)
+            tall = [[entry() for _ in range(k)] for _ in range(24)]
+            op = field.operator(tall)
+            assert [op(v) for v in rows] == [plain_operator(field, tall)(v) for v in rows]
+            assert packs == [width] * 3
+
+    @pytest.mark.parametrize("p, n, width", SPAN_WIDTHS, ids=str)
+    def test_span_echelon_and_det(self, p, n, width, monkeypatch):
+        assert narrowest_width(p - 1 + n * (p - 1) ** 2) == width
+        field = GF(p)
+        rng = random.Random(f"span widths/{p}/{n}")
+        lines = recorded_lines(monkeypatch)
+        for vectors in span_inputs(p, n, rng):
+            got = [span_trace(field, vectors), echelon_trace(field, vectors)]
+            if len(vectors) == n:
+                got.append(Matrix(field, vectors).det())
+            assert lines and set(lines) == {width}
+            lines.clear()
+            with monkeypatch.context() as patch:
+                plain_reductions(patch)
+                want = [span_trace(field, vectors), echelon_trace(field, vectors)]
+                if len(vectors) == n:
+                    want.append(Matrix(field, vectors).det())
+            assert got == want and not lines
+
+
+def rnf_verify_digest(capsys, tmp_path, a: Matrix) -> str:
+    """The SHA-256 of the full output of ``rnf --format json --verify``."""
+    path = tmp_path / "a.mat"
+    path.write_text(format_matrix(a))
+    assert main(["rnf", str(path), "--format", "json", "--verify"]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def pinned_matrix(p, kind, n):
+    """A dense matrix (entries -9..9) or a matrix with the chain of the
+    given degrees (:func:`with_chain`), n x n over GF(p)."""
+    rng = random.Random(f"pinned/{p}/{kind}/{n}")
+    if kind == "dense":
+        return Matrix(GF(p), [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    assert sum(kind) == n
+    return with_chain(GF(p), kind, rng)
+
+
+class TestPinnedTransforms:
+    """The output of ``rnf --verify``, T included, is the one of the 64-bit
+    slots that every packed kernel had before the slots were sized to
+    their bounds: dense (all cyclic), cyclic and derogatory matrices at
+    n = 16 to 48 over GF(2) and GF(3) (byte slots), GF(7) (16-bit) and
+    GF(10007) (32-bit, and 64-bit at n = 48)."""
+
+    @pytest.mark.parametrize("p, kind, n, digest", [
+    (2, 'dense', 32, "055d0a64e4dae98e7420f01ce26ef21b832be7ced36fce1c9bb37ed8659ad17e"),
+    (2, (40,), 40, "64f113be08083a27f507f1916dc8ada9bdc83dea5156c28fbafce66eff069b10"),
+    (2, (16, 8, 8, 4), 36, "235308bde1e2ebe73bbd20f11ba016e528e3c0c0d3ec0682613ebdb611a2d5e3"),
+    (3, 'dense', 32, "dd4043dd80bd2456c4ae94935f6896f150dd9383580253e90f501894474787f7"),
+    (3, (36,), 36, "13189a04cc0afe1b3f1cd3f7b2f2ce0ce2fe0057a525a1f620830af66e70eb38"),
+    (3, (12, 12, 8, 4), 36, "50029f11b8df65d13371c82f632b09e2b3e83774e47ecdf7707cb6934a2377b5"),
+    (7, 'dense', 24, "0083997c02e6df9bdee12cf74890370d6038ffedf8c9a65a2d23d486e30bd126"),
+    (7, (10, 8, 4, 2), 24, "d0f6e29ac5f40f7e8dfca1d4c17c20b8f2a7cc1f1d4373df655df8b4add6d403"),
+    (10007, 'dense', 16, "9664047c53ded1b4e48a37146b95fdd59ea0998432d43dacaffa2b17da322e06"),
+    (10007, 'dense', 32, "a16babf6b88bc7b3c5d3e347c92d1f27138882bf142cf29b34ac7fe5c2455804"),
+    (10007, 'dense', 48, "6a41be18bfbecf27ccbbfae6190e4fc62c3e6344f0e47551faee1b59402708aa"),
+    (10007, (40,), 40, "d02f5cc287d77dd7cdda2df27093e266ff7691d0c7854515c96b09a6443a2fc4"),
+    (10007, (12, 8, 4, 4), 28, "f404ac4879c6d1c3953fce576549f8004d916641f22ded5d07b82ae135d13daf"),
+    ], ids=lambda x: str(x)[:12].replace(" ", ""))
+    def test_rnf_verify_output(self, p, kind, n, digest, capsys, tmp_path):
+        assert rnf_verify_digest(capsys, tmp_path, pinned_matrix(p, kind, n)) == digest

@@ -959,15 +959,17 @@ class TestRelationByRelation:
     def test_spoiled_packed_span_is_a_basis_failure(self):
         """Under ``python -O``, a packed _Span whose stored lines are not its
         rows ends in BasisFailure from intertwiners and split_off_simple
-        over GF(10007), n = 8 and 10, not in SingularMatrix: a line one off
-        in the slot after its pivot spins a dependent basis, and a line
-        packed before its row was scaled to 1 at the pivot leaves the pivot
-        slot nonzero, which the span refuses once it holds the whole
-        space."""
+        over GF(10007), n = 8 and 10 (32-bit slots), not in SingularMatrix:
+        a line one off in the slot after its pivot spins a dependent basis,
+        and a line packed before its row was scaled to 1 at the pivot leaves
+        the pivot slot nonzero, which the span refuses once it holds the
+        whole space.  Over GF(2) (byte slots, reduced by bytes.translate),
+        the End of a random pair, n = 8 and 10, with a line one off leaves
+        a vector outside the whole space."""
         script = textwrap.dedent("""
-            import resource, sys
+            import random, resource, sys
             import matcanon.matrix as matrix
-            from matcanon import GF, BasisFailure, QForm, intertwiners, simple_pair, split_off_simple
+            from matcanon import GF, BasisFailure, Matrix, PairPoint, QForm, intertwiners, simple_pair, split_off_simple
             if __debug__:
                 sys.exit("not running under -O")
             resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
@@ -985,7 +987,7 @@ class TestRelationByRelation:
             def off_slot(span, v):
                 steps = add(span, v)
                 if steps is None and span.lines and span.pivots[-1] + 1 < len(v):
-                    span.lines[-1] += 1 << 64 * (span.pivots[-1] + 1)
+                    span.lines[-1] += 1 << span.layout[0] * (span.pivots[-1] + 1)
                 return steps
 
             def unscaled(span, v):
@@ -993,7 +995,7 @@ class TestRelationByRelation:
                 if steps is None and span.lines:
                     field = span.field
                     s = field.inv(span.made[-1][0])
-                    span.lines[-1] = matrix._line([field.mul(x, s) for x in span.rows[-1]])
+                    span.lines[-1] = matrix._line([field.mul(x, s) for x in span.rows[-1]], span.layout)
                 return steps
 
             field = GF(10007)
@@ -1004,6 +1006,11 @@ class TestRelationByRelation:
                     m = simple_pair(n - 2, field).direct_sum(tail)
                     expect_failure(f"hom {spoil.__name__} {n}", intertwiners, m, m)
                     expect_failure(f"split {spoil.__name__} {n}", split_off_simple, m)
+            rng = random.Random(1)
+            matrix._Span.add = off_slot
+            for n in (8, 10):
+                m = PairPoint(*(Matrix(GF(2), [[rng.randrange(2) for _ in range(n)] for _ in range(n)]) for _ in "ab"))
+                expect_failure(f"hom off_slot GF(2) {n}", intertwiners, m, m)
             matrix._Span.add = add
         """)
         src = str(Path(matcanon.__file__).resolve().parents[1])
@@ -1013,8 +1020,10 @@ class TestRelationByRelation:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
-        assert len(reasons) == 8, proc.stdout
-        assert all("singular" in reason for label, reason in reasons.items() if "off_slot" in label), proc.stdout
+        assert len(reasons) == 10, proc.stdout
+        assert all("singular" in reason for label, reason in reasons.items()
+                   if "off_slot" in label and "GF(2)" not in label), proc.stdout
+        assert all("outside a span" in reasons[f"hom off_slot GF(2) {n}"] for n in (8, 10)), proc.stdout
         assert all("outside a span" in reason for label, reason in reasons.items() if "unscaled" in label), proc.stdout
 
 

@@ -785,10 +785,13 @@ class TestCertificate:
     def test_spoiled_packed_span_raises_under_optimize(self):
         """Under ``python -O``, a packed _Span whose stored lines are not its
         rows ends in BasisFailure from rnf_transform over GF(10007), n = 8
-        and 12: a line one off in the slot after its pivot spoils every
-        reduction by it and fails the certificate, and a line packed before
-        its row was scaled to 1 at the pivot leaves the pivot slot nonzero,
-        which the span refuses once it holds the whole space."""
+        and 12 (32-bit slots): a line one off in the slot after its pivot
+        spoils every reduction by it and fails the certificate, and a line
+        packed before its row was scaled to 1 at the pivot leaves the pivot
+        slot nonzero, which the span refuses once it holds the whole space.
+        Over GF(2), n = 8 and 12 (byte slots, reduced by bytes.translate),
+        the line one off leaves a vector outside the whole space; there
+        every row's scale is 1, so a line cannot be left unscaled."""
         script = textwrap.dedent("""
             import random, resource, sys
             import matcanon.matrix as matrix
@@ -810,7 +813,7 @@ class TestCertificate:
             def off_slot(span, v):
                 steps = add(span, v)
                 if steps is None and span.lines and span.pivots[-1] + 1 < len(v):
-                    span.lines[-1] += 1 << 64 * (span.pivots[-1] + 1)
+                    span.lines[-1] += 1 << span.layout[0] * (span.pivots[-1] + 1)
                 return steps
 
             def unscaled(span, v):
@@ -818,7 +821,7 @@ class TestCertificate:
                 if steps is None and span.lines:
                     field = span.field
                     s = field.inv(span.made[-1][0])
-                    span.lines[-1] = matrix._line([field.mul(x, s) for x in span.rows[-1]])
+                    span.lines[-1] = matrix._line([field.mul(x, s) for x in span.rows[-1]], span.layout)
                 return steps
 
             rng = random.Random(1)
@@ -828,6 +831,10 @@ class TestCertificate:
                 for n in (8, 12):
                     a = Matrix(field, [[rng.randrange(10007) for _ in range(n)] for _ in range(n)])
                     expect_failure(f"{spoil.__name__} {n}", rnf_transform, a)
+            matrix._Span.add = off_slot
+            for n in (8, 12):
+                a = Matrix(GF(2), [[rng.randrange(2) for _ in range(n)] for _ in range(n)])
+                expect_failure(f"off_slot GF(2) {n}", rnf_transform, a)
             matrix._Span.add = add
         """)
         src = str(Path(matcanon.__file__).resolve().parents[1])
@@ -837,9 +844,11 @@ class TestCertificate:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
-        assert list(reasons) == ["off_slot 8", "off_slot 12", "unscaled 8", "unscaled 12"], proc.stdout
+        assert list(reasons) == ["off_slot 8", "off_slot 12", "unscaled 8", "unscaled 12",
+                                 "off_slot GF(2) 8", "off_slot GF(2) 12"], proc.stdout
         assert all("certificate" in reasons[f"off_slot {n}"] for n in (8, 12)), proc.stdout
         assert all("outside a span" in reasons[f"unscaled {n}"] for n in (8, 12)), proc.stdout
+        assert all("outside a span" in reasons[f"off_slot GF(2) {n}"] for n in (8, 12)), proc.stdout
 
     def test_no_assert_statements_in_package(self):
         package = Path(matcanon.__file__).resolve().parent
