@@ -14,6 +14,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm
 from operator import mul as _mul
 
@@ -227,6 +228,17 @@ class Rationals(Field):
                 raise ParseError(f"bad rational literal {value!r}") from exc
         raise ParseError(f"cannot interpret {value!r} as a rational")
 
+    def canon_words(self, words):
+        # Integers in one pass, as in PrimeField.canon_words; a fraction or
+        # a bad word sends every word through canon, which reports the
+        # first bad one.
+        if _INT_LITERALS.fullmatch(" ".join(words)):
+            try:
+                return [Fraction(x) for x in map(int, words)]
+            except ValueError:
+                pass
+        return super().canon_words(words)
+
     @staticmethod
     def add(a, b):
         return a + b
@@ -256,6 +268,8 @@ class Rationals(Field):
         # Each row and column scaled to integers over its own common
         # denominator once; one integer dot product and Fraction an entry.
         xs, ys = map(_integral, (rows, cols))
+        if all(d == 1 for d, _ in chain(xs, ys)):  # no gcd to take
+            return [[Fraction(sum(map(_mul, x, y))) for _, y in ys] for _, x in xs]
         return [[Fraction(sum(map(_mul, x, y)), dx * dy) for dy, y in ys] for dx, x in xs]
 
     @staticmethod

@@ -29,7 +29,7 @@ the package returns.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul as _mul
@@ -495,7 +495,7 @@ def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | No
     return out
 
 
-def _modular_lift(image, accept, limit: int | None = None):
+def _modular_lift(image, accept, limit: Callable[[], int]):
     """The first accepted lift of a computation over Q run modulo primes.
 
     For each prime p of the fixed sequence (``_prime``), ``image(p)`` runs
@@ -507,12 +507,17 @@ def _modular_lift(image, accept, limit: int | None = None):
     of their modulus.  The first result of ``accept`` that is not None is
     returned: ``accept`` runs the exact check over Q, which is the proof.
     BasisFailure is raised once the product of the primes tried passes
-    ``limit``.
+    ``limit()``, the guard on the primes.  The guard is a function of no
+    arguments because it can cost more than a lift that needs one prime:
+    it is called once, and only when a second prime is needed.
     """
     groups: dict = {}  # key -> (lifted values, modulus, primes)
-    tried = 1
-    i = 0
-    while limit is None or tried <= limit:
+    tried, i = 1, 0
+    while True:
+        if i == 1:  # a second prime is needed
+            guard = limit()
+        if i and tried > guard:
+            break
         p = _prime(i)
         i += 1
         tried *= p
@@ -577,9 +582,12 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
         scale = lcm(*(x.denominator for x in row))
         ints.append([x.numerator * (scale // x.denominator) for x in row])
     ncols = len(ints[0])
-    h2 = 1
-    for row in ints:
-        h2 *= max(1, sum(x * x for x in row))
+
+    def guard():
+        h2 = 1
+        for row in ints:
+            h2 *= max(1, sum(x * x for x in row))
+        return 4 * h2 ** 3
 
     def image(p):
         field = GF(p)
@@ -592,7 +600,7 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
             return len(pivots), basis
         return None
 
-    return _modular_lift(image, accept, limit=4 * h2 ** 3)
+    return _modular_lift(image, accept, guard)
 
 
 def _unit_basis(ncols: int, pivots: Sequence[int], entries: list[Fraction]) -> list[list]:
@@ -611,9 +619,19 @@ def _unit_basis(ncols: int, pivots: Sequence[int], entries: list[Fraction]) -> l
     return basis
 
 
-def _mod_rows(rows: Sequence[Sequence[Fraction]], p: int) -> list[list[int]]:
-    """Rows over Q as residues modulo a prime p that divides no denominator."""
-    return [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in rows]
+def _over_one_denominator(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(d, d*A) for the rows of A over Q, d the least common denominator of
+    all its entries."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _mod_rows(d: int, ints: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """The residues modulo a prime p, which does not divide d, of the rows
+    of A = ints/d (:func:`_over_one_denominator`): one inverse a matrix
+    and one product an entry."""
+    inv = pow(d, -1, p)
+    return [[x * inv % p for x in row] for row in ints]
 
 
 def _annihilates(ints: list[list[int]], v: list[Fraction]) -> bool:

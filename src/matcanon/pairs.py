@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import lcm
+from operator import mul as _mul
 
 from .errors import (
     BasisFailure,
@@ -34,9 +35,9 @@ from .errors import (
     SingularMatrix,
     TraceNonzero,
 )
-from .fields import GF, QQ, Field, Scalar, sqrt_if_exists
+from .fields import GF, QQ, Field, Scalar, _integral, sqrt_if_exists
 from .matrix import Matrix, _Span, _back_substitute, _chain, _clear_above, _echelon, _mod_rows, _modular_lift
-from .matrix import _product, _unit, _unit_basis, block_diagonal, similarity_defect
+from .matrix import _over_one_denominator, _product, _unit, _unit_basis, block_diagonal, similarity_defect
 
 
 class PairPoint:
@@ -317,8 +318,10 @@ def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
     runs modulo primes that divide no denominator; as for the kernel in
     ``matrix._rational_rank_and_kernel``, the key is the columns that are
     not free and the values are the entries there, a lift is proved by both
-    equations over Q, and the primes are limited by the Hadamard bound of
-    the system scaled to integers.
+    equations over Q, checked in integers (:func:`_intertwines`) on the
+    members put over one denominator each, once a call, and the primes are
+    limited by the Hadamard bound of the system scaled to integers, which
+    is computed only once a second prime is needed.
     """
     if m.field != m2.field:
         raise FieldMismatch("pairs must share one field")
@@ -330,23 +333,40 @@ def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
 
     if field.characteristic:
         return as_maps(field, _hom_basis(field, *(a._rows for a in members)))
-    den = lcm(*(x.denominator for a in members for row in a._rows for x in row))
+    scaled = [_over_one_denominator(a._rows) for a in members]
+    den = lcm(*(d for d, _ in scaled))
 
     def image(p):
         if den % p == 0:
             return None
-        basis = _hom_basis(GF(p), *(_mod_rows(a._rows, p) for a in members))
+        basis = _hom_basis(GF(p), *(_mod_rows(d, ints, p) for d, ints in scaled))
         free = {max(i for i, x in enumerate(v) if x) for v in basis}
         pivots = tuple(c for c in range(n * n2) if c not in free)
         return pivots, [v[c] for v in basis for c in pivots]
 
     def accept(pivots, entries, bound):
-        maps = as_maps(QQ, _unit_basis(n * n2, pivots, entries))
-        if all(f * m.m1 == m2.m1 * f and f * m.m2 == m2.m2 * f for f in maps):
-            return maps
+        basis = _unit_basis(n * n2, pivots, entries)
+        if all(_intertwines([v[a * n:(a + 1) * n] for a in range(n2)], scaled[:2], scaled[2:])
+               for _, v in _integral(basis)):
+            return as_maps(QQ, basis)
         return None
 
-    return _modular_lift(image, accept, limit=4 * _hadamard_square(m, m2) ** 3)
+    return _modular_lift(image, accept, lambda: 4 * _hadamard_square(m, m2) ** 3)
+
+
+def _intertwines(f: list[list[int]], source, target) -> bool:
+    """Whether f*m_i == m2_i*f for i = 1, 2, in integers: f is an integer
+    matrix F (a common denominator of f cancels), and m_i = S_i/d_i and
+    m2_i = T_i/e_i are given as (d_i, S_i) and (e_i, T_i)
+    (``matrix._over_one_denominator``), so the equation is
+    F*S_i*e_i == T_i*F*d_i."""
+    f_cols = list(zip(*f))
+    for (d, s), (e, t) in zip(source, target):
+        s_cols = list(zip(*s))
+        if ([[e * sum(map(_mul, row, col)) for col in s_cols] for row in f]
+                != [[d * sum(map(_mul, row, col)) for col in f_cols] for row in t]):
+            return False
+    return True
 
 
 def _hadamard_square(m: PairPoint, m2: PairPoint) -> int:
@@ -489,11 +509,15 @@ def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
 
     q = words if width == n2 else None  # Q_k, once K has at most n2 columns
     combine = None  # c -> the sum of c[k]*Q_k, read row by row, for the Q_k of q
+    # For each generator, its c[s:e] -> the sum of c[k]*P_k, read row by
+    # row: the words do not change, so each is packed once.
+    blocks = [] if q is not None else [
+        (s, e, field.operator(list(zip(*map(chain.from_iterable, words[s:e])))))
+        for s, e in zip(starts, starts[1:] + [len(words)])]
     for (i, j, _), c in zip(relations, field.product([v for _, _, v in relations], b_inv)):
         lhs = _product(field, members[i], words[j] if q is None else q[j])
         if q is None:
-            sums = [field.product([c[s:e]], list(zip(*map(chain.from_iterable, words[s:e]))))[0]
-                    if any(c[s:e]) else [field.zero] * n2 * n2 for s, e in zip(starts, starts[1:] + [len(words)])]
+            sums = [op(c[s:e]) if any(c[s:e]) else [field.zero] * n2 * n2 for s, e, op in blocks]
             sums[owners[j]] = list(map(field.sub, sums[owners[j]], chain.from_iterable(lhs)))
             for a in range(n2):
                 span.add([x for part in sums for x in part[a * n2:(a + 1) * n2]])

@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import mul as _mul
 
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .fields import GF, QQ, Field, _integral
 from .matrix import Matrix, _Span, _chain, _coordinates, _mod_rows, _modular_lift, _unit
-from .matrix import block_diagonal, similarity_defect
+from .matrix import _over_one_denominator, block_diagonal, similarity_defect
 from .poly import Polynomial
 
 
@@ -554,14 +553,12 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
     raised, so a bug ends in a refusal instead of a loop.
     """
     n = a.nrows
-    den = lcm(*(x.denominator for row in a._rows for x in row))
-    ints = [[x.numerator * (den // x.denominator) for x in row] for row in a._rows]
-    top = max(1, *(abs(x) for row in ints for x in row))
+    den, ints = _over_one_denominator(a._rows)
 
     def image(p):
         if den % p == 0:
             return None
-        found = _normal_form(GF(p), _mod_rows(a._rows, p))
+        found = _normal_form(GF(p), _mod_rows(den, ints, p))
         if found is None:
             return None
         factors, columns, key = found
@@ -585,4 +582,8 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
             return None
         return r_mat, t_mat, chain
 
-    return _modular_lift(image, accept, limit=(n * top * den) ** (2 * n * n) << 64 * (n + 2))
+    def guard():
+        top = max(1, *(abs(x) for row in ints for x in row))
+        return (n * top * den) ** (2 * n * n) << 64 * (n + 2)
+
+    return _modular_lift(image, accept, guard)

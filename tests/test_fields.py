@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from matcanon import GF, QQ, DivisionByZero, FieldMismatch, MatcanonError, NotPrime, sqrt_if_exists
+from matcanon import GF, QQ, DivisionByZero, FieldMismatch, MatcanonError, NotPrime, ParseError, sqrt_if_exists
 from matcanon.fields import _is_prime
 
 
@@ -99,6 +99,28 @@ class TestCanonicalForm:
     def test_characteristic_query(self):
         assert QQ.characteristic == 0
         assert GF(13).characteristic == 13
+
+    @pytest.mark.parametrize("words", [
+        [],
+        ["0", "-0", "+0", "7", "-12", "+40"],
+        ["9" * 80, "-" + "9" * 80, "+" + "1" + "0" * 40],
+        ["1", "-2/3", "4", "5/-10", "-0/7"],
+        ["1/2"],
+    ])
+    def test_rational_words_as_canon(self, words):
+        got = QQ.canon_words(words)
+        assert got == [QQ.canon(w) for w in words]
+        assert all(type(x) is Fraction for x in got)
+
+    @pytest.mark.parametrize("bad", ["1/0", "1.5", "1_000", "0x10", "+", "\u0663", "", "9" * 5000])
+    def test_bad_rational_words_as_canon(self, bad):
+        """The first bad word is reported, as canon reports it."""
+        with pytest.raises(ParseError) as expected:
+            QQ.canon(bad)
+        for words in ([bad], ["1", bad, "2"], ["3", "1/2", bad], [bad, "1.5"]):
+            with pytest.raises(ParseError) as got:
+                QQ.canon_words(words)
+            assert str(got.value) == str(expected.value)
 
 
 class TestSquareRoots:

@@ -3,7 +3,7 @@
 import pytest
 
 from matcanon import GF, QQ, FieldMismatch, Matrix, ParseError
-from matcanon.fields import Field, PrimeField
+from matcanon.fields import Field, PrimeField, Rationals
 from matcanon.fileio import (
     field_label,
     format_matrix,
@@ -161,4 +161,24 @@ class TestBulkEntries:
     def test_same_as_canon_per_entry(self, text, monkeypatch):
         got = outcome(text)
         monkeypatch.setattr(PrimeField, "canon_words", Field.canon_words)
+        assert got == outcome(text)
+
+    @pytest.mark.parametrize("text", [
+        "field Q\n2 2\n1 -2 +30 -0\n",
+        "field Q\n1 2\n-" + "9" * 60 + " " + "1" + "0" * 80 + "\n",
+        "field Q\n2 2\n1 2/3 -4 -5/-6\n",
+        "field Q\n1 3\n7 -1/2 1/0\n",
+        "field Q\n1 3\n1 1.5 x\n",
+        "field Q\n1 3\n1 1_000 1.5\n",
+        "field Q\n1 3\n1 0x10 1_000\n",
+        "field Q\n1 3\n1 + 2\n",
+        "field Q\n1 3\n1 2 \u0663\n",
+        "field Q\n1 2\n1 " + "9" * 5000 + "\n",
+        "field Q\n2 2\n1 2 3\n",
+    ])
+    def test_q_same_as_canon_per_entry(self, text, monkeypatch):
+        """Q reads integer words in one pass (Rationals.canon_words); a
+        fraction or a bad word sends the block through canon."""
+        got = outcome(text)
+        monkeypatch.setattr(Rationals, "canon_words", Field.canon_words)
         assert got == outcome(text)

@@ -433,8 +433,9 @@ class TestModularLift:
             accepted.append((len(seen), key, values, bound))
             return key if key == "b" and values == self.values[key] else None
 
-        assert _modular_lift(image, accept) == "b"
-        assert len(seen) == 12
+        guards = []  # read once, when the second prime is needed
+        assert _modular_lift(image, accept, lambda: guards.append(len(seen)) or 1 << 1000) == "b"
+        assert len(seen) == 12 and guards == [1]
         primes = {"a": seen[0::2], "b": [seen[1]] + seen[5::2]}
         for key in "ab":
             calls = [(count, values, bound) for count, k, values, bound in accepted if k == key]
@@ -454,5 +455,5 @@ class TestModularLift:
             return "a", [1]
 
         with pytest.raises(BasisFailure):
-            _modular_lift(image, lambda key, values, bound: None, limit=_prime(0) * _prime(1))
+            _modular_lift(image, lambda key, values, bound: None, lambda: _prime(0) * _prime(1))
         assert seen == [_prime(0), _prime(1), _prime(2)]

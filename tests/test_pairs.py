@@ -10,8 +10,10 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import matcanon
+import matcanon.fields
 import matcanon.matrix
 import matcanon.pairs
 from matcanon import (
@@ -45,9 +47,10 @@ from matcanon import (
 )
 from bruteforce import invertible_matrices, simultaneously_similar
 
-from matcanon.matrix import _prime
+from matcanon.fields import PrimeField
+from matcanon.matrix import _over_one_denominator, _prime
 from matcanon.matrix import _Span, _chain, _unit
-from matcanon.pairs import _spin
+from matcanon.pairs import _intertwines, _spin
 
 from helpers import (
     intertwiner_system,
@@ -877,6 +880,27 @@ class TestRelationByRelation:
         for spin, widths, added in calls:
             assert spin[1].count(None) > 1 and 0 < len(added) // n2 < len(spin[2]) and len(widths) < len(spin[2])
 
+    def test_words_are_packed_once(self, monkeypatch):
+        """Three copies of a random 4 x 4 pair over GF(10007) (g = 3,
+        n2 = 12): while the kernel is wider than n2 columns, each relation
+        sums c_k*P_k on one operator per generator, built once, so no
+        product takes one row against the 144 entries of the words, and
+        each of the 12 words is packed as a line once."""
+        field = GF(10007)
+        rng = random.Random(f"three/{field}")
+        p = PairPoint(rand_matrix(field, 4, rng), rand_matrix(field, 4, rng))
+        three = p.direct_sum(p).direct_sum(p)
+        expected = reference_intertwiners(three, three)
+        shapes, lines = [], []
+        product, line = PrimeField.product, matcanon.fields._line
+        monkeypatch.setattr(PrimeField, "product",
+                            lambda self, rows, cols: shapes.append((len(rows), len(cols))) or product(self, rows, cols))
+        monkeypatch.setattr(matcanon.fields, "_line",
+                            lambda values, layout: lines.append(len(values)) or line(values, layout))
+        maps = intertwiners(three, three)
+        assert len(maps) == 9 and maps == expected
+        assert (1, 144) not in shapes and lines.count(144) == 12
+
     @pytest.mark.parametrize("field, n", [(field, n) for field in STRESS_FIELDS[:3] for n in (12, 16)] + [(QQ, 6)],
                              ids=str)
     def test_diagonal_first_members(self, field, n):
@@ -1100,8 +1124,8 @@ class TestRationalLift:
 
     def test_refused_lift_is_a_basis_failure_at_the_limit(self, monkeypatch):
         """With every lift refused, the primes stop once their product passes
-        4*H^6, H^2 the product of max(1, |row|^2) over the rows of the
-        intertwiner system scaled to integers."""
+        the guard, 4*H^6, H^2 the product of max(1, |row|^2) over the rows of
+        the intertwiner system scaled to integers."""
         m = PairPoint(Matrix(QQ, [[1, 2], [0, 1]]), Matrix(QQ, [[Fraction(1, 2), 0], [3, 1]]))
         h2 = 1
         for row in intertwiner_system(m, m)._rows:
@@ -1110,14 +1134,16 @@ class TestRationalLift:
         limits, tried = [], []
         lift = matcanon.pairs._modular_lift
 
-        def refusing(image, accept, limit=None):
-            limits.append(limit)
+        def refusing(image, accept, limit):
+            def guard():
+                limits.append(limit())
+                return limits[-1]
 
             def counted(p):
                 tried.append(p)
                 return image(p)
 
-            return lift(counted, lambda key, values, bound: None, limit)
+            return lift(counted, lambda key, values, bound: None, guard)
 
         monkeypatch.setattr(matcanon.pairs, "_modular_lift", refusing)
         with pytest.raises(BasisFailure):
@@ -1127,6 +1153,80 @@ class TestRationalLift:
         for p in tried[:-1]:
             product *= p
         assert product <= limits[0] < product * tried[-1]
+
+    def test_lift_at_the_first_prime_never_computes_the_guard(self, monkeypatch):
+        """The guard on the primes, 4*H^6, is computed only once a second
+        prime is needed: these Homs lift at the first."""
+        def unread(m, m2):
+            raise AssertionError("_hadamard_square was called")
+
+        m = PairPoint(Matrix(QQ, [[Fraction(1, 2), 1], [0, -3]]), Matrix(QQ, [[Fraction(-2, 3), 0], [5, 1]]))
+        r = PairPoint(Matrix(QQ, [[Fraction(7, 4)]]), Matrix(QQ, [[-1]]))
+        q = QForm(QQ(Fraction(1, 2)), QQ(3), QQ(-1)).realize()
+        for source, target in ((m, m), (m, m.direct_sum(r)), (m.direct_sum(r), m), (q, q), (r, m)):
+            expected = reference_intertwiners(source, target)
+            monkeypatch.setattr(matcanon.pairs, "_hadamard_square", unread)
+            got, used, _ = hom_primes_used(monkeypatch, source, target)
+            monkeypatch.undo()
+            assert got == expected and used == [0]
+
+    def test_spoiled_q_intertwiner_is_a_basis_failure(self, monkeypatch):
+        """A lifted map with one spoiled entry fails the integer check of
+        every lift, so the primes end at the guard in BasisFailure; under
+        python -O too."""
+        unit_basis = matcanon.pairs._unit_basis
+
+        def spoiled(ncols, pivots, entries):
+            basis = unit_basis(ncols, pivots, entries)
+            basis[0][pivots[0]] += Fraction(1, 3)
+            return basis
+
+        m = PairPoint(Matrix(QQ, [[1, 2], [0, 1]]), Matrix(QQ, [[Fraction(1, 2), 0], [3, 1]]))
+        r = PairPoint(Matrix(QQ, [[2]]), Matrix(QQ, [[Fraction(-1, 3)]]))
+        monkeypatch.setattr(matcanon.pairs, "_unit_basis", spoiled)
+        for source, target in ((m, m), (m, m.direct_sum(r)), (m.direct_sum(r), m)):
+            with pytest.raises(BasisFailure, match="prime bound"):
+                intertwiners(source, target)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_integer_check_matches_fraction_products(self, data):
+        """_intertwines on the members over one denominator each says what
+        f*m_i == m2_i*f says in Fractions: random pairs with mixed and
+        negative denominators, n != n2, zero maps, maps from a conjugation
+        into a direct sum and those maps spoiled."""
+        n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        entry = st.builds(Fraction, st.integers(-20, 20),
+                          st.sampled_from([1, 1, 2, -3, 6, -7, 2 ** 40 + 15]))
+
+        def matrix(rows, cols):
+            return Matrix(QQ, data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                                 min_size=rows, max_size=rows)))
+
+        m = PairPoint(matrix(n, n), matrix(n, n))
+        kind = data.draw(st.sampled_from(["random", "zero", "conjugate", "spoiled"]))
+        if kind in ("random", "zero"):
+            m2 = PairPoint(matrix(n + k, n + k), matrix(n + k, n + k))
+            f = matrix(n + k, n) if kind == "random" else Matrix.zeros(QQ, n + k, n)
+        else:
+            g = matrix(n, n)
+            assume(g.is_invertible())
+            m2 = m.conjugated_by(g)
+            f = g.inverse()
+            if k:
+                m2 = m2.direct_sum(PairPoint(matrix(k, k), matrix(k, k)))
+                f = Matrix(QQ, [list(row) for row in f._rows] + [[0] * n for _ in range(k)])
+            f = f.scale(data.draw(entry.filter(bool)))
+            if kind == "spoiled":
+                i, j = data.draw(st.integers(0, n + k - 1)), data.draw(st.integers(0, n - 1))
+                rows = [list(row) for row in f._rows]
+                rows[i][j] += data.draw(entry.filter(bool))
+                f = Matrix(QQ, rows)
+        expected = f * m.m1 == m2.m1 * f and f * m.m2 == m2.m2 * f
+        assert expected or kind in ("random", "spoiled")
+        _, ints = _over_one_denominator(f._rows)
+        scaled = [_over_one_denominator(a._rows) for a in (m.m1, m.m2, m2.m1, m2.m2)]
+        assert _intertwines(ints, scaled[:2], scaled[2:]) == expected
 
 
 class TestSimplePair:

@@ -38,7 +38,7 @@ from matcanon import (
 )
 from matcanon.cli import main
 from matcanon.fileio import format_matrix
-from matcanon.matrix import _mod_rows, _prime
+from matcanon.matrix import _mod_rows, _over_one_denominator, _prime
 from bruteforce import conjugation_orbit
 
 from helpers import (
@@ -377,7 +377,7 @@ class TestKrylovStage:
         for a, expected in cases:
             spans, built = [], []
             monkeypatch.setattr(rnf, "_chain", recording)
-            rows = _mod_rows(a._rows, probe.characteristic) if probe is not field else a._rows
+            rows = _mod_rows(*_over_one_denominator(a._rows), probe.characteristic) if probe is not field else a._rows
             assert rnf._cyclic_unit(probe, rows, probe.operator(rows)) is None
             monkeypatch.undo()
             units = [[next(k for k, x in enumerate(v[0]) if x) for v in lists] for lists in built]
