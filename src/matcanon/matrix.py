@@ -8,12 +8,15 @@ by row.  Rank, kernel, inverse and determinant, and the Krylov chains of
 ``rnf`` and ``pairs``, read its rows, and every output is one that does
 not depend on the order of the pivots: pivot columns, ranks, unit kernel
 bases, reduced echelon forms, determinants and inverses.  Over Q, rank
-and kernel run modulo word-size primes and return only a kernel basis
+and kernel run modulo primes below 2**32 and return only a kernel basis
 proved exactly over Q.
 ``_modular_lift`` is the one driver of such computations modulo primes,
-here and in ``rnf``: it groups the primes by the decisions their runs
-took, combines each group by CRT, lifts it by rational reconstruction
-and returns the first lift that passes the caller's exact check.
+here, in ``pairs`` and in ``rnf``: it groups the primes by the decisions
+their runs took, combines each group by CRT, lifts it by rational
+reconstruction and returns the first lift that passes the caller's exact
+check.  Its primes (``_prime``) are the largest whose packed kernels take
+the caller's width: the column count of a rank, the n*n2 entries of the
+maps of a Hom, and none for ``rnf``, which keeps primes below 2**62.
 Products run on the field's ``product`` kernel, eliminations on its two
 row primitives, ``dot`` and ``submul``, and Krylov chains on its
 ``operator`` too.  Over word-size GF(p) ``_Span`` reduces rows packed
@@ -449,17 +452,24 @@ def _chain(span: _Span, op, iterates: list[list]) -> list | None:
 
 # -- computations over Q, modulo primes -------------------------------------
 
-_PRIMES: list[int] = []
+_PRIMES: dict[int | None, list[int]] = {}
 
 
-def _prime(i: int) -> int:
-    """The (i+1)-th largest prime below 2**62; the sequence is found once."""
-    while len(_PRIMES) <= i:
-        q = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
+def _prime(i: int, width: int | None = None) -> int:
+    """The (i+1)-th largest prime below 2**62, or with a width, the
+    (i+1)-th largest prime p with (width+1)*(p-1)**2 < 2**64: then
+    ``GF(p)._slot_terms`` > width, so the spans, products and operators
+    of vectors of up to width entries pack.  Each sequence is found once."""
+    primes = _PRIMES.setdefault(width, [])
+    while len(primes) <= i:
+        if primes:
+            q = primes[-1] - 1
+        else:
+            q = (1 << 62) - 1 if width is None else isqrt(((1 << 64) - 1) // (width + 1)) + 1
         while not _is_prime(q):
-            q -= 2
-        _PRIMES.append(q)
-    return _PRIMES[i]
+            q -= 1
+        primes.append(q)
+    return primes[i]
 
 
 def _crt(lifted: list[int], m: int, residues: list[int], p: int) -> tuple[list[int], int]:
@@ -495,21 +505,26 @@ def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | No
     return out
 
 
-def _modular_lift(image, accept, limit: Callable[[], int]):
+def _modular_lift(image, accept, limit: Callable[[], int], width: int | None = None):
     """The first accepted lift of a computation over Q run modulo primes.
 
-    For each prime p of the fixed sequence (``_prime``), ``image(p)`` runs
-    the computation over GF(p) and returns (key, residues), or None when p
-    is unusable.  The key names every decision the run took; the primes
-    of one key are combined by CRT, and at the counts of ``_lift_due`` their
-    values are lifted by rational reconstruction and passed to
-    ``accept(key, values, bound)``, with ``bound`` the reconstruction bound
-    of their modulus.  The first result of ``accept`` that is not None is
-    returned: ``accept`` runs the exact check over Q, which is the proof.
-    BasisFailure is raised once the product of the primes tried passes
-    ``limit()``, the guard on the primes.  The guard is a function of no
-    arguments because it can cost more than a lift that needs one prime:
-    it is called once, and only when a second prime is needed.
+    For each prime p of the sequence ``_prime(i, width)``, the largest
+    primes whose packed kernels take vectors of ``width`` entries (those
+    below 2**62 with no width), ``image(p)`` runs the computation over
+    GF(p) and returns (key, residues), or None when p is unusable.  A
+    computation passes the width of its widest elimination; one that pays
+    a cost per prime that packing does not cut passes none, since smaller
+    primes take more of them.  The key names every decision the run took;
+    the primes of one key are combined by CRT, and at the counts of
+    ``_lift_due`` their values are lifted by rational reconstruction and
+    passed to ``accept(key, values, bound)``, with ``bound`` the
+    reconstruction bound of their modulus.  The first result of ``accept``
+    that is not None is returned: ``accept`` runs the exact check over Q,
+    which is the proof.  BasisFailure is raised once the product of the
+    primes tried passes ``limit()``, the guard on the primes.  The guard is
+    a function of no arguments because it can cost more than a lift that
+    needs one prime: it is called once, and only when a second prime is
+    needed.
     """
     groups: dict = {}  # key -> (lifted values, modulus, primes)
     tried, i = 1, 0
@@ -518,7 +533,7 @@ def _modular_lift(image, accept, limit: Callable[[], int]):
             guard = limit()
         if i and tried > guard:
             break
-        p = _prime(i)
+        p = _prime(i, width)
         i += 1
         tried *= p
         found = image(p)
@@ -559,10 +574,11 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
     """Rank and kernel basis over Q by elimination modulo primes.
 
     Each row is scaled to integers, which changes neither the rank nor the
-    kernel.  Modulo each prime an echelon form (:func:`_echelon`) gives
-    the pivot columns, the key of ``_modular_lift``, and back
-    substitution a kernel basis,
-    whose pivot entries are lifted.  A lift is accepted once every vector
+    kernel.  The primes are those of the column count (``_prime(i,
+    ncols)``), so that the spans of the rows pack.  Modulo each prime an
+    echelon form (:func:`_echelon`) gives the pivot columns, the key of
+    ``_modular_lift``, and back substitution a kernel basis, whose pivot
+    entries are lifted.  A lift is accepted once every vector
     v satisfies rows * v == 0 in integers; a full-rank prime has no vector
     to test.
 
@@ -600,7 +616,7 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
             return len(pivots), basis
         return None
 
-    return _modular_lift(image, accept, guard)
+    return _modular_lift(image, accept, guard, ncols)
 
 
 def _unit_basis(ncols: int, pivots: Sequence[int], entries: list[Fraction]) -> list[list]:

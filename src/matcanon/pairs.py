@@ -315,7 +315,9 @@ def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
     of the others, sorted by that entry: the kernel basis of the system of
     these equations in the n2*n entries of f, whose free columns are the
     last nonzero entries.  Over GF(p) it is :func:`_hom_basis`; over Q that
-    runs modulo primes that divide no denominator; as for the kernel in
+    runs modulo primes that divide no denominator, those of width n*n2
+    (``matrix._prime``), so that the echelon form of the maps, its widest
+    elimination, and the spins pack; as for the kernel in
     ``matrix._rational_rank_and_kernel``, the key is the columns that are
     not free and the values are the entries there, a lift is proved by both
     equations over Q, checked in integers (:func:`_intertwines`) on the
@@ -351,7 +353,7 @@ def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
             return as_maps(QQ, basis)
         return None
 
-    return _modular_lift(image, accept, lambda: 4 * _hadamard_square(m, m2) ** 3)
+    return _modular_lift(image, accept, lambda: 4 * _hadamard_square(m, m2) ** 3, n * n2)
 
 
 def _intertwines(f: list[list[int]], source, target) -> bool:

@@ -531,7 +531,10 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
 
     For each prime p that divides no denominator of A, :func:`_normal_form`
     on A mod p gives the chain, the generators and the key for
-    ``matrix._modular_lift``.  A prime with the key of the run over Q
+    ``matrix._modular_lift``.  The primes are the largest below 2**62 (no
+    width), which never pack: a derogatory A pays one k[X] diagonalization
+    a prime, which packing does not cut, and the smaller primes that pack
+    would take more of them.  A prime with the key of the run over Q
     gives that run's images: with the same degrees, each determinantal
     divisor of X*I - A mod p is the image of the one over Q, which divides
     it, so the chain is.  Modulo p the conductor of a unit vector into the

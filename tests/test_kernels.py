@@ -4,9 +4,9 @@ products and operators of ``fields`` (``PrimeField.product`` and
 (``_Span``, alone and through ``_echelon`` and ``det``), on random shapes
 at and around the slot bound k*(p-1)**2 < 2**64 and on both sides of each
 narrower slot width, and through ``rnf_transform`` and ``intertwiners``
-with every kernel forced back to the plain loops.  The full
-``rnf --verify`` output, T included, of matrices at n = 16 to 40 is
-pinned by digest."""
+with every kernel forced back to the plain loops.  The Q Hom and rank
+lifts run on primes whose spans pack.  The full ``rnf --verify`` output,
+T included, of matrices at n = 16 to 40 is pinned by digest."""
 
 import hashlib
 import random
@@ -16,7 +16,7 @@ import pytest
 
 import matcanon.fields as fields
 import matcanon.matrix as matrix
-from matcanon import GF, Matrix, PairPoint, intertwiners, rnf_transform
+from matcanon import GF, QQ, Matrix, PairPoint, QForm, intertwiners, rnf_transform, simple_pair
 from matcanon.cli import main
 from matcanon.fields import PrimeField, _is_prime
 from matcanon.fileio import format_matrix
@@ -68,6 +68,42 @@ def recorded_packs(monkeypatch):
     packs, pack = [], fields._pack
     monkeypatch.setattr(fields, "_pack", lambda lines, layout: packs.append(layout[0]) or pack(lines, layout))
     return packs
+
+
+def recorded_spans(monkeypatch):
+    """A list that gets (entries, layout) of each vector added to a _Span
+    over GF(p)."""
+    spans, add = [], matrix._Span.add
+
+    def recording(span, v):
+        found = add(span, v)
+        if span.field.characteristic:
+            spans.append((len(v), span.layout))
+        return found
+
+    monkeypatch.setattr(matrix._Span, "add", recording)
+    return spans
+
+
+class TestQLiftsPack:
+    """The lifts of a Q Hom and a Q rank run on primes whose spans pack at
+    their widths: the maps of n*n2 entries of the Hom echelon, the spin
+    vectors of n entries and the rows of the rank."""
+
+    def test_hom_at_8(self, monkeypatch):
+        rng = random.Random("packed-hom/8")
+        t = QForm(QQ(2), QQ(3), QQ(1)).realize()
+        m = simple_pair(8, QQ).direct_sum(t).conjugated_by(rand_invertible(QQ, 8, rng))
+        spans = recorded_spans(monkeypatch)
+        assert len(intertwiners(m, m)) == 2
+        assert {8, 64} <= {n for n, _ in spans}
+        assert all(layout for _, layout in spans)
+
+    def test_rank_at_32(self, monkeypatch):
+        a = rand_matrix(QQ, 32, random.Random("packed-rank/32"))
+        spans = recorded_spans(monkeypatch)
+        assert a.rank() == 32
+        assert spans and all(n == 32 and layout for n, layout in spans)
 
 
 class TestPackedKernels:

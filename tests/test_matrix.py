@@ -181,8 +181,8 @@ class TestDeterminant:
         assert not Matrix(QQ, [[1, 1], [1, 1]]).is_invertible()
 
 
-# _prime(0) is above 2**32, so its spans run the plain loop, as every
-# rank, rnf and Hom over Q does modulo its primes.
+# _prime(0) is above 2**32, so its spans run the plain loop, as the rnf
+# lift over Q does modulo its primes.
 ELIM_FIELDS = [GF(2), GF(3), GF(10007), GF(_prime(0)), QQ]
 
 
@@ -302,13 +302,15 @@ class TestDetBeyondLeibniz:
 
 
 def modular_primes_used(monkeypatch, a):
-    """rank_and_kernel of a, and the indices of the primes it reduced modulo."""
+    """rank_and_kernel of a, and the indices of the primes it reduced
+    modulo: those of the sequence for its column count (``_prime(i,
+    a.ncols)``)."""
     used = []
-    prime = matcanon.matrix._prime
 
-    def recording(i):
+    def recording(i, width=None):
+        assert width == a.ncols
         used.append(i)
-        return prime(i)
+        return _prime(i, width)
 
     monkeypatch.setattr(matcanon.matrix, "_prime", recording)
     return a.rank_and_kernel(), used
@@ -324,9 +326,9 @@ def assert_matches_reference(a):
 
 class TestModularRankKernel:
     """Rank and kernel over Q run modulo primes; the results must be those
-    of exact Gauss-Jordan elimination, including for unlucky primes."""
-
-    p0, p1 = _prime(0), _prime(1)
+    of exact Gauss-Jordan elimination, including for unlucky primes.  The
+    lift of a matrix with c columns runs modulo _prime(i, c), so each
+    unlucky input is built from the primes of its own column count."""
 
     def test_prime_sequence(self):
         primes = [_prime(i) for i in range(6)]
@@ -335,44 +337,65 @@ class TestModularRankKernel:
         assert all(_is_prime(p) for p in primes)
         assert not any(_is_prime(q) for q in range(primes[-1] + 1, 2 ** 62) if q not in primes)
 
+    @pytest.mark.parametrize("width", [1, 4, 64, 576])
+    def test_packed_prime_sequence(self, width):
+        """The primes of a lift of that width: the largest p with
+        (width+1)*(p-1)**2 < 2**64, decreasing, none skipped, so that the
+        spans, products and operators of that width pack."""
+        primes = [_prime(i, width) for i in range(6)]
+        assert all(_is_prime(p) for p in primes)
+        assert all(p > q for p, q in zip(primes, primes[1:]))
+        assert not any(_is_prime(q) for q in range(primes[-1] + 1, primes[0]) if q not in primes)
+        above = primes[0] + 1
+        while not _is_prime(above):
+            above += 1
+        assert (width + 1) * (primes[0] - 1) ** 2 < 2 ** 64 <= (width + 1) * (above - 1) ** 2
+        assert all(GF(p)._slot_terms > width for p in primes)
+
     def test_unlucky_prime_drops_the_rank(self, monkeypatch):
-        a = Matrix(QQ, [[self.p0, 0], [0, 1]])
+        p0 = _prime(0, 2)
+        a = Matrix(QQ, [[p0, 0], [0, 1]])
         (rank, kernel), used = modular_primes_used(monkeypatch, a)
         assert (rank, kernel) == (2, [])
         assert used == [0, 1]
-        b = Matrix(QQ, [[self.p0, 0, self.p0], [1, 1, 1], [2, 2, 2]])
+        p0 = _prime(0, 3)
+        b = Matrix(QQ, [[p0, 0, p0], [1, 1, 1], [2, 2, 2]])
         (rank, kernel), used = modular_primes_used(monkeypatch, b)
         assert rank == 2 and used[:2] == [0, 1]
         assert_matches_reference(b)
 
     def test_unlucky_prime_shifts_the_pivots(self, monkeypatch):
-        a = Matrix(QQ, [[self.p0, 1]])
+        p0 = _prime(0, 2)
+        a = Matrix(QQ, [[p0, 1]])
         (rank, kernel), used = modular_primes_used(monkeypatch, a)
         assert rank == 1
-        assert kernel == [Matrix(QQ, [[Fraction(-1, self.p0)], [1]])]
+        assert kernel == [Matrix(QQ, [[Fraction(-1, p0)], [1]])]
         assert used[0] == 0 and len(used) > 1
         assert_matches_reference(a)
 
     def test_unlucky_prime_after_a_good_one_is_skipped(self, monkeypatch):
         # -1/p1 needs three good primes; p1 comes second and moves the pivot,
         # so it must be skipped without discarding p0.
-        a = Matrix(QQ, [[self.p1, 1]])
+        p1 = _prime(1, 2)
+        a = Matrix(QQ, [[p1, 1]])
         (rank, kernel), used = modular_primes_used(monkeypatch, a)
-        assert rank == 1 and kernel == [Matrix(QQ, [[Fraction(-1, self.p1)], [1]])]
+        assert rank == 1 and kernel == [Matrix(QQ, [[Fraction(-1, p1)], [1]])]
         assert used == [0, 1, 2, 3]
 
     def test_two_unlucky_primes(self, monkeypatch):
         # det = p0 * p1: both first primes lose a pivot; the third is good.
-        a = Matrix(QQ, [[self.p0, 0, 0], [0, self.p1, 0], [1, 1, 1]])
-        assert leibniz_det(a) == self.p0 * self.p1
+        p0, p1 = _prime(0, 3), _prime(1, 3)
+        a = Matrix(QQ, [[p0, 0, 0], [0, p1, 0], [1, 1, 1]])
+        assert leibniz_det(a) == p0 * p1
         (rank, kernel), used = modular_primes_used(monkeypatch, a)
         assert (rank, kernel) == (3, []) and used == [0, 1, 2]
         # With one more column the rank stays 3 modulo p0 and p1 but the
         # pivots move right; -1/p0 and -1/p1 need several good primes.
-        b = Matrix(QQ, [[self.p0, 0, 0, 1], [0, self.p1, 0, 1], [0, 0, 1, 1]])
+        p0, p1 = _prime(0, 4), _prime(1, 4)
+        b = Matrix(QQ, [[p0, 0, 0, 1], [0, p1, 0, 1], [0, 0, 1, 1]])
         (rank, kernel), used = modular_primes_used(monkeypatch, b)
         assert rank == 3 and used[:2] == [0, 1] and len(used) > 3
-        assert kernel == [Matrix(QQ, [[Fraction(-1, self.p0)], [Fraction(-1, self.p1)], [-1], [1]])]
+        assert kernel == [Matrix(QQ, [[Fraction(-1, p0)], [Fraction(-1, p1)], [-1], [1]])]
 
     def test_large_entries_need_several_primes(self, monkeypatch):
         rng = random.Random(29)
@@ -396,6 +419,17 @@ class TestModularRankKernel:
         assert_matches_reference(a)
         h = submatrix(a, 0, n, 0, n)
         assert Matrix.from_columns(QQ, [v.column_raw(0)[:n] for v in kernel]) == -h.inverse()
+
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_beyond_brute_force(self, n):
+        """Full and half rank at n = 32 and 48, entries with denominators
+        1 to 9, against exact Gauss-Jordan elimination."""
+        rng = random.Random(f"rank/{n}")
+        full = rand_matrix(QQ, n, rng)
+        half = rand_matrix(QQ, n, rng, n // 2) * rand_matrix(QQ, n // 2, rng, n)
+        for a, rank in ((full, n), (half, n // 2)):
+            assert a.rank() == rank
+            assert_matches_reference(a)
 
     def test_mixed_denominators_and_shapes(self):
         rng = random.Random(31)

@@ -53,6 +53,7 @@ from matcanon.matrix import _Span, _chain, _unit
 from matcanon.pairs import _intertwines, _spin
 
 from helpers import (
+    gauss_jordan,
     intertwiner_system,
     rand_invertible,
     rand_matrix,
@@ -1053,13 +1054,15 @@ class TestRelationByRelation:
 
 def hom_primes_used(monkeypatch, m, m2):
     """intertwiners(m, m2) over Q, the indices of the primes tried and the
-    primes that _hom_basis ran modulo."""
+    primes that _hom_basis ran modulo: those of the sequence for the width
+    of its maps, ``_prime(i, m.size * m2.size)``."""
     used, ran = [], []
-    prime, hom_basis = matcanon.matrix._prime, matcanon.pairs._hom_basis
+    hom_basis = matcanon.pairs._hom_basis
 
-    def recording_prime(i):
+    def recording_prime(i, width=None):
+        assert width == m.size * m2.size
         used.append(i)
-        return prime(i)
+        return _prime(i, width)
 
     def recording_basis(field, *members):
         ran.append(field.characteristic)
@@ -1072,35 +1075,67 @@ def hom_primes_used(monkeypatch, m, m2):
 
 class TestRationalLift:
     """Over Q the Hom basis is lifted from runs modulo primes; bad primes
-    must not change it."""
-
-    p0 = _prime(0)
+    must not change it.  A Hom of maps with w entries runs modulo
+    _prime(i, w), so each bad prime is one of the sequence of its width."""
 
     def test_prime_dividing_a_denominator_is_skipped(self, monkeypatch):
-        m = PairPoint(Matrix(QQ, [[Fraction(1, self.p0), 1], [0, 2]]), Matrix(QQ, [[0, 1], [1, 0]]))
+        def pair(p):
+            return PairPoint(Matrix(QQ, [[Fraction(1, p), 1], [0, 2]]), Matrix(QQ, [[0, 1], [1, 0]]))
+
         m2 = PairPoint(Matrix(QQ, [[1]]), Matrix(QQ, [[1]]))
-        for source, target in ((m, m), (m, m2), (m2, m)):
+        # Maps of 2 x 2 entries between two copies, of 2 x 1 and 1 x 2 with m2.
+        for p, (source, target) in ((_prime(0, 4), (pair(_prime(0, 4)),) * 2),
+                                    (_prime(0, 2), (pair(_prime(0, 2)), m2)),
+                                    (_prime(0, 2), (m2, pair(_prime(0, 2))))):
             got, used, ran = hom_primes_used(monkeypatch, source, target)
             assert got == reference_intertwiners(source, target)
-            assert used[0] == 0 and self.p0 not in ran and len(ran) == len(used) - 1
+            assert used[0] == 0 and p not in ran and len(ran) == len(used) - 1
 
     def test_shifted_pivots_do_not_change_the_basis(self, monkeypatch):
         # Hom((0, 0), (t1, 0)) is the kernel of t1, spanned by (1, p0) over
         # Q, so its map is 1/p0 over 1; modulo p0 it is (1, 0), 1 at another
-        # entry.
+        # entry.  Its maps have 2 x 1 entries.
+        p0 = _prime(0, 2)
         m = PairPoint(Matrix(QQ, [[0]]), Matrix(QQ, [[0]]))
-        m2 = PairPoint(Matrix(QQ, [[self.p0, -1], [0, 0]]), Matrix.zeros(QQ, 2, 2))
+        m2 = PairPoint(Matrix(QQ, [[p0, -1], [0, 0]]), Matrix.zeros(QQ, 2, 2))
         got, used, ran = hom_primes_used(monkeypatch, m, m2)
-        assert got == reference_intertwiners(m, m2) == [Matrix(QQ, [[Fraction(1, self.p0)], [1]])]
-        assert ran[0] == self.p0 and len(ran) > 2
+        assert got == reference_intertwiners(m, m2) == [Matrix(QQ, [[Fraction(1, p0)], [1]])]
+        assert ran[0] == p0 and len(ran) > 2
 
     def test_larger_space_modulo_a_prime_does_not_change_the_basis(self, monkeypatch):
         # t1 = diag(p0, 1) has no kernel over Q, but one modulo p0.
+        p0 = _prime(0, 2)
         m = PairPoint(Matrix(QQ, [[0]]), Matrix(QQ, [[0]]))
-        m2 = PairPoint(Matrix(QQ, [[self.p0, 0], [0, 1]]), Matrix.zeros(QQ, 2, 2))
+        m2 = PairPoint(Matrix(QQ, [[p0, 0], [0, 1]]), Matrix.zeros(QQ, 2, 2))
         got, used, ran = hom_primes_used(monkeypatch, m, m2)
         assert got == reference_intertwiners(m, m2) == []
-        assert ran == [self.p0, _prime(1)]
+        assert ran == [p0, _prime(1, 2)]
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_split_instances_beyond_brute_force(self, n):
+        """M = S(n-2) (+) T, T a Q-form pair, conjugated by a random g over
+        Q.  Hom(M, T) and Hom(T, M) match the Gauss-Jordan kernel of their
+        systems.  That of End(M) is too large for it here, so End(M) is
+        matched against the span of g^-1*E*g for the projections E onto
+        S(n-2) and T: both are simple, with endomorphisms Q, and not
+        isomorphic, so these span End(M), and its basis, 1 at the last
+        nonzero entry of each map read row by row and 0 at those of the
+        others, is the reduced echelon form of the reversed maps."""
+        rng = random.Random(f"beyond/{n}")
+        t = QForm(QQ(rng.randint(1, 5)), QQ(rng.randint(1, 5)), QQ(rng.randint(1, 5))).realize()
+        g = rand_invertible(QQ, n, rng)
+        m = simple_pair(n, QQ).direct_sum(t).conjugated_by(g)
+        for source, target in ((m, t), (t, m)):
+            assert intertwiners(source, target) == reference_intertwiners(source, target) != []
+        gi = g.inverse()
+        reversed_maps = []
+        for start, stop in ((0, n - 2), (n - 2, n)):
+            e = Matrix(QQ, [[int(i == j and start <= i < stop) for j in range(n)] for i in range(n)])
+            reversed_maps.append([x for row in (gi * e * g)._rows for x in row][::-1])
+        assert len(gauss_jordan(QQ, reversed_maps)) == 2  # reduces them in place
+        expected = [Matrix._raw(QQ, [v[::-1][a * n:(a + 1) * n] for a in range(n)])
+                    for v in reversed(reversed_maps)]
+        assert intertwiners(m, m) == expected
 
     def test_hadamard_square_matches_the_reference(self):
         """The limit of the lift is unchanged by the per-line sums: the
@@ -1134,7 +1169,7 @@ class TestRationalLift:
         limits, tried = [], []
         lift = matcanon.pairs._modular_lift
 
-        def refusing(image, accept, limit):
+        def refusing(image, accept, limit, width=None):
             def guard():
                 limits.append(limit())
                 return limits[-1]
@@ -1143,7 +1178,7 @@ class TestRationalLift:
                 tried.append(p)
                 return image(p)
 
-            return lift(counted, lambda key, values, bound: None, guard)
+            return lift(counted, lambda key, values, bound: None, guard, width)
 
         monkeypatch.setattr(matcanon.pairs, "_modular_lift", refusing)
         with pytest.raises(BasisFailure):
