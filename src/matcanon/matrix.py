@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul as _mul
 
 from .errors import (
@@ -505,7 +505,7 @@ def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | No
     return out
 
 
-def _modular_lift(image, accept, limit: Callable[[], int], width: int | None = None):
+def _modular_lift(image, accept, limit: Callable[[], int | _Guard], width: int | None = None):
     """The first accepted lift of a computation over Q run modulo primes.
 
     For each prime p of the sequence ``_prime(i, width)``, the largest
@@ -521,10 +521,10 @@ def _modular_lift(image, accept, limit: Callable[[], int], width: int | None = N
     reconstruction bound of their modulus.  The first result of ``accept``
     that is not None is returned: ``accept`` runs the exact check over Q,
     which is the proof.  BasisFailure is raised once the product of the
-    primes tried passes ``limit()``, the guard on the primes.  The guard is
-    a function of no arguments because it can cost more than a lift that
-    needs one prime: it is called once, and only when a second prime is
-    needed.
+    primes tried passes ``limit()``, the guard on the primes, an integer or
+    a :class:`_Guard`.  The guard is a function of no arguments because it
+    can cost more than a lift that needs one prime: it is called once, and
+    only when a second prime is needed.
     """
     groups: dict = {}  # key -> (lifted values, modulus, primes)
     tried, i = 1, 0
@@ -556,6 +556,61 @@ def _modular_lift(image, accept, limit: Callable[[], int], width: int | None = N
         if result is not None:
             return result
     raise BasisFailure("no lift modulo primes passed the exact check within the prime bound")
+
+
+class _Guard:
+    """The limit 4*H**6 on the product of a lift's primes, H**2 the product
+    of the integer factors >= 1 (the squared norms of the rows of a
+    Hadamard bound), compared with integers x >= 0 by bit lengths where
+    those decide: with l the sum of the factors' bit lengths less one each
+    and u the sum of their bit lengths, 2**(3l+2) <= 4*H**6 < 2**(3u+2).
+    H**2 and its cube, millions of bits for a large system, are formed only
+    for an x between the two, the product by a tree of pairs, whose large
+    products are of operands of like size (a running product costs time
+    quadratic in its final length)."""
+
+    __slots__ = ("factors", "low", "high", "_value")
+
+    def __init__(self, factors: list[int]):
+        self.factors = factors = factors or [1]
+        self.high = sum(f.bit_length() for f in factors)
+        self.low = self.high - len(factors)
+        self._value = None
+
+    def value(self) -> int:
+        """4*H**6 itself, formed once."""
+        if self._value is None:
+            factors = self.factors
+            while len(factors) > 1:
+                factors = [prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+            self._value = 4 * factors[0] ** 3
+        return self._value
+
+    def _compare(self, x: int) -> int:
+        """-1, 0 or 1 as x is below, at or above 4*H**6."""
+        t = x.bit_length()
+        if t <= 3 * self.low + 2:
+            return -1
+        if t > 3 * self.high + 2:
+            return 1
+        return (x > self.value()) - (x < self.value())
+
+    def __lt__(self, x):
+        return self._compare(x) > 0
+
+    def __le__(self, x):
+        return self._compare(x) >= 0
+
+    def __gt__(self, x):
+        return self._compare(x) < 0
+
+    def __ge__(self, x):
+        return self._compare(x) <= 0
+
+    def __eq__(self, x):
+        return self.value() == x
+
+    __hash__ = None
 
 
 def _lift_due(count: int) -> bool:
@@ -600,10 +655,7 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
     ncols = len(ints[0])
 
     def guard():
-        h2 = 1
-        for row in ints:
-            h2 *= max(1, sum(x * x for x in row))
-        return 4 * h2 ** 3
+        return _Guard([max(1, sum(x * x for x in row)) for row in ints])
 
     def image(p):
         field = GF(p)
@@ -679,19 +731,22 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     return Matrix._raw(field, rows)
 
 
-def similarity_defect(a: Matrix, r: Matrix, t: Matrix) -> str | None:
-    """Why T fails to show T^-1 * A * T = R, or None when it does.
+def similarity_defect(a: Matrix | Sequence[Matrix], r: Matrix | Sequence[Matrix], t: Matrix) -> str | None:
+    """Why T fails to show T^-1 * A * T = R, or None when it does.  A and R
+    may also be sequences of one length, such as the members of two pairs,
+    each A_i checked against its R_i with one T.
 
-    The certificate is det T != 0 together with A * T == T * R; no inverse
-    is formed.  Raises DimensionMismatch when T is invertible but A is not
-    of T's size.
+    The certificate is det T != 0, computed once, together with
+    A * T == T * R; no inverse is formed.  Raises DimensionMismatch when T
+    is invertible but an A is not of T's size.
     """
     if not t.is_invertible():
         return "transform is singular"
-    if (a.nrows, a.ncols) != (t.nrows, t.ncols):
-        raise DimensionMismatch(
-            f"transform is {t.nrows}x{t.ncols} but the matrix is {a.nrows}x{a.ncols}"
-        )
-    if (r.nrows, r.ncols) != (t.nrows, t.ncols) or a * t != t * r:
-        return "conjugation does not reproduce the claimed form"
+    for a_i, r_i in [(a, r)] if isinstance(a, Matrix) else zip(a, r, strict=True):
+        if (a_i.nrows, a_i.ncols) != (t.nrows, t.ncols):
+            raise DimensionMismatch(
+                f"transform is {t.nrows}x{t.ncols} but the matrix is {a_i.nrows}x{a_i.ncols}"
+            )
+        if (r_i.nrows, r_i.ncols) != (t.nrows, t.ncols) or a_i * t != t * r_i:
+            return "conjugation does not reproduce the claimed form"
     return None

@@ -12,9 +12,12 @@ basis that splits one copy of that simple pair off a larger pair.
 
 Every Hom space, and so every change of basis here, comes from
 ``intertwiners``.  A map f with f*m_i = m2_i*f is fixed by its values on
-the generators of a spin of the pair, a basis of m1-chains on the Krylov
-engine of ``matrix``, and the relations of the spin cut those values down
-one at a time; over Q this runs modulo primes.
+the generators of a spin of one pair (the one with fewer generators, the
+smaller on equal counts), a basis of m1-chains on the Krylov engine of
+``matrix``, and the relations of the spin cut those values down one at a
+time, on words in the other pair's members formed in the coordinates of
+the values left, each when a relation first reads it; over Q this runs
+modulo primes.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     TraceNonzero,
 )
 from .fields import GF, QQ, Field, Scalar, _integral, sqrt_if_exists
-from .matrix import Matrix, _Span, _back_substitute, _chain, _clear_above, _echelon, _mod_rows, _modular_lift
+from .matrix import Matrix, _Guard, _Span, _back_substitute, _chain, _clear_above, _echelon, _mod_rows, _modular_lift
 from .matrix import _over_one_denominator, _product, _unit, _unit_basis, block_diagonal, similarity_defect
 
 
@@ -277,8 +280,8 @@ def reduce_to_q(pair: Sl2Pair) -> tuple[Matrix, QForm]:
     square root of -x1 and b11 the canonical square root of -x3.  Over Y
     the pair is absolutely simple, so Hom(q, pair) is one-dimensional; g is
     its generator, scaled so that the first nonzero entry of its second
-    column is 1.  g is certified against both members of q by
-    :func:`similarity_defect`, and BasisFailure is raised if it fails.
+    column is 1.  :func:`similarity_defect` certifies g against both
+    members of q with one rank, and BasisFailure is raised if it fails.
     """
     y = invariants(pair)
     if g_value(y).is_zero():
@@ -291,10 +294,9 @@ def reduce_to_q(pair: Sl2Pair) -> tuple[Matrix, QForm]:
     if len(maps) != 1:
         raise BasisFailure(f"Hom(q, pair) has dimension {len(maps)}, expected 1")
     g = _leading_one(maps[0], column=1)
-    for member, normal in ((pair.a, target.a), (pair.b, target.b)):
-        defect = similarity_defect(member, normal, g)
-        if defect is not None:
-            raise BasisFailure(f"reduction to Q failed its certificate: {defect}")
+    defect = similarity_defect((pair.a, pair.b), (target.a, target.b), g)
+    if defect is not None:
+        raise BasisFailure(f"reduction to Q failed its certificate: {defect}")
     return g, q
 
 
@@ -323,7 +325,7 @@ def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
     equations over Q, checked in integers (:func:`_intertwines`) on the
     members put over one denominator each, once a call, and the primes are
     limited by the Hadamard bound of the system scaled to integers, which
-    is computed only once a second prime is needed.
+    is computed only once a second prime is needed (``matrix._Guard``).
     """
     if m.field != m2.field:
         raise FieldMismatch("pairs must share one field")
@@ -353,7 +355,7 @@ def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
             return as_maps(QQ, basis)
         return None
 
-    return _modular_lift(image, accept, lambda: 4 * _hadamard_square(m, m2) ** 3, n * n2)
+    return _modular_lift(image, accept, lambda: _Guard(_hadamard_factors(m, m2)), n * n2)
 
 
 def _intertwines(f: list[list[int]], source, target) -> bool:
@@ -371,10 +373,11 @@ def _intertwines(f: list[list[int]], source, target) -> bool:
     return True
 
 
-def _hadamard_square(m: PairPoint, m2: PairPoint) -> int:
-    """The product over the equations (f*m_i - m2_i*f)[a][c] = 0, scaled to
-    integers, of max(1, the sum of the squares of the coefficients): m_i[b][c]
-    for b != c, -m2_i[a][b] for b != a, and m_i[c][c] - m2_i[a][a].
+def _hadamard_factors(m: PairPoint, m2: PairPoint) -> list[int]:
+    """The factors of H^2, H the Hadamard bound of the equations
+    (f*m_i - m2_i*f)[a][c] = 0 scaled to integers: for each equation,
+    max(1, the sum of the squares of its coefficients), m_i[b][c] for
+    b != c, -m2_i[a][b] for b != a, and m_i[c][c] - m2_i[a][a].
 
     Equation (a, c) is scaled by L, the lcm of the denominators of column c
     of m_i off its diagonal, of row a of m2_i off its diagonal and of the
@@ -393,7 +396,7 @@ def _hadamard_square(m: PairPoint, m2: PairPoint) -> int:
             out.append((d, sum((p * (d // q)) ** 2 for p, q in pairs)))
         return out
 
-    h2 = 1
+    factors = []
     for mi, ti in ((m.m1, m2.m1), (m.m2, m2.m2)):
         cols = off_diagonal(list(zip(*mi._rows)))
         rows = off_diagonal(ti._rows)
@@ -402,28 +405,28 @@ def _hadamard_square(m: PairPoint, m2: PairPoint) -> int:
             for c, (rc, sc) in enumerate(cols):
                 diff = mi._rows[c][c] - taa
                 scale = lcm(rc, ra, diff.denominator)
-                h2 *= max(1, sc * (scale // rc) ** 2 + sa * (scale // ra) ** 2
-                          + (diff.numerator * (scale // diff.denominator)) ** 2)
-    return h2
+                factors.append(max(1, sc * (scale // rc) ** 2 + sa * (scale // ra) ** 2
+                                   + (diff.numerator * (scale // diff.denominator)) ** 2))
+    return factors
 
 
 def _hom_basis(field: Field, s1, s2, t1, t2) -> list[list]:
     """The basis of :func:`intertwiners` over GF(p) from the raw rows of
     M = (s1, s2) and M2 = (t1, t2), each map read row by row: the maps
     F * B^-1 of :func:`_spin_maps` on the spin of M, or on that of M2^T for
-    f^T * t_i^T = s_i^T * f^T if g*n2 > n and its g' generators give
-    g'*n < g*n2, in reduced echelon form with the entries read from the
-    last, which depends on the space alone.
+    f^T * t_i^T = s_i^T * f^T, whichever has fewer generators, the smaller
+    on equal counts and M on a tie (the smaller is spun first, the other
+    only if the first has more than one generator), in reduced echelon form
+    with the entries read from the last, which depends on the space alone.
     """
-    n, n2 = len(s1), len(t1)
-    spin = _spin(field, s1, s2)
-    g = spin[1].count(None)
-    other = _spin(field, list(zip(*t1)), list(zip(*t2))) if g * n2 > n else None
-    flip = other is not None and other[1].count(None) * n < g * n2
-    if flip:
-        images, b_inv = _spin_maps(field, other, list(zip(*s1)), list(zip(*s2)))
-    else:
-        images, b_inv = _spin_maps(field, spin, t1, t2)
+    sides, spins = [(s1, s2, t1, t2), [list(zip(*a)) for a in (t1, t2, s1, s2)]], []
+    for flip in (1, 0) if len(t1) < len(s1) else (0, 1):
+        spin = _spin(field, *sides[flip][:2])
+        spins.append((spin[1].count(None), len(spin[0]), flip, spin))
+        if spins[-1][0] == 1:
+            break
+    _, _, flip, spin = min(spins, key=lambda x: x[:3])
+    images, b_inv = _spin_maps(field, spin, *sides[flip][2:])
     if not images:
         return []
     # All the maps F * B^-1 in one product, which packs B^-1 once.
@@ -482,19 +485,20 @@ def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
     K of those before by the n2 equations sum of c[k]*P_k*w_l(k) =
     t_i*P_j*w_l(j) (the MeatAxe; Holt, Eick & O'Brien 2005, ch. 7): in an
     echelon form while K has more than n2 columns, then on Q_k = P_k*K_l(k),
-    times the kernel of the residual sum of c[k]*Q_k - t_i*Q_j.
+    times the kernel of the residual sum of c[k]*Q_k - t_i*Q_j.  The
+    relations come in spin order and read only the b_k spun before them, so
+    each word, P_k and then Q_k, is formed when a relation first reads it,
+    as t_i times the word of b_j, column by column on one operator per t_i:
+    once the first relations cut K to few columns, a word costs a few
+    matrix-vector products.
     """
     basis, origins, relations = spin
-    n2, members = len(t1), (t1, t2)
-    words, owners, starts = [], [], []  # P_k, l(k) and the first b of each generator
+    n2, ops = len(t1), (field.operator(t1), field.operator(t2))
+    owners, starts = [], []  # l(k) and the first b of each generator
     for k, origin in enumerate(origins):
+        owners.append(len(starts) if origin is None else owners[origin[1]])
         if origin is None:
-            words.append(Matrix.identity(field, n2)._rows)
-            owners.append(len(starts))
             starts.append(k)
-        else:
-            words.append(_product(field, members[origin[0]], words[origin[1]]))
-            owners.append(owners[origin[1]])
     b = list(zip(*basis))
     try:
         b_inv = Matrix._raw(field, b).inverse()._rows
@@ -503,42 +507,58 @@ def _spin_maps(field: Field, spin, t1, t2) -> tuple[list[list], list[list]]:
     if Matrix._raw(field, _product(field, b, b_inv)) != Matrix.identity(field, len(b)):
         raise BasisFailure("the spin basis times its computed inverse is not the identity")
     width, span = len(starts) * n2, _Span(field)
+    # The words as lists of columns, P_k = I at each generator; None until read.
+    identity = Matrix.identity(field, n2)._rows
+    words = [identity if origin is None else None for origin in origins]
+
+    def form(top):  # the words of b_0, ..., b_(top-1)
+        for k in range(top):
+            if words[k] is None:
+                i, j = origins[k]
+                words[k] = [ops[i](col) for col in words[j]]
 
     def images():  # Q_k for K the kernel of the echelon form, its rows sorted by pivot
         rows = sorted(zip(span.pivots, span.rows))
         kernel = _back_substitute(field, [c for c, _ in rows], [r for _, r in rows], width)
-        return [field.product(p, [v[l * n2:(l + 1) * n2] for v in kernel]) for p, l in zip(words, owners)]
+        return [p and field.product([v[l * n2:(l + 1) * n2] for v in kernel], list(zip(*p)))
+                for p, l in zip(words, owners)]
 
-    q = words if width == n2 else None  # Q_k, once K has at most n2 columns
-    combine = None  # c -> the sum of c[k]*Q_k, read row by row, for the Q_k of q
-    # For each generator, its c[s:e] -> the sum of c[k]*P_k, read row by
-    # row: the words do not change, so each is packed once.
-    blocks = [] if q is not None else [
-        (s, e, field.operator(list(zip(*map(chain.from_iterable, words[s:e])))))
-        for s, e in zip(starts, starts[1:] + [len(words)])]
+    staged = width > n2  # K has more than n2 columns: the words are the P_k
+    combine = None  # (low, top, c[low:top] -> the sum of c[k]*W_k over the words W_k of b_low, ..., b_(top-1))
     for (i, j, _), c in zip(relations, field.product([v for _, _, v in relations], b_inv)):
-        lhs = _product(field, members[i], words[j] if q is None else q[j])
-        if q is None:
-            sums = [op(c[s:e]) if any(c[s:e]) else [field.zero] * n2 * n2 for s, e, op in blocks]
+        if not words[0]:  # K is empty
+            return [], b_inv
+        top = next((k for k in range(len(c) - 1, j, -1) if c[k]), j) + 1
+        low = next((k for k in range(top) if c[k]), top - 1)
+        form(top)
+        if combine is None or combine[0] > low or combine[1] < top:  # packs the words once, until more are read or K is cut
+            combine = low, top, field.operator(list(zip(*map(chain.from_iterable, words[low:top]))))
+        low, top, op = combine
+        lhs = [ops[i](col) for col in words[j]]
+        if staged:  # n2 rows in the g*n2 unknowns, the sum of each generator's words
+            parts = ([x if owners[k] == l else field.zero for k, x in enumerate(c[low:top], low)]
+                     for l in range(len(starts)))
+            sums = [op(part) if any(part) else [field.zero] * n2 * n2 for part in parts]
             sums[owners[j]] = list(map(field.sub, sums[owners[j]], chain.from_iterable(lhs)))
             for a in range(n2):
-                span.add([x for part in sums for x in part[a * n2:(a + 1) * n2]])
-            q = images() if len(span) >= width - n2 else None
-        else:
-            d = len(lhs[0])
-            if combine is None:  # packs the Q_k once, until a residual cuts K
-                combine = field.operator(list(zip(*map(chain.from_iterable, q))))
-            sums = combine(c)
-            residual = [list(map(field.sub, sums[a * d:(a + 1) * d], lhs[a])) for a in range(n2)]
-            if any(map(any, residual)):
-                x = _back_substitute(field, *_echelon(field, residual), d)
-                # Every Q_k times X in one product, which packs X once.
-                stacked = field.product(list(chain.from_iterable(q)), x)
-                q, combine = [stacked[k:k + n2] for k in range(0, len(stacked), n2)], None
-        if q is not None and not q[0][0]:  # K is empty
-            return [], b_inv
-    columns = [list(zip(*p)) for p in q or images()]
-    return [list(zip(*(cols[e] for cols in columns))) for e in range(len(columns[0]))], b_inv
+                span.add([x for part in sums for x in part[a::n2]])
+            if len(span) >= width - n2:
+                words, staged, combine = images(), False, None
+            continue
+        d, sums = len(lhs), op(c[low:top])
+        residual = [list(map(field.sub, sums[e * n2:(e + 1) * n2], lhs[e])) for e in range(d)]
+        if any(map(any, residual)):
+            x = _back_substitute(field, *_echelon(field, list(zip(*residual))), d)
+            # Every word read so far times X in one product, which packs X once.
+            read = [k for k, p in enumerate(words) if p is not None]
+            stacked = field.product(x, [row for k in read for row in zip(*words[k])])
+            for h, k in enumerate(read):
+                words[k] = [col[h * n2:(h + 1) * n2] for col in stacked]
+            combine = None
+    if staged:
+        words = images()
+    form(len(words))
+    return [list(zip(*(p[e] for p in words))) for e in range(len(words[0]))], b_inv
 
 
 def simple_pair(n: int, field: Field) -> PairPoint:
@@ -565,8 +585,8 @@ def split_off_simple(m: PairPoint) -> tuple[PairPoint, Matrix]:
     the two generators; then the basis (f*e_1, ..., f*e_{n-2}, y1, y2),
     with y1, y2 spanning ker g, turns m into the exact block diagonal
     s (+) t and the 2x2 tail t is returned together with the basis matrix.
-    The basis is certified against s (+) t by :func:`similarity_defect`,
-    and BasisFailure is raised if it fails.
+    :func:`similarity_defect` certifies the basis against both members of
+    s (+) t with one rank, and BasisFailure is raised if it fails.
     """
     n, field = m.size, m.field
     s = simple_pair(n, field)
@@ -596,8 +616,7 @@ def split_off_simple(m: PairPoint) -> tuple[PairPoint, Matrix]:
         tails.append(Matrix._raw(field, [my[i] for i in free]))
     tail = PairPoint(tails[0], tails[1])
     target = s.direct_sum(tail)
-    for mi, ti in ((m.m1, target.m1), (m.m2, target.m2)):
-        defect = similarity_defect(mi, ti, h)
-        if defect is not None:
-            raise BasisFailure(f"splitting basis failed its certificate: {defect}")
+    defect = similarity_defect((m.m1, m.m2), (target.m1, target.m2), h)
+    if defect is not None:
+        raise BasisFailure(f"splitting basis failed its certificate: {defect}")
     return tail, h

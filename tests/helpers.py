@@ -313,9 +313,9 @@ def reference_intertwiners(m, m2) -> list[Matrix]:
 
 
 def reference_hadamard_square(m, m2) -> int:
-    """``pairs._hadamard_square`` as it was first written: each equation of
-    :func:`intertwiner_system` built row by row and scaled to integers on
-    its own."""
+    """The product of ``pairs._hadamard_factors`` as it was first written:
+    each equation of :func:`intertwiner_system` built row by row and scaled
+    to integers on its own."""
     h2 = 1
     for mi, ti in ((m.m1, m2.m1), (m.m2, m2.m2)):
         cols = list(zip(*mi._rows))

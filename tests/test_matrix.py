@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -20,7 +21,7 @@ from matcanon import (
     block_diagonal,
 )
 from matcanon.fields import _is_prime
-from matcanon.matrix import _modular_lift, _prime, _reconstruction_bound
+from matcanon.matrix import _Guard, _modular_lift, _prime, _reconstruction_bound
 
 from helpers import (
     leibniz_det,
@@ -480,6 +481,21 @@ class TestModularLift:
             for p in primes[key]:
                 modulus *= p
             assert calls[-1][2] == _reconstruction_bound(modulus)
+
+    def test_guard_compares_as_its_value(self):
+        """_Guard(factors) compares with integers as 4*H^6 does, H^2 the
+        product of the factors, below, at and above the limit; where bit
+        lengths decide, H^2 is never formed."""
+        rng = random.Random(5)
+        for _ in range(100):
+            factors = [rng.randrange(1, 1 << rng.randrange(1, 200)) for _ in range(rng.randrange(6))]
+            limit, guard = 4 * prod(factors) ** 3, _Guard(factors)
+            for x in (0, 1, limit - 1, limit, limit + 1, limit // 3, 2 * limit, rng.randrange(limit)):
+                assert ((x < guard, x <= guard, x > guard, x >= guard, x == guard, guard < x)
+                        == (x < limit, x <= limit, x > limit, x >= limit, x == limit, limit < x))
+        guard = _Guard([(1 << 1000) + 1] * 1000)  # H^2 of about a million bits
+        assert 1 << 600 < guard < 1 << 3_100_000 and guard._value is None
+        assert guard == 4 * ((1 << 1000) + 1) ** 3000
 
     def test_limit_raises(self):
         seen = []

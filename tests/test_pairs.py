@@ -6,7 +6,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -60,6 +60,7 @@ from helpers import (
     rand_monic,
     reference_hadamard_square,
     reference_intertwiners,
+    reference_inverse,
     submatrix,
 )
 
@@ -611,31 +612,32 @@ class TestKrylovPath:
 
     @pytest.mark.parametrize("field", REFERENCE_FIELDS[:4], ids=str)
     def test_orientation_rule(self, field, monkeypatch):
-        """The transposed problem is solved exactly when g*n2 > n and the
-        spin of M2^T has g' generators with g'*n < g*n2; each orientation
-        occurs."""
-        sizes = []
+        """The pair with fewer generators is spun, the smaller one on equal
+        counts and M on a tie: the transposed problem, the spin of M2^T
+        with g' generators, is solved exactly when (g', n2) < (g, n).  Each
+        orientation occurs, between pairs of equal and of unequal sizes."""
+        spun = []
         spin_maps = matcanon.pairs._spin_maps
 
         def recording(field, spin, t1, t2):
-            sizes.append(len(spin[0]))
+            spun.append((len(spin[0]), len(t1)))
             return spin_maps(field, spin, t1, t2)
 
         monkeypatch.setattr(matcanon.pairs, "_spin_maps", recording)
         taken = set()
         for name, m, m2 in reference_cases(field):
-            for source, target in ((m, m2), (m2, m)):
-                if source.size == target.size:
-                    continue
+            for source, target in ((m, m2), (m2, m), (m, m)):
                 n, n2 = source.size, target.size
                 g = generators(field, source)
-                transposed = g * n2 > n and generators(field, PairPoint(
-                    target.m1.transpose(), target.m2.transpose())) * n < g * n2
-                sizes.clear()
+                g2 = generators(field, PairPoint(target.m1.transpose(), target.m2.transpose()))
+                transposed = (g2, n2) < (g, n)
+                spun.clear()
                 assert intertwiners(source, target) == reference_intertwiners(source, target), name
-                assert sizes == [n2 if transposed else n], name
-                taken.add(transposed)
-        assert taken == {False, True}
+                assert spun == [(n2, n) if transposed else (n, n2)], name
+                taken.add((transposed, n < n2, n > n2))
+        # (transposed, n < n2, n > n2): the smaller pair spun either way,
+        # and on equal sizes the one with fewer generators, M2^T or M.
+        assert {(False, True, False), (True, False, True), (True, False, False), (False, False, False)} <= taken
 
     def test_spin_by_hand(self):
         """Oracle by hand over GF(7), s1 = [[0,1,0],[1,1,0],[0,0,3]].  e0 ->
@@ -884,8 +886,9 @@ class TestRelationByRelation:
     def test_words_are_packed_once(self, monkeypatch):
         """Three copies of a random 4 x 4 pair over GF(10007) (g = 3,
         n2 = 12): while the kernel is wider than n2 columns, each relation
-        sums c_k*P_k on one operator per generator, built once, so no
-        product takes one row against the 144 entries of the words, and
+        sums c_k*P_k, c masked to each generator's block, on one operator
+        over the words it reads, packed again only when it reads more, so
+        no product takes one row against the 144 entries of the words, and
         each of the 12 words is packed as a line once."""
         field = GF(10007)
         rng = random.Random(f"three/{field}")
@@ -901,6 +904,84 @@ class TestRelationByRelation:
         maps = intertwiners(three, three)
         assert len(maps) == 9 and maps == expected
         assert (1, 144) not in shapes and lines.count(144) == 12
+
+    def test_words_after_the_first_relation_have_one_column(self, monkeypatch):
+        """Hom(S, M) over GF(10007), S = S(10) and M a conjugate of
+        S (+) T (n2 = 12): the spin of S starts with (s1 - 1)*b_0 = 0, which
+        cuts K to one column, so the lhs t_1*Q_0 of that relation is the
+        only product by a member of M with n2 columns; each later lhs and
+        each word Q_k = t_i*Q_j is one matrix-vector product, and no
+        product of n2 x n2 words is formed."""
+        field = GF(10007)
+        s = simple_pair(12, field)
+        # T's first member has the eigenvalues 20 and -20, none of s1's.
+        m = s.direct_sum(QForm(field(20), field(2), field(4)).realize()).conjugated_by(
+            rand_invertible(field, 12, random.Random("one column")))
+        expected = reference_intertwiners(s, m)
+        applied, shapes = [], []
+        operator, product = PrimeField.operator, PrimeField.product
+
+        def counting(self, rows):
+            op, shape = operator(self, rows), (len(rows), len(rows[0]))
+            return lambda v: applied.append(shape) or op(v)
+
+        monkeypatch.setattr(PrimeField, "operator", counting)
+        monkeypatch.setattr(PrimeField, "product",
+                            lambda self, rows, cols: shapes.append((len(rows), len(cols))) or product(self, rows, cols))
+        assert intertwiners(s, m) == expected and len(expected) == 1
+        basis, _, relations = _spin(field, s.m1._rows, s.m2._rows)
+        assert relations[0][:2] == (0, 0)
+        assert applied.count((12, 12)) == 12 + (len(relations) - 1) + (len(basis) - 1)
+        assert (12, 12) not in shapes
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_orientations_agree(self, n, monkeypatch):
+        """Over GF(10007), beyond the reference's range: intertwiners(M, M2)
+        and the transposes of intertwiners(M2^T, M^T) span one space (equal
+        reduced echelon forms of the maps read row by row), for two
+        conjugates of S(n-2) (+) T and for End of (diag(1..n), random).  The
+        two calls spin different pairs, M and M2^T."""
+        field = GF(10007)
+        rng = random.Random(f"orientations/{n}")
+        split = simple_pair(n, field).direct_sum(QForm(field(1), field(2), field(4)).realize())
+        diagonal = diagonal_pair(field, range(1, n + 1), rng)
+        # (M, M2, dim Hom): S(n-2) and T are simple and not isomorphic.
+        cases = [(*(split.conjugated_by(rand_invertible(field, n, rng)) for _ in range(2)), 2), (diagonal, diagonal, 1)]
+        spun = []
+        spin_maps = matcanon.pairs._spin_maps
+        monkeypatch.setattr(matcanon.pairs, "_spin_maps",
+                            lambda field, spin, t1, t2: spun.append(spin[0]) or spin_maps(field, spin, t1, t2))
+
+        def transposed(m):
+            return PairPoint(m.m1.transpose(), m.m2.transpose())
+
+        def canonical(maps):
+            rows = [[x for row in f._rows for x in row] for f in maps]
+            gauss_jordan(field, rows)
+            return rows
+
+        for m, m2, dim in cases:
+            spun.clear()
+            maps = intertwiners(m, m2)
+            back = [f.transpose() for f in intertwiners(transposed(m2), transposed(m))]
+            assert len(maps) == dim and canonical(maps) == canonical(back)
+            assert len(spun) == 2 and spun[0] != spun[1]
+
+    @pytest.mark.parametrize("n", [24, 48])
+    def test_split_beyond_brute_force(self, n):
+        """split_off_simple over GF(10007) on a conjugate of S(n-2) (+) T:
+        Hom dimensions (1, 1), and a basis h, invertible by Gauss-Jordan,
+        with m_i*h = h*(s_i (+) t_i) for a tail t with the triple of T."""
+        field = GF(10007)
+        t = QForm(field(3), field(5), field(7)).realize()
+        s = simple_pair(n, field)
+        m = s.direct_sum(t).conjugated_by(rand_invertible(field, n, random.Random(f"split/{n}")))
+        assert (hom_dimension(s, m), hom_dimension(m, s)) == (1, 1)
+        tail, h = split_off_simple(m)
+        target = s.direct_sum(tail)
+        assert reference_inverse(h) is not None
+        assert m.m1 * h == h * target.m1 and m.m2 * h == h * target.m2
+        assert invariants(Sl2Pair(tail.m1, tail.m2)) == invariants(t)
 
     @pytest.mark.parametrize("field, n", [(field, n) for field in STRESS_FIELDS[:3] for n in (12, 16)] + [(QQ, 6)],
                              ids=str)
@@ -983,14 +1064,19 @@ class TestRelationByRelation:
 
     def test_spoiled_packed_span_is_a_basis_failure(self):
         """Under ``python -O``, a packed _Span whose stored lines are not its
-        rows ends in BasisFailure from intertwiners and split_off_simple
-        over GF(10007), n = 8 and 10 (32-bit slots), not in SingularMatrix:
-        a line one off in the slot after its pivot spins a dependent basis,
-        and a line packed before its row was scaled to 1 at the pivot leaves
-        the pivot slot nonzero, which the span refuses once it holds the
-        whole space.  Over GF(2) (byte slots, reduced by bytes.translate),
-        the End of a random pair, n = 8 and 10, with a line one off leaves
-        a vector outside the whole space."""
+        rows ends in BasisFailure over GF(10007) (32-bit slots), not in
+        SingularMatrix or a wrong answer: from intertwiners, End of
+        S(n-4) (+) T for n = 8 and 10, and from split_off_simple on
+        conjugates of S(n-4) (+) T for n = 10 and 12, whose Homs spin the
+        simple pair S(n-4) on unit vectors, packed from size 5 on.  A line
+        one off in the slot after its pivot spins a dependent basis.  A line
+        packed before its row was scaled to 1 at the pivot leaves the pivot
+        slot nonzero, which the span refuses once it holds the whole space:
+        the Krylov span of End, and in split, where the unit vectors of the
+        spin need no scaling, the kernel of a residual, whose rows the
+        conjugation makes dense.  Over GF(2) (byte slots, reduced by
+        bytes.translate), the End of a random pair, n = 8 and 10, with a
+        line one off leaves a vector outside the whole space."""
         script = textwrap.dedent("""
             import random, resource, sys
             import matcanon.matrix as matrix
@@ -1025,11 +1111,15 @@ class TestRelationByRelation:
 
             field = GF(10007)
             tail = QForm(field(1), field(2), field(4)).realize()
+            rng = random.Random(1)
+            homs = {n: simple_pair(n - 2, field).direct_sum(tail) for n in (8, 10)}
+            splits = {n: simple_pair(n - 2, field).direct_sum(tail).conjugated_by(Matrix(
+                field, [[rng.randrange(field.p) for _ in range(n - 2)] for _ in range(n - 2)])) for n in (10, 12)}
             for spoil in (off_slot, unscaled):
                 matrix._Span.add = spoil
-                for n in (8, 10):
-                    m = simple_pair(n - 2, field).direct_sum(tail)
+                for n, m in homs.items():
                     expect_failure(f"hom {spoil.__name__} {n}", intertwiners, m, m)
+                for n, m in splits.items():
                     expect_failure(f"split {spoil.__name__} {n}", split_off_simple, m)
             rng = random.Random(1)
             matrix._Span.add = off_slot
@@ -1154,7 +1244,7 @@ class TestRationalLift:
             m = PairPoint(member(n), member(n))
             m2 = PairPoint(member(n2), member(n2))
             for source, target in ((m, m2), (m2, m), (m, m)):
-                assert matcanon.pairs._hadamard_square(source, target) == (
+                assert prod(matcanon.pairs._hadamard_factors(source, target)) == (
                     reference_hadamard_square(source, target))
 
     def test_refused_lift_is_a_basis_failure_at_the_limit(self, monkeypatch):
@@ -1193,14 +1283,14 @@ class TestRationalLift:
         """The guard on the primes, 4*H^6, is computed only once a second
         prime is needed: these Homs lift at the first."""
         def unread(m, m2):
-            raise AssertionError("_hadamard_square was called")
+            raise AssertionError("_hadamard_factors was called")
 
         m = PairPoint(Matrix(QQ, [[Fraction(1, 2), 1], [0, -3]]), Matrix(QQ, [[Fraction(-2, 3), 0], [5, 1]]))
         r = PairPoint(Matrix(QQ, [[Fraction(7, 4)]]), Matrix(QQ, [[-1]]))
         q = QForm(QQ(Fraction(1, 2)), QQ(3), QQ(-1)).realize()
         for source, target in ((m, m), (m, m.direct_sum(r)), (m.direct_sum(r), m), (q, q), (r, m)):
             expected = reference_intertwiners(source, target)
-            monkeypatch.setattr(matcanon.pairs, "_hadamard_square", unread)
+            monkeypatch.setattr(matcanon.pairs, "_hadamard_factors", unread)
             got, used, _ = hom_primes_used(monkeypatch, source, target)
             monkeypatch.undo()
             assert got == expected and used == [0]
@@ -1345,6 +1435,20 @@ class TestSplitOff:
         monkeypatch.setattr(matcanon.pairs, "_leading_one", corrupt)
         with pytest.raises(BasisFailure, match="certificate"):
             split_off_simple(m)
+
+    def test_certificates_take_one_rank(self, monkeypatch):
+        """split_off_simple and reduce_to_q certify both members against
+        their basis with one rank of it."""
+        field = GF(11)
+        m = simple_pair(4, field).direct_sum(self.qform_point(field, 1, 2, 4))
+        m = m.conjugated_by(rand_invertible(field, 4, random.Random(5)))
+        pair = self.qform_point(field, 1, 2, 4)
+        ranks = []
+        rank = Matrix.rank
+        monkeypatch.setattr(Matrix, "rank", lambda self: ranks.append(self) or rank(self))
+        _, h = split_off_simple(m)
+        g, _ = reduce_to_q(pair)
+        assert ranks == [h, g]
 
     def test_extra_copy_rejected(self):
         field = GF(11)

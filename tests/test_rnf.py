@@ -624,6 +624,19 @@ class TestCertificate:
             "conjugation does not reproduce the claimed form"
         )
 
+    def test_members_share_one_rank(self, monkeypatch):
+        """Sequences of matrices, such as the members of two pairs, are
+        checked against one T with one rank; the reason is that of the
+        first member T does not carry to its form."""
+        a = Matrix(QQ, [[0, 0], [0, 1]])
+        r, t, _ = rnf_transform(a)
+        ranks = []
+        rank = Matrix.rank
+        monkeypatch.setattr(Matrix, "rank", lambda self: ranks.append(self) or rank(self))
+        assert similarity_defect((a, a), (r, r), t) is None and ranks == [t]
+        assert similarity_defect((a, a), (r, a), t) == "conjugation does not reproduce the claimed form"
+        assert similarity_defect((a, a), (r, r), Matrix.zeros(QQ, 2, 2)) == "transform is singular"
+
     @pytest.mark.parametrize("field", [GF(2), GF(10007), QQ], ids=str)
     def test_singular_krylov_transform_is_refused(self, field, capsys, tmp_path):
         """T = [v, A*v, ..., A^(n-1)*v] for an eigenvector v of A and R the
