@@ -16,7 +16,7 @@ their runs took, combines each group by CRT, lifts it by rational
 reconstruction and returns the first lift that passes the caller's exact
 check.  Its primes (``_prime``) are the largest whose packed kernels take
 the caller's width: the column count of a rank, the n*n2 entries of the
-maps of a Hom, and none for ``rnf``, which keeps primes below 2**62.
+maps of a Hom, and the size n of the matrix of ``rnf``.
 Products run on the field's ``product`` kernel, eliminations on its two
 row primitives, ``dot`` and ``submul``, and Krylov chains on its
 ``operator`` too.  Over word-size GF(p) ``_Span`` reduces rows packed
@@ -452,20 +452,16 @@ def _chain(span: _Span, op, iterates: list[list]) -> list | None:
 
 # -- computations over Q, modulo primes -------------------------------------
 
-_PRIMES: dict[int | None, list[int]] = {}
+_PRIMES: dict[int, list[int]] = {}
 
 
-def _prime(i: int, width: int | None = None) -> int:
-    """The (i+1)-th largest prime below 2**62, or with a width, the
-    (i+1)-th largest prime p with (width+1)*(p-1)**2 < 2**64: then
+def _prime(i: int, width: int) -> int:
+    """The (i+1)-th largest prime p with (width+1)*(p-1)**2 < 2**64: then
     ``GF(p)._slot_terms`` > width, so the spans, products and operators
     of vectors of up to width entries pack.  Each sequence is found once."""
     primes = _PRIMES.setdefault(width, [])
     while len(primes) <= i:
-        if primes:
-            q = primes[-1] - 1
-        else:
-            q = (1 << 62) - 1 if width is None else isqrt(((1 << 64) - 1) // (width + 1)) + 1
+        q = primes[-1] - 1 if primes else isqrt(((1 << 64) - 1) // (width + 1)) + 1
         while not _is_prime(q):
             q -= 1
         primes.append(q)
@@ -505,19 +501,17 @@ def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | No
     return out
 
 
-def _modular_lift(image, accept, limit: Callable[[], int | _Guard], width: int | None = None):
+def _modular_lift(image, accept, limit: Callable[[], int | _Guard], width: int):
     """The first accepted lift of a computation over Q run modulo primes.
 
     For each prime p of the sequence ``_prime(i, width)``, the largest
-    primes whose packed kernels take vectors of ``width`` entries (those
-    below 2**62 with no width), ``image(p)`` runs the computation over
-    GF(p) and returns (key, residues), or None when p is unusable.  A
-    computation passes the width of its widest elimination; one that pays
-    a cost per prime that packing does not cut passes none, since smaller
-    primes take more of them.  The key names every decision the run took;
-    the primes of one key are combined by CRT, and at the counts of
-    ``_lift_due`` their values are lifted by rational reconstruction and
-    passed to ``accept(key, values, bound)``, with ``bound`` the
+    primes whose packed kernels take vectors of ``width`` entries, the
+    width of the computation's widest elimination, ``image(p)`` runs the
+    computation over GF(p) and returns (key, residues), or None when p is
+    unusable.  The key names every decision the run took; the primes of
+    one key are combined by CRT, and at the counts of ``_lift_due`` their
+    values are lifted by rational reconstruction and passed to
+    ``accept(key, values, bound)``, with ``bound`` the
     reconstruction bound of their modulus.  The first result of ``accept``
     that is not None is returned: ``accept`` runs the exact check over Q,
     which is the proof.  BasisFailure is raised once the product of the

@@ -11,15 +11,19 @@ h_i(A)*g_i over the generators so far, P divides each h_i, and the
 generator is x - sum of (h_i/P)(A)*g_i.  So T is the Krylov basis of the
 first unit vector that is a cyclic vector, if there is one.
 
-The chain (P_1, ..., P_r), P_{i+1} | P_i, of a cyclic matrix comes from a
-scan of the unit vectors, which also proves a matrix derogatory; the
-chain of a derogatory matrix is the diagonal of X*I - A reduced over k[X]
-(divide-with-remainder pivoting, smallest-degree pivot first).  Every
-step is a rational operation in the entries of A, polynomial in n, and
-the chains run on ``matrix._Span``, the Krylov engine shared with
-``pairs``.  (R, T) is certified by A * T == T * R with det T != 0; no
-inverse is formed.  Over Q all of it runs modulo word-size primes, lifted
-by ``matrix._modular_lift``.  ``invariant_factors`` is the chain of
+The chain (P_1, ..., P_r), P_{i+1} | P_i, is the conductors f of the
+generators g, f(A)*g = 0: the columns of T are independent, so once the
+conductors divide one another R is the normal form, whose chain is
+unique.  The rule reads only the degrees of the chain: a scan of the
+unit vectors gives those of a cyclic matrix and proves a matrix
+derogatory, and the diagonal of X*I - A reduced over k[X]
+(divide-with-remainder pivoting, smallest-degree pivot first), or a run
+modulo another prime, those of a derogatory one.  Every step is a
+rational operation in the entries of A, polynomial in n, and the chains
+run on ``matrix._Span``, the Krylov engine shared with ``pairs``.
+(R, T) is certified by A * T == T * R with det T != 0; no inverse is
+formed.  Over Q all of it runs modulo word-size primes, lifted by
+``matrix._modular_lift``.  ``invariant_factors`` is the chain of
 ``rnf_transform`` on every field, so every chain is certified.
 """
 
@@ -192,15 +196,15 @@ def _char_matrix(field: Field, a) -> list[list[list]]:
 def _diagonalize(field: Field, d: list[list[list]]):
     """Reduce a square polynomial matrix to diagonal form d_1 | d_2 | ...
 
-    Returns the diagonal coefficient lists, which are monic; the input
-    must be nonsingular over k(X), which holds for every characteristic
-    matrix.  It runs only on derogatory matrices, for their chain, and
-    mirrors no row operation: the generators of T come from unit-vector
-    conductors (:func:`_generators`).
+    Returns the diagonal coefficient lists, whose degrees are those of the
+    chain (they are not scaled to be monic); the input must be nonsingular
+    over k(X), which holds for every characteristic matrix.  It runs only on derogatory matrices, for the degrees of their
+    chain, and mirrors no row operation: the generators of T and the chain
+    come from unit-vector conductors (:func:`_generators`).
     """
     ops = field.poly_ops()
-    psub, pmul, pdivmod, pscale = ops.sub, ops.mul, ops.divmod, ops.scale
-    one, neg_one = field.one, field.neg(field.one)
+    psub, pmul, pdivmod = ops.sub, ops.mul, ops.divmod
+    neg_one = field.neg(field.one)
     m = len(d)
 
     def row_addmul(i, j, q):
@@ -267,9 +271,6 @@ def _diagonalize(field: Field, d: list[list[list]]):
             if offender is None:
                 break
             row_addmul(t, offender, [neg_one])
-        lead = d[t][t][-1]
-        if lead != one:
-            d[t][t] = pscale(d[t][t], field.inv(lead))
     return [d[t][t] for t in range(m)]
 
 
@@ -354,20 +355,23 @@ def _merge(field: Field, a, op, m: int, tried: list, degree: int) -> tuple[list,
     return (x, tuple(merged)) if f.degree == degree else None
 
 
-def _generators(field: Field, a, op, factors: list[Polynomial]) -> tuple[list[list], tuple] | None:
-    """The columns of T for the chain ``factors`` of a (raw rows, op the
-    map v -> A*v), by the rule of the module docstring, and the unit
-    vectors chosen or merged.  Unit vectors in W stay in it and are not
-    tried again.  None if a step fails, which happens only modulo a prime
-    that the run over Q does not map to."""
+def _generators(field: Field, a, op, degrees: Sequence[int]) -> tuple[list[Polynomial], list[list], tuple] | None:
+    """(conductors, columns, choices): the columns of T for a chain of the
+    given degrees of a (raw rows, op the map v -> A*v), by the rule of the
+    module docstring, the conductor f of each generator g, f(A)*g = 0, and
+    the unit vectors chosen or merged.  Unit vectors in W stay in it and
+    are not tried again.  None if a step fails or a conductor does not
+    divide the one before it, which happens only for degrees, a partition
+    of n, that are not the chain's or modulo a prime that the run over Q
+    does not map to."""
     n = len(a)
     zero, dot, sub = field.zero, field.dot, field.sub
     ops = field.poly_ops()
     span = _Span(field)
-    columns, blocks, choices = [], [], []
+    conductors, columns, blocks, choices = [], [], [], []
     inside = [False] * n
-    for factor in factors:
-        degree, m = factor.degree, len(span)
+    for degree in degrees:
+        m = len(span)
         tried = []
         for j in range(n):
             if inside[j]:
@@ -395,14 +399,14 @@ def _generators(field: Field, a, op, factors: list[Polynomial]) -> tuple[list[li
             if steps is None or len(span) - m != degree:
                 return None
             w = _coordinates(field, span.made, steps)
-            f = _conductor(field, w[m:]).coeffs
+            f = _conductor(field, w[m:])
             correction = [zero] * m
             for start, length in blocks:
                 h = w[start:start + length]
                 if any(h):
                     while not h[-1]:
                         h.pop()
-                    q, r = ops.divmod(h, f)
+                    q, r = ops.divmod(h, f.coeffs)
                     if r:
                         return None
                     correction[start:start + len(q)] = q
@@ -412,10 +416,13 @@ def _generators(field: Field, a, op, factors: list[Polynomial]) -> tuple[list[li
             span.truncate(m)
             iterates = [g]
             steps = _chain(span, op, iterates)
+        if conductors and not (conductors[-1] % f).is_zero():
+            return None
+        conductors.append(f)
         columns += iterates[:degree]
         blocks.append((m, degree))
         choices.append(choice)
-    return columns, tuple(choices)
+    return conductors, columns, tuple(choices)
 
 
 def _cyclic_unit(field: Field, a, op) -> tuple[Polynomial, tuple[int, list[list]] | None] | None:
@@ -451,28 +458,29 @@ def _cyclic_unit(field: Field, a, op) -> tuple[Polynomial, tuple[int, list[list]
     return mu, None
 
 
-def _normal_form(field: Field, a) -> tuple[list[Polynomial], list[list], tuple] | None:
+def _normal_form(field: Field, a, degrees: Sequence[int] | None = None) -> tuple[list[Polynomial], list, tuple] | None:
     """(chain, columns of T, key) of a (raw rows) over a finite field, or
-    None if a generator step fails.  The chain is the scan's or, for a
-    derogatory matrix, the diagonal of :func:`_diagonalize`; T is the
-    Krylov basis of the scan's cyclic unit vector, if it found one, else
-    the rule's (:func:`_generators`).  The key is the degrees of the chain
-    and the unit vectors chosen or merged."""
+    None if a generator step fails.  T is the Krylov basis of the scan's
+    cyclic unit vector, if it found one, else the rule's
+    (:func:`_generators`), whose conductors are the chain (module
+    docstring).  The rule reads only the degrees of the chain: the scan's
+    for a cyclic matrix, else the given ``degrees`` if the rule succeeds
+    with them, else the diagonal of :func:`_diagonalize`.  The key is the
+    degrees of the chain and the unit vectors chosen or merged."""
     op = field.operator(a)
     mu, first = _cyclic_unit(field, a, op) or (None, None)
-    if mu is None:
-        factors = [Polynomial._raw(field, c) for c in reversed(_diagonalize(field, _char_matrix(field, a)))
-                   if len(c) > 1]
-    else:
-        factors = [mu]
     if first is not None:
-        choices, columns = (first[0],), first[1]
-    else:
-        built = _generators(field, a, op, factors)
-        if built is None:
-            return None
-        columns, choices = built
-    return factors, columns, (tuple(f.degree for f in factors), choices)
+        return [mu], first[1], ((mu.degree,), (first[0],))
+    if mu is not None:
+        degrees = (mu.degree,)
+    built = degrees and _generators(field, a, op, degrees)
+    if mu is None and not built:
+        degrees = [len(c) - 1 for c in reversed(_diagonalize(field, _char_matrix(field, a))) if len(c) > 1]
+        built = _generators(field, a, op, degrees)
+    if not built:
+        return None
+    factors, columns, choices = built
+    return factors, columns, (tuple(degrees), choices)
 
 
 def _assemble(a: Matrix, factors: list[Polynomial], columns: list[list]) -> tuple[Matrix, Matrix, RationalNormalForm]:
@@ -491,8 +499,9 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     whose conductor into the span W of the blocks before it has the degree
     of P, or else the lcm merge of the unit vectors outside W, less the
     vector of W that makes P(A)*g = 0 (:func:`_generators`).  The chain is
-    the scan's (:func:`_cyclic_unit`) for a cyclic matrix and the diagonal
-    of :func:`_diagonalize` for a derogatory one.  Over Q all of it runs
+    the conductors of the generators, of the degrees of the scan
+    (:func:`_cyclic_unit`) for a cyclic matrix and of the diagonal of
+    :func:`_diagonalize` for a derogatory one.  Over Q all of it runs
     modulo primes (:func:`_rational_rnf_transform`).  The result is
     certified by :func:`similarity_defect`; BasisFailure is raised if it
     fails.
@@ -512,9 +521,11 @@ def rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalForm]:
     return r_mat, t_mat, chain
 
 
-def _rational_krylov(ints: list[list[int]], den: int, g: list[Fraction], length: int) -> list[list[Fraction]]:
+def _rational_krylov(ints: list[list[int]], den: int, g: list[Fraction], length: int,
+                     bound: int) -> list[list[Fraction]] | None:
     """[g, A*g, ..., A^(length-1)*g] for A = ints/den over Q, ints the
-    integer rows of den*A: with g = u/e over the common denominator e of
+    integer rows of den*A, or None at the first column with a numerator or
+    denominator above bound: with g = u/e over the common denominator e of
     g, A^k*g = (ints^k*u)/(den^k*e) is computed in integers, and each
     entry becomes a Fraction once."""
     ((e, u),) = _integral([g])
@@ -523,6 +534,8 @@ def _rational_krylov(ints: list[list[int]], den: int, g: list[Fraction], length:
         u = [sum(map(_mul, row, u)) for row in ints]
         e *= den
         columns.append([Fraction(x, e) for x in u])
+        if any(abs(x.numerator) > bound or x.denominator > bound for x in columns[-1]):
+            return None
     return columns
 
 
@@ -531,21 +544,24 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
 
     For each prime p that divides no denominator of A, :func:`_normal_form`
     on A mod p gives the chain, the generators and the key for
-    ``matrix._modular_lift``.  The primes are the largest below 2**62 (no
-    width), which never pack: a derogatory A pays one k[X] diagonalization
-    a prime, which packing does not cut, and the smaller primes that pack
-    would take more of them.  A prime with the key of the run over Q
-    gives that run's images: with the same degrees, each determinantal
-    divisor of X*I - A mod p is the image of the one over Q, which divides
-    it, so the chain is.  Modulo p the conductor of a unit vector into the
-    image of W divides the image of its conductor over Q, so the unit
-    vector chosen has the conductor over Q, and a merge records its own
-    degrees (:func:`_merge`); so the generators are the images too.  The
+    ``matrix._modular_lift``, on the primes of width n, whose scans, spans
+    and operators pack.  Each prime is given the degrees of the chain of
+    the prime before it, so a derogatory A is diagonalized once a lift,
+    and again only at a prime where the rule fails with them; a run that
+    succeeds with them is the one its own diagonal would give, since the
+    rule reads nothing of the chain but its degrees.  A prime with the key
+    of the run over Q gives that run's images: with the same degrees, each
+    determinantal divisor of X*I - A mod p is the image of the one over Q,
+    which divides it, so the chain is.  Modulo p the conductor of a unit
+    vector into the image of W divides the image of its conductor over Q,
+    so the unit vector chosen has the conductor over Q, and a merge
+    records its own degrees (:func:`_merge`); so the generators are the
+    images too.  The
     chain and the generators are lifted, the rest of T is computed over
     Q in integers (:func:`_rational_krylov`), and a lift is kept only if
     every entry of T lies within the reconstruction bound, which makes it
-    the lift of all of T, and it passes :func:`similarity_defect`, which
-    proves T and the chain.
+    the lift of all of T, checked as each column is formed, and it passes
+    :func:`similarity_defect`, which proves T and the chain.
 
     The product of the primes tried is limited to
     (n*M*D)^(2*n^2) * 2^(64*(n + 2)), D the common denominator of A and M
@@ -557,14 +573,17 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
     """
     n = a.nrows
     den, ints = _over_one_denominator(a._rows)
+    degrees = None
 
     def image(p):
+        nonlocal degrees
         if den % p == 0:
             return None
-        found = _normal_form(GF(p), _mod_rows(den, ints, p))
+        found = _normal_form(GF(p), _mod_rows(den, ints, p), degrees)
         if found is None:
             return None
         factors, columns, key = found
+        degrees = key[0]
         starts = accumulate((f.degree for f in factors[:-1]), initial=0)
         return key, [c for f in factors for c in f.coeffs[:-1]] + [x for s in starts for x in columns[s]]
 
@@ -574,9 +593,10 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
         factors = [Polynomial._raw(QQ, [next(it) for _ in range(d)] + [QQ.one]) for d in degrees]
         columns = []
         for d in degrees:
-            columns += _rational_krylov(ints, den, [next(it) for _ in range(n)], d)
-        if any(abs(x.numerator) > bound or x.denominator > bound for v in columns for x in v):
-            return None
+            block = _rational_krylov(ints, den, [next(it) for _ in range(n)], d, bound)
+            if block is None:
+                return None
+            columns += block
         try:
             r_mat, t_mat, chain = _assemble(a, factors, columns)
         except ChainViolation:
@@ -589,4 +609,4 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
         top = max(1, *(abs(x) for row in ints for x in row))
         return (n * top * den) ** (2 * n * n) << 64 * (n + 2)
 
-    return _modular_lift(image, accept, guard)
+    return _modular_lift(image, accept, guard, n)

@@ -182,9 +182,8 @@ class TestDeterminant:
         assert not Matrix(QQ, [[1, 1], [1, 1]]).is_invertible()
 
 
-# _prime(0) is above 2**32, so its spans run the plain loop, as the rnf
-# lift over Q does modulo its primes.
-ELIM_FIELDS = [GF(2), GF(3), GF(10007), GF(_prime(0)), QQ]
+# 2**62 - 57 is above 2**32, so its spans run the plain loop.
+ELIM_FIELDS = [GF(2), GF(3), GF(10007), GF(2 ** 62 - 57), QQ]
 
 
 def elimination_cases(field, seed, max_n=5):
@@ -331,13 +330,6 @@ class TestModularRankKernel:
     lift of a matrix with c columns runs modulo _prime(i, c), so each
     unlucky input is built from the primes of its own column count."""
 
-    def test_prime_sequence(self):
-        primes = [_prime(i) for i in range(6)]
-        assert primes[0] == 2 ** 62 - 57
-        assert primes == sorted(set(primes), reverse=True)
-        assert all(_is_prime(p) for p in primes)
-        assert not any(_is_prime(q) for q in range(primes[-1] + 1, 2 ** 62) if q not in primes)
-
     @pytest.mark.parametrize("width", [1, 4, 64, 576])
     def test_packed_prime_sequence(self, width):
         """The primes of a lift of that width: the largest p with
@@ -448,8 +440,8 @@ class TestModularLift:
     computation whose runs take one of two decisions."""
 
     values = {
-        "a": [Fraction(3 ** 80, 7), Fraction(-1, 2)],  # needs five primes
-        "b": [Fraction(-5 ** 60, 11)],  # needs five primes
+        "a": [Fraction(3 ** 45, 7), Fraction(-1, 2)],  # needs five primes of width 1
+        "b": [Fraction(-5 ** 30, 11)],  # needs five primes of width 1
     }
 
     def test_each_key_combines_its_own_primes(self):
@@ -469,7 +461,7 @@ class TestModularLift:
             return key if key == "b" and values == self.values[key] else None
 
         guards = []  # read once, when the second prime is needed
-        assert _modular_lift(image, accept, lambda: guards.append(len(seen)) or 1 << 1000) == "b"
+        assert _modular_lift(image, accept, lambda: guards.append(len(seen)) or 1 << 1000, 1) == "b"
         assert len(seen) == 12 and guards == [1]
         primes = {"a": seen[0::2], "b": [seen[1]] + seen[5::2]}
         for key in "ab":
@@ -505,5 +497,5 @@ class TestModularLift:
             return "a", [1]
 
         with pytest.raises(BasisFailure):
-            _modular_lift(image, lambda key, values, bound: None, lambda: _prime(0) * _prime(1))
-        assert seen == [_prime(0), _prime(1), _prime(2)]
+            _modular_lift(image, lambda key, values, bound: None, lambda: _prime(0, 1) * _prime(1, 1), 1)
+        assert seen == [_prime(0, 1), _prime(1, 1), _prime(2, 1)]

@@ -261,16 +261,18 @@ class TestOneDiagonalization:
             assert rnf_transform(a)[2] == invariant_factors(a)
 
 
-def diagonalizing(monkeypatch, a):
-    """rnf_transform(a) and the fields of the diagonalizations it ran."""
+def recording_diagonalizations(monkeypatch) -> list:
+    """The list of the fields of the diagonalizations run from now on,
+    until the monkeypatch is undone."""
     calls = []
     diagonalize = rnf._diagonalize
+    monkeypatch.setattr(rnf, "_diagonalize", lambda field, d: calls.append(field) or diagonalize(field, d))
+    return calls
 
-    def recording(field, d):
-        calls.append(field)
-        return diagonalize(field, d)
 
-    monkeypatch.setattr(rnf, "_diagonalize", recording)
+def diagonalizing(monkeypatch, a):
+    """rnf_transform(a) and the fields of the diagonalizations it ran."""
+    calls = recording_diagonalizations(monkeypatch)
     result = rnf_transform(a)
     monkeypatch.undo()
     return result, calls
@@ -373,8 +375,8 @@ class TestKrylovStage:
             built[next(i for i, s in enumerate(spans) if s is span)].append(iterates)
             return chain(span, op, iterates)
 
-        probe = field if field.characteristic else GF(_prime(0))
         for a, expected in cases:
+            probe = field if field.characteristic else GF(_prime(0, a.nrows))
             spans, built = [], []
             monkeypatch.setattr(rnf, "_chain", recording)
             rows = _mod_rows(*_over_one_denominator(a._rows), probe.characteristic) if probe is not field else a._rows
@@ -405,8 +407,8 @@ class TestKrylovStage:
     def test_rational_fallbacks(self, monkeypatch):
         """Over Q every decision is made modulo primes and the key groups
         the primes that decide alike, so T is the rule's over Q even where
-        p0 = _prime(0) decides otherwise."""
-        p0 = _prime(0)
+        p0 = _prime(0, 2) decides otherwise."""
+        p0 = _prime(0, 2)
         x = Polynomial.x(QQ)
         cases = [
             # e1 is cyclic over Q, but A e1 = p0*e2 vanishes modulo p0, where
@@ -443,8 +445,8 @@ def keyed(monkeypatch, a):
     runs = []
     normal_form = rnf._normal_form
 
-    def recording(field, rows):
-        found = normal_form(field, rows)
+    def recording(field, rows, degrees=None):
+        found = normal_form(field, rows, degrees)
         runs.append((field.characteristic, found and found[2]))
         return found
 
@@ -514,10 +516,36 @@ class TestGenerators:
         assert similarity_defect(a, r, t) is None
         assert chain == invariant_factors(a)
 
-    def test_derogatory_q_lifts_from_one_prime(self, monkeypatch):
+    @pytest.mark.parametrize("field", [GF(2), GF(5), GF(10007)], ids=str)
+    def test_handed_on_degrees(self, field, monkeypatch):
+        """_normal_form with the degrees of the chain skips the
+        diagonalization and makes the run without them.  Degrees that are
+        not the chain's fall back to it: for diag(1, 1, 0), (1, 1, 1) gives
+        the conductors X - 1, X - 1 and X, not a chain, and (3,) no
+        generator."""
+        rng = random.Random(f"handed-on/{field}")
+        x = Polynomial.x(field)
+        g = rand_invertible(field, 6, rng)
+        cases = [
+            (Matrix(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]), [(1, 1, 1), (3,)]),
+            (g * assemble_rnf_matrix(RationalNormalForm([x * (x + 1) ** 2, (x + 1) ** 2, x + 1])) * g.inverse(),
+             [(2, 2, 2), (4, 1, 1), (6,)]),
+        ]
+        for a, wrong in cases:
+            calls = recording_diagonalizations(monkeypatch)
+            found = rnf._normal_form(field, a._rows)
+            assert calls == [field]
+            for degrees, diagonalized in [(found[2][0], []), *((d, [field]) for d in wrong)]:
+                calls.clear()
+                assert rnf._normal_form(field, a._rows, degrees) == found and calls == diagonalized
+            monkeypatch.undo()
+
+    def test_derogatory_q_diagonalizes_once(self, monkeypatch):
         """The fixed matrix of the benchmark's exact-q nf-derog-6-4-2 job
         (before its seeded sign flips), chain degrees (6, 4, 2): its T has
-        25-bit entries and lifts from the first prime."""
+        25-bit entries and lifts from the first two primes of width 12, of
+        31 bits, which take one key.  Only the first is diagonalized; the
+        second takes its degrees from the first."""
         a = Matrix(QQ, [
             [-26, -8, 12, 8, -3, 11, -1, 18, 14, -26, 2, -31],
             [-43, 10, 1, -9, 0, 2, 4, 8, -57, -4, -5, -30],
@@ -532,8 +560,10 @@ class TestGenerators:
             [58, -6, -11, 6, -1, -11, 0, -25, 49, 21, 0, 54],
             [6, -5, 7, 5, 0, 10, -1, 11, 31, -15, 2, -9],
         ])
+        calls = recording_diagonalizations(monkeypatch)
         (r, t, chain), runs = keyed(monkeypatch, a)
-        assert [p for p, _ in runs] == [_prime(0)]
+        assert [p for p, _ in runs] == [_prime(0, 12), _prime(1, 12)] and runs[0][1] == runs[1][1]
+        assert calls == [GF(_prime(0, 12))]
         assert partition_of(chain) == (6, 4, 2)
         assert max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
                    for row in t._rows for x in row) == 25
@@ -573,24 +603,57 @@ class TestModularTransform:
             assert invariant_factors(a) == chain
         assert krylov == 16
 
+    @pytest.mark.parametrize("parts", [(12, 8, 4), (16, 8, 4, 4)], ids=lambda parts: "-".join(map(str, parts)))
+    def test_derogatory_beyond_the_oracle(self, parts, monkeypatch):
+        """Derogatory integer matrices of size 24 and 32, past the sympy
+        oracle, built as the benchmark builds its derogatory Q jobs: the
+        block companion of a chain of monic factors with coefficients in
+        -3..3, conjugated by 4n transvections I + e*E_ij, e = +-1.  The
+        chain is the one built, and the lift diagonalizes once, at its
+        first prime: the primes after it take its degrees."""
+        rng = random.Random(f"beyond/{parts}")
+        n = sum(parts)
+
+        def monic(degree):
+            return Polynomial(QQ, [rng.randint(-3, 3) for _ in range(degree)] + [1])
+
+        chain = [monic(parts[-1])]
+        for big, small in zip(reversed(parts[:-1]), reversed(parts[1:])):
+            chain.insert(0, chain[0] * monic(big - small))
+        rows = [list(row) for row in assemble_rnf_matrix(RationalNormalForm(chain))._rows]
+        for _ in range(4 * n):
+            i, j = rng.sample(range(n), 2)
+            e = rng.choice((-1, 1))
+            for row in rows:
+                row[j] += e * row[i]
+            rows[i] = [x - e * y for x, y in zip(rows[i], rows[j])]
+        a = Matrix(QQ, rows)
+        calls = recording_diagonalizations(monkeypatch)
+        (r, t, got), runs = keyed(monkeypatch, a)
+        assert list(got) == chain and partition_of(got) == parts
+        assert calls == [GF(_prime(0, n))] and len(runs) > 1
+        assert similarity_defect(a, r, t) is None
+
     def test_bad_primes_are_skipped(self, monkeypatch):
         """Inputs whose run modulo p0 decides otherwise than the run over Q:
-        the key of p0 differs from the one of the lift returned."""
-        p0 = _prime(0)
+        the key of p0 differs from the one of the lift returned.  p0 is the
+        first prime of a lift of size n, ``_prime(0, n)``."""
+        p2, p3 = _prime(0, 2), _prime(0, 3)
         x = Polynomial.x(QQ)
         cases = [
             # Over Q the chain is (X^2); modulo p0 the matrix is 0, chain (X, X).
-            (Matrix(QQ, [[0, p0], [0, 0]]), [x * x], True),
+            (Matrix(QQ, [[0, p2], [0, 0]]), [x * x], True),
             # (A - I)^3 = p0^3 * I, so e1 is cyclic over Q, but modulo p0 A
             # is the identity.
-            (Matrix(QQ, [[1, p0, 0], [0, 1, p0], [p0, 0, 1]]), [(x - 1) ** 3 - p0 ** 3], True),
+            (Matrix(QQ, [[1, p3, 0], [0, 1, p3], [p3, 0, 1]]), [(x - 1) ** 3 - p3 ** 3], True),
             # Modulo p0, e1 and e2 span an invariant plane and no unit vector
             # is cyclic, so p0 takes a merge; over Q e1 is cyclic.
-            (Matrix(QQ, [[2, 2, 0], [2, 0, 0], [0, p0, 3]]), None, True),
+            (Matrix(QQ, [[2, 2, 0], [2, 0, 0], [0, p3, 3]]), None, True),
             # p0 divides a denominator, so A has no image modulo p0.
-            (Matrix(QQ, [[Fraction(1, p0), 1], [2, 3]]), None, False),
+            (Matrix(QQ, [[Fraction(1, p2), 1], [2, 3]]), None, False),
         ]
         for a, chain, p0_tried in cases:
+            p0 = _prime(0, a.nrows)
             (r, t, got), runs = keyed(monkeypatch, a)
             assert (r, t, got) == rule_transform(a)
             if chain is not None:
@@ -604,7 +667,8 @@ class TestModularTransform:
         on the primes instead of looping."""
         tried = []
         normal_form = rnf._normal_form
-        monkeypatch.setattr(rnf, "_normal_form", lambda field, rows: tried.append(field) or normal_form(field, rows))
+        monkeypatch.setattr(rnf, "_normal_form", lambda field, rows, degrees=None: (
+            tried.append(field) or normal_form(field, rows, degrees)))
         monkeypatch.setattr(rnf, "similarity_defect", lambda a, r, t: "spoiled")
         for a in (Matrix(QQ, [[1, 2], [3, 4]]), Matrix(QQ, [[2, 0, 0], [0, 2, 0], [0, 0, Fraction(1, 3)]])):
             tried.clear()
@@ -670,6 +734,20 @@ class TestCertificate:
         assert code == 1 and payload["status"] == "mismatch"
         assert payload["reason"] == "transform is singular"
 
+    def test_unlucky_partition_is_diagonalized_again(self, monkeypatch):
+        """A = diag(1, 1, 1 + p0) is I modulo p0, the first prime, whose
+        partition (1, 1, 1) the next prime takes: there its conductors are
+        X - 1, X - 1 and X - 1 - p0, not a divisibility chain, so that prime
+        diagonalizes too, and the primes after it take its partition (2, 1).
+        The chain check is ordinary code, kept under ``python -O``."""
+        p0 = _prime(0, 3)
+        a = Matrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1 + p0]])
+        calls = recording_diagonalizations(monkeypatch)
+        (r, t, chain), runs = keyed(monkeypatch, a)
+        assert calls == [GF(p0), GF(_prime(1, 3))]
+        assert [key[0] for _, key in runs[:2]] == [(1, 1, 1), (2, 1)]
+        assert (r, t, chain) == rule_transform(a)
+
     def test_failure_raises_under_optimize(self):
         """The certificate, the failed-generator check and the prime bound
         of the lift are ordinary code, so ``python -O`` keeps them, for the
@@ -698,7 +776,7 @@ class TestCertificate:
             # iterates of the lifted generators are, and no lift passes the
             # certificate before the prime bound.
             rational_krylov = rnf._rational_krylov
-            rnf._rational_krylov = lambda ints, den, g, length: (
+            rnf._rational_krylov = lambda ints, den, g, length, bound: (
                 [g] + [[QQ.zero] * len(g) for _ in range(length - 1)])
             expect_failure("krylov over Q", rnf_transform, Matrix(QQ, [[1, 2], [3, 4]]))
             rnf._rational_krylov = rational_krylov
