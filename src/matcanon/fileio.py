@@ -109,14 +109,20 @@ def parse_pair_text(text: str, override: Field | None = None) -> tuple[Matrix, M
     return first, second
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def parse_matrix_file(path: str, override: Field | None = None) -> Matrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_matrix_text(handle.read(), override)
+    return parse_matrix_text(_read_text(path), override)
 
 
 def parse_pair_file(path: str, override: Field | None = None) -> tuple[Matrix, Matrix]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_pair_text(handle.read(), override)
+    return parse_pair_text(_read_text(path), override)
 
 
 def format_matrix(m: Matrix) -> str:

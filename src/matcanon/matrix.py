@@ -14,9 +14,11 @@ proved exactly over Q.
 here, in ``pairs`` and in ``rnf``: it groups the primes by the decisions
 their runs took, combines each group by CRT, lifts it by rational
 reconstruction and returns the first lift that passes the caller's exact
-check.  Its primes (``_prime``) are the largest whose packed kernels take
-the caller's width: the column count of a rank, the n*n2 entries of the
-maps of a Hom, and the size n of the matrix of ``rnf``.
+check; ``_lift_kernel`` runs it on unit kernel bases, for rank and kernel
+here and for Hom spaces in ``pairs``.  Its primes (``_prime``) are the
+largest whose packed kernels take the caller's width: the column count of
+a rank, the n*n2 entries of the maps of a Hom, and the size n of the
+matrix of ``rnf``.
 Products run on the field's ``product`` kernel, eliminations on its two
 row primitives, ``dot`` and ``submul``, and Krylov chains on its
 ``operator`` too.  Over word-size GF(p) ``_Span`` reduces rows packed
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from operator import mul as _mul
 
 from .errors import (
@@ -45,7 +47,7 @@ from .errors import (
     NonSquare,
     SingularMatrix,
 )
-from .fields import _PACKED_ENTRIES, GF, Field, Scalar, _is_prime, _line, _unpack
+from .fields import _PACKED_ENTRIES, GF, Field, Scalar, _integral, _is_prime, _line, _unpack
 
 
 class Matrix:
@@ -501,7 +503,7 @@ def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | No
     return out
 
 
-def _modular_lift(image, accept, limit: Callable[[], int | _Guard], width: int):
+def _modular_lift(image, accept, limit: Callable[[], int], width: int):
     """The first accepted lift of a computation over Q run modulo primes.
 
     For each prime p of the sequence ``_prime(i, width)``, the largest
@@ -515,17 +517,17 @@ def _modular_lift(image, accept, limit: Callable[[], int | _Guard], width: int):
     reconstruction bound of their modulus.  The first result of ``accept``
     that is not None is returned: ``accept`` runs the exact check over Q,
     which is the proof.  BasisFailure is raised once the product of the
-    primes tried passes ``limit()``, the guard on the primes, an integer or
-    a :class:`_Guard`.  The guard is a function of no arguments because it
-    can cost more than a lift that needs one prime: it is called once, and
-    only when a second prime is needed.
+    primes tried has more bits than ``limit()``, the guard on the primes.
+    The guard is a function of no arguments because it can cost more than
+    a lift that needs one prime: it is called once, and only when a second
+    prime is needed.
     """
     groups: dict = {}  # key -> (lifted values, modulus, primes)
     tried, i = 1, 0
     while True:
         if i == 1:  # a second prime is needed
-            guard = limit()
-        if i and tried > guard:
+            bits = limit()
+        if i and tried.bit_length() > bits:
             break
         p = _prime(i, width)
         i += 1
@@ -552,59 +554,11 @@ def _modular_lift(image, accept, limit: Callable[[], int | _Guard], width: int):
     raise BasisFailure("no lift modulo primes passed the exact check within the prime bound")
 
 
-class _Guard:
-    """The limit 4*H**6 on the product of a lift's primes, H**2 the product
-    of the integer factors >= 1 (the squared norms of the rows of a
-    Hadamard bound), compared with integers x >= 0 by bit lengths where
-    those decide: with l the sum of the factors' bit lengths less one each
-    and u the sum of their bit lengths, 2**(3l+2) <= 4*H**6 < 2**(3u+2).
-    H**2 and its cube, millions of bits for a large system, are formed only
-    for an x between the two, the product by a tree of pairs, whose large
-    products are of operands of like size (a running product costs time
-    quadratic in its final length)."""
-
-    __slots__ = ("factors", "low", "high", "_value")
-
-    def __init__(self, factors: list[int]):
-        self.factors = factors = factors or [1]
-        self.high = sum(f.bit_length() for f in factors)
-        self.low = self.high - len(factors)
-        self._value = None
-
-    def value(self) -> int:
-        """4*H**6 itself, formed once."""
-        if self._value is None:
-            factors = self.factors
-            while len(factors) > 1:
-                factors = [prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-            self._value = 4 * factors[0] ** 3
-        return self._value
-
-    def _compare(self, x: int) -> int:
-        """-1, 0 or 1 as x is below, at or above 4*H**6."""
-        t = x.bit_length()
-        if t <= 3 * self.low + 2:
-            return -1
-        if t > 3 * self.high + 2:
-            return 1
-        return (x > self.value()) - (x < self.value())
-
-    def __lt__(self, x):
-        return self._compare(x) > 0
-
-    def __le__(self, x):
-        return self._compare(x) >= 0
-
-    def __gt__(self, x):
-        return self._compare(x) < 0
-
-    def __ge__(self, x):
-        return self._compare(x) <= 0
-
-    def __eq__(self, x):
-        return self.value() == x
-
-    __hash__ = None
+def _hadamard_bits(factors: list[int]) -> int:
+    """A guard for ``_modular_lift``: b with 2**b > 4*H**6, H**2 the
+    product of max(1, f) over the factors f (the squared norms of the rows
+    of a Hadamard bound), as each is below 2**(its bit length)."""
+    return 3 * sum(max(1, f).bit_length() for f in factors or [1]) + 2
 
 
 def _lift_due(count: int) -> bool:
@@ -620,16 +574,14 @@ def _lift_due(count: int) -> bool:
 
 
 def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list]]:
-    """Rank and kernel basis over Q by elimination modulo primes.
+    """Rank and kernel basis over Q by elimination modulo primes
+    (:func:`_lift_kernel`).
 
     Each row is scaled to integers, which changes neither the rank nor the
-    kernel.  The primes are those of the column count (``_prime(i,
-    ncols)``), so that the spans of the rows pack.  Modulo each prime an
-    echelon form (:func:`_echelon`) gives the pivot columns, the key of
-    ``_modular_lift``, and back substitution a kernel basis, whose pivot
-    entries are lifted.  A lift is accepted once every vector
-    v satisfies rows * v == 0 in integers; a full-rank prime has no vector
-    to test.
+    kernel.  Modulo each prime an echelon form (:func:`_echelon`) and back
+    substitution give a kernel basis, and a lift is accepted once every
+    vector v satisfies rows * v == 0 in integers; a full-rank prime has no
+    vector to test.
 
     That check is the proof: ncols - r_p independent vectors in the kernel
     give rank_Q <= r_p, and r_p <= rank_Q always holds, so the rank is
@@ -638,31 +590,49 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
     with the true pivots succeed at the first count of ``_lift_due`` after
     their product exceeds 2*H**2, at most an eighth more primes later
     (none within the first 16), and the other primes divide one nonzero
-    minor, so their product is at most H.  A product of primes beyond
-    (2*H**3)**2 with no proved basis is therefore a bug and raises
-    BasisFailure.
+    minor, so their product is at most H.  A product of primes of more
+    bits than :func:`_hadamard_bits`, past 4*H**6 = (2*H**3)**2, with no
+    proved basis is therefore a bug and raises BasisFailure.
     """
-    ints = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (scale // x.denominator) for x in row])
+    ints = [w for _, w in _integral(rows)]
     ncols = len(ints[0])
 
-    def guard():
-        return _Guard([max(1, sum(x * x for x in row)) for row in ints])
-
-    def image(p):
+    def kernel_at(p):
         field = GF(p)
         pivots, reduced = _echelon(field, ([x % p for x in row] for row in ints))
-        return tuple(pivots), [v[c] for v in _back_substitute(field, pivots, reduced, ncols) for c in pivots]
+        return _back_substitute(field, pivots, reduced, ncols)
+
+    return _lift_kernel(kernel_at, lambda w: not any(sum(map(_mul, row, w)) for row in ints),
+                        lambda: _hadamard_bits([sum(x * x for x in row) for row in ints]), ncols)
+
+
+def _lift_kernel(kernel_at, holds, limit: Callable[[], int], ncols: int) -> tuple[int, list[list]]:
+    """(rank, basis) of a kernel over Q with a unit basis, lifted from its
+    bases modulo primes by :func:`_modular_lift` on the primes of width
+    ncols.  ``kernel_at(p)`` returns the unit kernel basis over GF(p), each
+    vector 1 at its free column, its last nonzero entry, and 0 at the other
+    free columns, or None when p is unusable.  The key is the columns that
+    are not free and the values are the entries there; a lift is accepted
+    once ``holds(w)`` is true of each vector scaled to integers w
+    (``fields._integral``), the caller's exact check, and ``limit`` is the
+    guard on the primes.
+    """
+
+    def image(p):
+        basis = kernel_at(p)
+        if basis is None:
+            return None
+        free = {max(i for i, x in enumerate(v) if x) for v in basis}
+        pivots = tuple(c for c in range(ncols) if c not in free)
+        return pivots, [v[c] for v in basis for c in pivots]
 
     def accept(pivots, entries, bound):
         basis = _unit_basis(ncols, pivots, entries)
-        if all(_annihilates(ints, v) for v in basis):
+        if all(holds(w) for _, w in _integral(basis)):
             return len(pivots), basis
         return None
 
-    return _modular_lift(image, accept, guard, ncols)
+    return _modular_lift(image, accept, limit, ncols)
 
 
 def _unit_basis(ncols: int, pivots: Sequence[int], entries: list[Fraction]) -> list[list]:
@@ -694,13 +664,6 @@ def _mod_rows(d: int, ints: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     and one product an entry."""
     inv = pow(d, -1, p)
     return [[x * inv % p for x in row] for row in ints]
-
-
-def _annihilates(ints: list[list[int]], v: list[Fraction]) -> bool:
-    """rows * v == 0 for integer rows, in integer arithmetic."""
-    d = lcm(*(x.denominator for x in v))
-    w = [x.numerator * (d // x.denominator) for x in v]
-    return not any(sum(map(_mul, row, w)) for row in ints)
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:

@@ -38,9 +38,9 @@ from .errors import (
     SingularMatrix,
     TraceNonzero,
 )
-from .fields import GF, QQ, Field, Scalar, _integral, sqrt_if_exists
-from .matrix import Matrix, _Guard, _Span, _back_substitute, _chain, _clear_above, _echelon, _mod_rows, _modular_lift
-from .matrix import _over_one_denominator, _product, _unit, _unit_basis, block_diagonal, similarity_defect
+from .fields import GF, Field, Scalar, sqrt_if_exists
+from .matrix import Matrix, _Span, _back_substitute, _chain, _clear_above, _echelon, _hadamard_bits
+from .matrix import _lift_kernel, _mod_rows, _over_one_denominator, _product, _unit, block_diagonal, similarity_defect
 
 
 class PairPoint:
@@ -316,46 +316,42 @@ def intertwiners(m: PairPoint, m2: PairPoint) -> list[Matrix]:
     Read row by row, each map is 1 at its last nonzero entry and 0 at those
     of the others, sorted by that entry: the kernel basis of the system of
     these equations in the n2*n entries of f, whose free columns are the
-    last nonzero entries.  Over GF(p) it is :func:`_hom_basis`; over Q that
-    runs modulo primes that divide no denominator, those of width n*n2
-    (``matrix._prime``), so that the echelon form of the maps, its widest
-    elimination, and the spins pack; as for the kernel in
-    ``matrix._rational_rank_and_kernel``, the key is the columns that are
-    not free and the values are the entries there, a lift is proved by both
-    equations over Q, checked in integers (:func:`_intertwines`) on the
-    members put over one denominator each, once a call, and the primes are
-    limited by the Hadamard bound of the system scaled to integers, which
-    is computed only once a second prime is needed (``matrix._Guard``).
+    last nonzero entries.  Over GF(p) it is :func:`_hom_basis`, each map
+    checked against both equations, else BasisFailure is raised.  Over Q it
+    is the kernel lift of ``matrix._lift_kernel`` on :func:`_hom_basis`
+    modulo primes that divide no denominator, those of width n*n2, so that
+    the echelon form of the maps, its widest elimination, and the spins
+    pack: a lift is proved by both equations checked in integers
+    (:func:`_intertwines`) on the members put over one denominator each,
+    once a call, and the primes stop past 4*H**6, H the Hadamard bound of
+    the system scaled to integers (``matrix._hadamard_bits``).
     """
     if m.field != m2.field:
         raise FieldMismatch("pairs must share one field")
     field, n, n2 = m.field, m.size, m2.size
     members = (m.m1, m.m2, m2.m1, m2.m2)
-
-    def as_maps(field, vectors):
-        return [Matrix._raw(field, [v[a * n:(a + 1) * n] for a in range(n2)]) for v in vectors]
-
     if field.characteristic:
-        return as_maps(field, _hom_basis(field, *(a._rows for a in members)))
-    scaled = [_over_one_denominator(a._rows) for a in members]
-    den = lcm(*(d for d, _ in scaled))
+        basis = _hom_basis(field, *(a._rows for a in members))
+    else:
+        scaled = [_over_one_denominator(a._rows) for a in members]
+        den = lcm(*(d for d, _ in scaled))
 
-    def image(p):
-        if den % p == 0:
-            return None
-        basis = _hom_basis(GF(p), *(_mod_rows(d, ints, p) for d, ints in scaled))
-        free = {max(i for i, x in enumerate(v) if x) for v in basis}
-        pivots = tuple(c for c in range(n * n2) if c not in free)
-        return pivots, [v[c] for v in basis for c in pivots]
+        def kernel_at(p):
+            return None if den % p == 0 else _hom_basis(GF(p), *(_mod_rows(d, ints, p) for d, ints in scaled))
 
-    def accept(pivots, entries, bound):
-        basis = _unit_basis(n * n2, pivots, entries)
-        if all(_intertwines([v[a * n:(a + 1) * n] for a in range(n2)], scaled[:2], scaled[2:])
-               for _, v in _integral(basis)):
-            return as_maps(QQ, basis)
-        return None
-
-    return _modular_lift(image, accept, lambda: _Guard(_hadamard_factors(m, m2)), n * n2)
+        _, basis = _lift_kernel(
+            kernel_at, lambda w: _intertwines([w[a * n:(a + 1) * n] for a in range(n2)], scaled[:2], scaled[2:]),
+            lambda: _hadamard_bits(_hadamard_factors(m, m2)), n * n2)
+    maps = [[v[a * n:(a + 1) * n] for a in range(n2)] for v in basis]
+    if field.characteristic:
+        # f*m_i == m2_i*f for every map f, in one product a side: the maps'
+        # rows stacked times [m_1 | m_2], [m2_1; m2_2] times their columns.
+        left = field.product(list(chain.from_iterable(maps)), [*zip(*m.m1._rows), *zip(*m.m2._rows)])
+        right = field.product(m2.m1._rows + m2.m2._rows, [v[c::n] for v in basis for c in range(n)])
+        if [row[i * n:(i + 1) * n] for i in (0, 1) for row in left] != [
+                right[i * n2 + a][j * n:(j + 1) * n] for i in (0, 1) for j in range(len(maps)) for a in range(n2)]:
+            raise BasisFailure("a Hom map fails f*m_i = m2_i*f")
+    return [Matrix._raw(field, f) for f in maps]
 
 
 def _intertwines(f: list[list[int]], source, target) -> bool:

@@ -563,9 +563,9 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
     the lift of all of T, checked as each column is formed, and it passes
     :func:`similarity_defect`, which proves T and the chain.
 
-    The product of the primes tried is limited to
-    (n*M*D)^(2*n^2) * 2^(64*(n + 2)), D the common denominator of A and M
-    the largest entry of D*A: the Krylov iterates of A have entries below
+    The product of the primes tried is limited to 2*n^2*b + 64*(n + 2)
+    bits, b the bits of n*M*D, D the common denominator of A and M the
+    largest entry of D*A: the Krylov iterates of A have entries below
     (n*M*D)^n, and 64 bits a row leave room for primes that decide
     otherwise.  It is a guard, not a proved bound (every lift of the test
     corpus needs less than half of its bits): past it BasisFailure is
@@ -607,6 +607,6 @@ def _rational_rnf_transform(a: Matrix) -> tuple[Matrix, Matrix, RationalNormalFo
 
     def guard():
         top = max(1, *(abs(x) for row in ints for x in row))
-        return (n * top * den) ** (2 * n * n) << 64 * (n + 2)
+        return 2 * n * n * (n * top * den).bit_length() + 64 * (n + 2)
 
     return _modular_lift(image, accept, guard, n)

@@ -289,6 +289,16 @@ class TestErrorsAndDeterminism:
         code, payload = run_json(capsys, "rnf", str(path))
         assert code == 2 and payload["error"] == "ParseError"
 
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path, id2, qpair7):
+        path = tmp_path / "bad.mat"
+        path.write_bytes(b"field Q\n1 1\n\xff\n")
+        bad = str(path)
+        for argv in (("rnf", bad), ("verify", bad, id2, id2), ("verify", id2, id2, bad),
+                     ("pairs", "hom", bad, qpair7), ("pairs", "hom", qpair7, bad)):
+            code, payload = run_json(capsys, *argv)
+            assert (code, payload["error"]) == (2, "ParseError"), argv
+            assert bad in payload["message"]
+
     @pytest.mark.parametrize("text", [
         "field GF 1_0007\n1 1\n1\n",
         "field Q\n1 1\n\u0663\n",

@@ -21,7 +21,7 @@ from matcanon import (
     block_diagonal,
 )
 from matcanon.fields import _is_prime
-from matcanon.matrix import _Guard, _modular_lift, _prime, _reconstruction_bound
+from matcanon.matrix import _hadamard_bits, _modular_lift, _prime, _reconstruction_bound
 
 from helpers import (
     leibniz_det,
@@ -461,7 +461,7 @@ class TestModularLift:
             return key if key == "b" and values == self.values[key] else None
 
         guards = []  # read once, when the second prime is needed
-        assert _modular_lift(image, accept, lambda: guards.append(len(seen)) or 1 << 1000, 1) == "b"
+        assert _modular_lift(image, accept, lambda: guards.append(len(seen)) or 1000, 1) == "b"
         assert len(seen) == 12 and guards == [1]
         primes = {"a": seen[0::2], "b": [seen[1]] + seen[5::2]}
         for key in "ab":
@@ -474,20 +474,18 @@ class TestModularLift:
                 modulus *= p
             assert calls[-1][2] == _reconstruction_bound(modulus)
 
-    def test_guard_compares_as_its_value(self):
-        """_Guard(factors) compares with integers as 4*H^6 does, H^2 the
-        product of the factors, below, at and above the limit; where bit
-        lengths decide, H^2 is never formed."""
+    def test_hadamard_bits_pass_the_old_limit(self):
+        """2**_hadamard_bits(factors) is above 4*H^6, H^2 the product of the
+        factors, the limit the primes were compared with, and at most 3 bits
+        a factor above it, on random factors, the empty list included."""
         rng = random.Random(5)
-        for _ in range(100):
-            factors = [rng.randrange(1, 1 << rng.randrange(1, 200)) for _ in range(rng.randrange(6))]
-            limit, guard = 4 * prod(factors) ** 3, _Guard(factors)
-            for x in (0, 1, limit - 1, limit, limit + 1, limit // 3, 2 * limit, rng.randrange(limit)):
-                assert ((x < guard, x <= guard, x > guard, x >= guard, x == guard, guard < x)
-                        == (x < limit, x <= limit, x > limit, x >= limit, x == limit, limit < x))
-        guard = _Guard([(1 << 1000) + 1] * 1000)  # H^2 of about a million bits
-        assert 1 << 600 < guard < 1 << 3_100_000 and guard._value is None
-        assert guard == 4 * ((1 << 1000) + 1) ** 3000
+        for count in [0] * 5 + [rng.randrange(1, 8) for _ in range(100)]:
+            factors = [rng.randrange(1, 1 << rng.randrange(1, 200)) for _ in range(count)]
+            limit, bits = 4 * prod(factors) ** 3, _hadamard_bits(factors)
+            assert limit < 1 << bits <= limit << 3 * max(1, count)
+        assert _hadamard_bits([0, 5]) == _hadamard_bits([1, 5]) and _hadamard_bits([]) == _hadamard_bits([1])
+        bits = _hadamard_bits([(1 << 1000) + 1] * 1000)  # H^2 of about a million bits
+        assert 4 * ((1 << 1000) + 1) ** 3000 < 1 << bits and bits == 3 * 1001 * 1000 + 2
 
     def test_limit_raises(self):
         seen = []
@@ -496,6 +494,7 @@ class TestModularLift:
             seen.append(p)
             return "a", [1]
 
+        bits = (_prime(0, 1) * _prime(1, 1)).bit_length()  # passed once a third prime is tried
         with pytest.raises(BasisFailure):
-            _modular_lift(image, lambda key, values, bound: None, lambda: _prime(0, 1) * _prime(1, 1), 1)
+            _modular_lift(image, lambda key, values, bound: None, lambda: bits, 1)
         assert seen == [_prime(0, 1), _prime(1, 1), _prime(2, 1)]

@@ -545,6 +545,39 @@ class TestHomDimension:
                 assert f * m.m1 == m2.m1 * f
                 assert f * m.m2 == m2.m2 * f
 
+    @pytest.mark.parametrize("p, n", [(2, 5), (7, 3), (10007, 12)])
+    def test_spoiled_gfp_hom_map_is_a_basis_failure(self, monkeypatch, p, n):
+        """Over GF(p) every map intertwiners returns is checked against both
+        equations, one stacked product a side and member (packed at n = 12),
+        by a raise, so under python -O too: a map of _hom_basis with one
+        spoiled entry is a BasisFailure, in End(M), Hom(M (+) R, M) and
+        Hom(M, M (+) R)."""
+        field, rng = GF(p), random.Random(n)
+
+        def point(size):
+            return PairPoint(*(Matrix(field, [[rng.randrange(p) for _ in range(size)] for _ in range(size)])
+                               for _ in "ab"))
+
+        m, r = point(n), point(2)
+        hom_basis = matcanon.pairs._hom_basis
+        spoiled_maps = []
+
+        def spoiled(field, *members):
+            basis = hom_basis(field, *members)
+            basis[-1][0] = field.add(basis[-1][0], field.one)
+            spoiled_maps.append(basis[-1])
+            return basis
+
+        for source, target in ((m, m), (m.direct_sum(r), m), (m, m.direct_sum(r))):
+            assert intertwiners(source, target)
+            monkeypatch.setattr(matcanon.pairs, "_hom_basis", spoiled)
+            with pytest.raises(BasisFailure, match="f\\*m_i = m2_i\\*f"):
+                intertwiners(source, target)
+            monkeypatch.undo()
+            v, k = spoiled_maps[-1], source.size
+            f = Matrix(field, [v[a * k:(a + 1) * k] for a in range(target.size)])
+            assert (f * source.m1, f * source.m2) != (target.m1 * f, target.m2 * f)
+
 
 def reference_cases(field):
     """(name, M, M2) with M and M2 of different sizes; each first member of
@@ -759,9 +792,9 @@ class TestKrylovPath:
 
     def test_spoiled_coordinates_end_in_basis_failure(self):
         """Under ``python -O``, maps read through wrong coordinates of the
-        unit vectors end in BasisFailure: both pair changes of basis fail
-        their certificates, and over Q no lift passes the exact check
-        before the prime bound."""
+        unit vectors end in BasisFailure: over GF(p) the Hom maps behind
+        both pair changes of basis fail the check of intertwiners, and over
+        Q no lift passes the exact check before the prime bound."""
         script = textwrap.dedent("""
             import sys
             from fractions import Fraction
@@ -808,7 +841,7 @@ class TestKrylovPath:
         assert proc.returncode == 0, proc.stderr
         reasons = dict(line.split(" BasisFailure: ") for line in proc.stdout.splitlines())
         assert list(reasons) == ["reduce", "split", "hom over Q"], proc.stdout
-        assert "certificate" in reasons["reduce"] and "certificate" in reasons["split"]
+        assert reasons["reduce"] == reasons["split"] == "a Hom map fails f*m_i = m2_i*f"
         assert "prime bound" in reasons["hom over Q"]
 
 
@@ -1248,16 +1281,18 @@ class TestRationalLift:
                     reference_hadamard_square(source, target))
 
     def test_refused_lift_is_a_basis_failure_at_the_limit(self, monkeypatch):
-        """With every lift refused, the primes stop once their product passes
-        the guard, 4*H^6, H^2 the product of max(1, |row|^2) over the rows of
-        the intertwiner system scaled to integers."""
+        """With every lift refused, the primes stop at the first product past
+        2^bits, the guard, which is past 4*H^6, H^2 the product of
+        max(1, |row|^2) over the rows of the intertwiner system scaled to
+        integers, by at most 3 bits a row."""
         m = PairPoint(Matrix(QQ, [[1, 2], [0, 1]]), Matrix(QQ, [[Fraction(1, 2), 0], [3, 1]]))
+        system = intertwiner_system(m, m)._rows
         h2 = 1
-        for row in intertwiner_system(m, m)._rows:
+        for row in system:
             scale = lcm(*(x.denominator for x in row))
             h2 *= max(1, sum((x * scale) ** 2 for x in row))
         limits, tried = [], []
-        lift = matcanon.pairs._modular_lift
+        lift = matcanon.matrix._modular_lift
 
         def refusing(image, accept, limit, width=None):
             def guard():
@@ -1270,18 +1305,18 @@ class TestRationalLift:
 
             return lift(counted, lambda key, values, bound: None, guard, width)
 
-        monkeypatch.setattr(matcanon.pairs, "_modular_lift", refusing)
+        monkeypatch.setattr(matcanon.matrix, "_modular_lift", refusing)
         with pytest.raises(BasisFailure):
             intertwiners(m, m)
-        assert limits == [4 * h2 ** 3]
+        assert len(limits) == 1 and 4 * h2 ** 3 < 1 << limits[0] <= 4 * h2 ** 3 * 8 ** len(system)
         product = 1
         for p in tried[:-1]:
             product *= p
-        assert product <= limits[0] < product * tried[-1]
+        assert product < 1 << limits[0] <= product * tried[-1]
 
     def test_lift_at_the_first_prime_never_computes_the_guard(self, monkeypatch):
-        """The guard on the primes, 4*H^6, is computed only once a second
-        prime is needed: these Homs lift at the first."""
+        """The guard on the primes, a bit count past 4*H^6, is computed only
+        once a second prime is needed: these Homs lift at the first."""
         def unread(m, m2):
             raise AssertionError("_hadamard_factors was called")
 
@@ -1299,7 +1334,7 @@ class TestRationalLift:
         """A lifted map with one spoiled entry fails the integer check of
         every lift, so the primes end at the guard in BasisFailure; under
         python -O too."""
-        unit_basis = matcanon.pairs._unit_basis
+        unit_basis = matcanon.matrix._unit_basis
 
         def spoiled(ncols, pivots, entries):
             basis = unit_basis(ncols, pivots, entries)
@@ -1308,7 +1343,7 @@ class TestRationalLift:
 
         m = PairPoint(Matrix(QQ, [[1, 2], [0, 1]]), Matrix(QQ, [[Fraction(1, 2), 0], [3, 1]]))
         r = PairPoint(Matrix(QQ, [[2]]), Matrix(QQ, [[Fraction(-1, 3)]]))
-        monkeypatch.setattr(matcanon.pairs, "_unit_basis", spoiled)
+        monkeypatch.setattr(matcanon.matrix, "_unit_basis", spoiled)
         for source, target in ((m, m), (m, m.direct_sum(r)), (m.direct_sum(r), m)):
             with pytest.raises(BasisFailure, match="prime bound"):
                 intertwiners(source, target)
