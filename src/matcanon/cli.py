@@ -322,21 +322,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # Exact answers may have more digits than CPython's int <-> str limit
+    # (4300 by default): lift it for the call, argparse's exit included.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        report = args.func(args)
-    except MatcanonError as exc:
-        report = Report("error", {"error": type(exc).__name__, "message": str(exc)})
-    except OSError as exc:
-        report = Report("error", {"error": "IOError", "message": str(exc)})
-    except Exception as exc:
-        import traceback  # only a bug gets here; keep it off the start-up path
+        args = build_parser().parse_args(argv)
+        try:
+            report = args.func(args)
+        except MatcanonError as exc:
+            report = Report("error", {"error": type(exc).__name__, "message": str(exc)})
+        except OSError as exc:
+            report = Report("error", {"error": "IOError", "message": str(exc)})
+        except Exception as exc:
+            import traceback  # only a bug gets here; keep it off the start-up path
 
-        traceback.print_exc(file=sys.stderr)
-        report = Report("internal", {"error": type(exc).__name__, "message": str(exc)})
-    output = render_json(report) if args.format == "json" else render_text(report)
-    sys.stdout.write(output)
-    return EXIT_CODES[report.status]
+            traceback.print_exc(file=sys.stderr)
+            report = Report("internal", {"error": type(exc).__name__, "message": str(exc)})
+        output = render_json(report) if args.format == "json" else render_text(report)
+        sys.stdout.write(output)
+        return EXIT_CODES[report.status]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

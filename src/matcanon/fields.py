@@ -84,6 +84,79 @@ class PolyOps:
         self.neg = neg
 
 
+def _poly_ops(p: int, zero) -> PolyOps:
+    """The polynomial kernel of GF(p), or of Q (``zero`` its zero) when p
+    is 0.  GF(p) delays reduction (Dumas, Giorgi & Pernet, ACM TOMS 35,
+    2008): ``mul`` reduces each summed coefficient once, and ``divmod``
+    each quotient coefficient once and the remainder at the end."""
+
+    def strip(c):
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    def padd(f, g):
+        if len(f) < len(g):
+            f, g = g, f
+        out = list(f)
+        for i, c in enumerate(g):
+            out[i] = (out[i] + c) % p if p else out[i] + c
+        return strip(out)
+
+    def psub(f, g):
+        out = list(f) + [zero] * (len(g) - len(f))
+        for i, c in enumerate(g):
+            out[i] = (out[i] - c) % p if p else out[i] - c
+        return strip(out)
+
+    def pneg(f):
+        return [-c % p for c in f] if p else [-c for c in f]
+
+    def pscale(f, s):
+        s = s % p if p else s
+        if not s:
+            return []
+        return [c * s % p for c in f] if p else [c * s for c in f]
+
+    def pmul(f, g):
+        if not f or not g:
+            return []
+        out = [zero] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+        return strip([c % p for c in out] if p else out)
+
+    def pdivmod(f, g):
+        if not g:
+            raise DivisionByZero("polynomial division by zero")
+        r = list(f)
+        dg = len(g) - 1
+        if len(r) - 1 < dg:
+            return [], strip(r)
+        lead = g[-1]
+        ilead = pow(lead, -1, p) if p else None
+        q = [zero] * (len(r) - dg)
+        for k in range(len(r) - 1, dg - 1, -1):
+            c = r[k] % p if p else r[k]
+            if not c:
+                continue
+            c = c * ilead % p if p else c / lead
+            q[k - dg] = c
+            for j, b in enumerate(g):
+                r[k - dg + j] -= c * b
+        return strip(q), strip([c % p for c in r] if p else r)
+
+    def pmonic(f):
+        if not f:
+            raise DivisionByZero("cannot normalize the zero polynomial")
+        lead = f[-1]
+        return pscale(f, pow(lead, -1, p)) if p else [c / lead for c in f]
+
+    return PolyOps(padd, psub, pmul, pscale, pdivmod, pmonic, pneg)
+
+
 class Field:
     """Common behaviour of the two supported coefficient fields."""
 
@@ -100,18 +173,20 @@ class Field:
         return ops
 
     # Raw-value interface implemented by subclasses:
-    #   zero, one, canon, add, sub, mul, neg, inv, is_zero, sqrt
+    #   zero, one, canon, add, sub, mul, neg, inv, sqrt
     # the two row primitives every plain elimination runs on:
     #   dot(xs, ys) = sum of x*y, reduced once;  submul(xs, f, ys) = [x - f*y]
     # the one kernel of every matrix product:
     #   product(rows, cols) = [[dot(row, col) for col in cols] for row in rows]
     # and of every Krylov chain, built once per matrix A (raw rows):
     #   operator(rows) = the map v -> A*v
-    # and the parser's: canon_words(words) = [canon(w) for w in words].
-    # Over GF(p) both kernels pack: a line of residues becomes one integer
-    # with a slot of w bits per entry (_line), so a sum of k products is k
-    # integer multiply-adds and one reduction of the line (Kronecker
-    # substitution; Dumas, Fousse & Salvy, J. Symbolic Comput. 46, 2011).
+    # the parser's integer words: _from_ints(ints) = [canon(x) for x in ints]
+    # and the hook of poly_ops: _build_poly_ops() = _poly_ops(p, zero).
+    # Over GF(p) both matrix kernels pack: a line of residues becomes one
+    # integer with a slot of w bits per entry (_line), so a sum of k
+    # products is k integer multiply-adds and one reduction of the line
+    # (Kronecker substitution; Dumas, Fousse & Salvy, J. Symbolic Comput.
+    # 46, 2011).
     # A slot's sum reaches at most k*(p-1)**2, and PrimeField._layout takes
     # the narrowest w of 8, 16, 32 and 64 bits that holds it; byte lines
     # are reduced by one bytes.translate, wider ones by one % p an entry.
@@ -129,10 +204,22 @@ class Field:
         return lambda v: [dot(row, v) for row in rows]
 
     def canon_words(self, words: list[str]) -> list:
+        # Integers in one pass: one regex over the space-joined words
+        # (str.split tokens) checks every literal; int refuses only too
+        # many digits.  Otherwise canon reports the first bad word.
+        if _INT_LITERALS.fullmatch(" ".join(words)):
+            try:
+                return self._from_ints(map(int, words))
+            except ValueError:
+                pass
         return [self.canon(w) for w in words]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    @staticmethod
+    def is_zero(a) -> bool:
+        return not a
 
 
 def _integral(vectors) -> list[tuple[int, list[int]]]:
@@ -228,16 +315,9 @@ class Rationals(Field):
                 raise ParseError(f"bad rational literal {value!r}") from exc
         raise ParseError(f"cannot interpret {value!r} as a rational")
 
-    def canon_words(self, words):
-        # Integers in one pass, as in PrimeField.canon_words; a fraction or
-        # a bad word sends every word through canon, which reports the
-        # first bad one.
-        if _INT_LITERALS.fullmatch(" ".join(words)):
-            try:
-                return [Fraction(x) for x in map(int, words)]
-            except ValueError:
-                pass
-        return super().canon_words(words)
+    @staticmethod
+    def _from_ints(ints):
+        return [Fraction(x) for x in ints]
 
     @staticmethod
     def add(a, b):
@@ -272,10 +352,6 @@ class Rationals(Field):
             return [[Fraction(sum(map(_mul, x, y))) for _, y in ys] for _, x in xs]
         return [[Fraction(sum(map(_mul, x, y)), dx * dy) for dy, y in ys] for dx, x in xs]
 
-    @staticmethod
-    def is_zero(a) -> bool:
-        return not a
-
     def inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero")
@@ -294,73 +370,7 @@ class Rationals(Field):
         return (r, -r)
 
     def _build_poly_ops(self) -> PolyOps:
-        zero = Fraction(0)
-
-        def strip(c):
-            while c and not c[-1]:
-                c.pop()
-            return c
-
-        def padd(f, g):
-            if len(f) < len(g):
-                f, g = g, f
-            out = list(f)
-            for i, c in enumerate(g):
-                out[i] += c
-            return strip(out)
-
-        def psub(f, g):
-            out = list(f) + [zero] * (len(g) - len(f))
-            for i, c in enumerate(g):
-                out[i] -= c
-            return strip(out)
-
-        def pneg(f):
-            return [-c for c in f]
-
-        def pscale(f, s):
-            if not s:
-                return []
-            return [c * s for c in f]
-
-        def pmul(f, g):
-            if not f or not g:
-                return []
-            out = [zero] * (len(f) + len(g) - 1)
-            for i, a in enumerate(f):
-                if a:
-                    for j, b in enumerate(g):
-                        out[i + j] += a * b
-            return strip(out)
-
-        def pdivmod(f, g):
-            if not g:
-                raise DivisionByZero("polynomial division by zero")
-            r = list(f)
-            dg = len(g) - 1
-            lead = g[-1]
-            if len(r) - 1 < dg:
-                return [], strip(r)
-            q = [zero] * (len(r) - dg)
-            for k in range(len(r) - 1, dg - 1, -1):
-                c = r[k]
-                if not c:
-                    continue
-                c = c / lead
-                q[k - dg] = c
-                for j, b in enumerate(g):
-                    r[k - dg + j] -= c * b
-            return strip(q), strip(r)
-
-        def pmonic(f):
-            if not f:
-                raise DivisionByZero("cannot normalize the zero polynomial")
-            lead = f[-1]
-            if lead == 1:
-                return list(f)
-            return [c / lead for c in f]
-
-        return PolyOps(padd, psub, pmul, pscale, pdivmod, pmonic, pneg)
+        return _poly_ops(0, self.zero)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -410,17 +420,9 @@ class PrimeField(Field):
                 raise ParseError(f"bad GF({self.p}) literal {value!r}") from exc
         raise ParseError(f"cannot interpret {value!r} as an element of {self}")
 
-    def canon_words(self, words):
-        # One regex over the space-joined words (str.split tokens) checks
-        # every literal; int refuses only too many digits.  Otherwise canon
-        # reports the first bad word.
-        if _INT_LITERALS.fullmatch(" ".join(words)):
-            p = self.p
-            try:
-                return [x % p for x in map(int, words)]
-            except ValueError:
-                pass
-        return super().canon_words(words)
+    def _from_ints(self, ints):
+        p = self.p
+        return [x % p for x in ints]
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -467,10 +469,6 @@ class PrimeField(Field):
         columns = _pack(zip(*rows), layout)
         return lambda v: _unpack(sum(map(_mul, v, columns)), slots, p, layout)
 
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
@@ -511,75 +509,7 @@ class PrimeField(Field):
         return r
 
     def _build_poly_ops(self) -> PolyOps:
-        p = self.p
-
-        def strip(c):
-            while c and not c[-1]:
-                c.pop()
-            return c
-
-        def padd(f, g):
-            if len(f) < len(g):
-                f, g = g, f
-            out = list(f)
-            for i, c in enumerate(g):
-                out[i] = (out[i] + c) % p
-            return strip(out)
-
-        def psub(f, g):
-            out = list(f) + [0] * (len(g) - len(f))
-            for i, c in enumerate(g):
-                out[i] = (out[i] - c) % p
-            return strip(out)
-
-        def pneg(f):
-            return [-c % p for c in f]
-
-        def pscale(f, s):
-            s %= p
-            if s == 0:
-                return []
-            return [c * s % p for c in f]
-
-        def pmul(f, g):
-            if not f or not g:
-                return []
-            out = [0] * (len(f) + len(g) - 1)
-            for i, a in enumerate(f):
-                if a:
-                    for j, b in enumerate(g):
-                        out[i + j] += a * b
-            return strip([c % p for c in out])
-
-        def pdivmod(f, g):
-            if not g:
-                raise DivisionByZero("polynomial division by zero")
-            r = list(f)
-            dg = len(g) - 1
-            if len(r) - 1 < dg:
-                return [], strip(r)
-            ilead = pow(g[-1], -1, p)
-            q = [0] * (len(r) - dg)
-            for k in range(len(r) - 1, dg - 1, -1):
-                c = r[k] % p
-                if c == 0:
-                    continue
-                c = c * ilead % p
-                q[k - dg] = c
-                for j, b in enumerate(g):
-                    r[k - dg + j] -= c * b
-            return strip([c % p for c in q]), strip([c % p for c in r])
-
-        def pmonic(f):
-            if not f:
-                raise DivisionByZero("cannot normalize the zero polynomial")
-            lead = f[-1]
-            if lead == 1:
-                return list(f)
-            il = pow(lead, -1, p)
-            return [c * il % p for c in f]
-
-        return PolyOps(padd, psub, pmul, pscale, pdivmod, pmonic, pneg)
+        return _poly_ops(self.p, 0)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

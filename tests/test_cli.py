@@ -1,6 +1,7 @@
 """End-to-end CLI checks through main() with in-process argv."""
 
 import json
+import sys
 
 import pytest
 
@@ -248,6 +249,51 @@ class TestPairsCommands:
         monkeypatch.setattr(matcanon.pairs, "sqrt_if_exists", lambda x: tuple(r * 2 for r in sqrt(x)))
         code, payload = run_json(capsys, "pairs", "fiber", "-4", "3", "-9", "--field", *field)
         assert code == 2 and payload["error"] == "BasisFailure", payload
+
+
+def _write_q_matrix(path, rows):
+    path.write_text(f"field Q\n{len(rows)} {len(rows[0])}\n"
+                    + "\n".join(" ".join(row) for row in rows) + "\n")
+    return str(path)
+
+
+class TestDigitLimit:
+    """Exact answers longer than CPython's int <-> str limit (4300 digits
+    by default) are read and printed, and main leaves the limit as it was."""
+
+    def test_long_answer_is_printed_and_verified(self, capsys, tmp_path):
+        big, small = "7" * 3000, "3" * 3000
+        a = _write_q_matrix(tmp_path / "a.mat", [[big, small], [small, big]])
+        code, payload = run_json(capsys, "rnf", a)
+        assert code == 0 and payload["status"] == "ok"
+        # The constant coefficient of the characteristic polynomial.
+        assert max(len(x) for row in payload["rnf_matrix"] for x in row) > 4300
+        r = _write_q_matrix(tmp_path / "r.mat", payload["rnf_matrix"])
+        t = _write_q_matrix(tmp_path / "t.mat", payload["transform"])
+        code, verdict = run_json(capsys, "verify", a, r, t)
+        assert code == 0 and verdict["status"] == "ok"
+        code, payload = run_json(capsys, "affine", a)
+        assert code == 0 and payload["status"] == "ok"
+
+    def test_long_entry_is_parsed(self, capsys, tmp_path):
+        a = _write_q_matrix(tmp_path / "a.mat", [["9" * 5000]])
+        t = _write_q_matrix(tmp_path / "t.mat", [["1"]])
+        code, payload = run_json(capsys, "verify", a, a, t)
+        assert code == 0 and payload["status"] == "ok"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int <-> str digit limit")
+    def test_limit_is_restored(self, capsys, id2):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert run(capsys, "rnf", id2)[0] == 0
+            assert sys.get_int_max_str_digits() == 5000
+            with pytest.raises(SystemExit):
+                main(["rnf"])  # a usage error
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestSelftest:

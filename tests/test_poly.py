@@ -1,6 +1,7 @@
 """Polynomial arithmetic: division with remainder, products, normal forms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 from matcanon import GF, QQ, DivisionByZero, EmptyInput, FieldMismatch, Polynomial, product
 
 from helpers import rand_monic
+
+
+# A prime above 2**32: products of two residues exceed 64 bits.
+MERSENNE_61 = 2 ** 61 - 1
 
 
 def P(field, *coeffs):
@@ -92,7 +97,7 @@ class TestProduct:
 
 @st.composite
 def polys(draw, allow_zero=True):
-    field = draw(st.sampled_from([QQ, GF(2), GF(5), GF(7)]))
+    field = draw(st.sampled_from([QQ, GF(2), GF(5), GF(7), GF(10007), GF(MERSENNE_61)]))
     degree = draw(st.integers(0, 5))
     if field.characteristic:
         coeffs = draw(st.lists(st.integers(0, field.characteristic - 1),
@@ -134,3 +139,140 @@ class TestEvaluation:
         assert not P(QQ, 1, 2).is_monic()
         assert not Polynomial(QQ).is_monic()
         assert Polynomial(QQ).degree == -1
+
+
+def _value(field, x):
+    """x as a raw value: a residue in [0, p), or a Fraction over Q."""
+    p = field.characteristic
+    return x % p if p else Fraction(x)
+
+
+def _reduced(field, coeffs):
+    """Schoolbook reference: each coefficient reduced on its own, trailing
+    zeros stripped."""
+    out = [_value(field, c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _inverse(field, a):
+    p = field.characteristic
+    return pow(a, -1, p) if p else 1 / Fraction(a)
+
+
+def _ref_mul(field, f, g):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _reduced(field, out)
+
+
+def _ref_divmod(field, f, g):
+    """Long division that reduces after every step, unlike the kernel."""
+    r, dg = list(f), len(g) - 1
+    q = [0] * max(len(r) - dg, 0)
+    for k in reversed(range(len(q))):
+        q[k] = c = _value(field, r[k + dg] * _inverse(field, g[-1]))
+        for j, b in enumerate(g):
+            r[k + j] = _value(field, r[k + j] - c * b)
+    return _reduced(field, q), _reduced(field, r)
+
+
+def _rand_raw(field, degree, rng):
+    """A canonical raw polynomial of the given degree (-1 for zero), about
+    a third of its lower coefficients zero."""
+    p = field.characteristic
+
+    def nonzero():
+        return rng.randrange(1, p) if p else Fraction(rng.choice([-1, 1]) * rng.randint(1, 40),
+                                                      rng.randint(1, 9))
+
+    lower = [nonzero() if rng.random() < 2 / 3 else field.zero for _ in range(degree)]
+    return lower + [nonzero()] if degree >= 0 else []
+
+
+def _assert_canonical(field, f):
+    p = field.characteristic
+    assert isinstance(f, list)
+    assert not f or f[-1], "a trailing zero (zero is [])"
+    if p:
+        assert all(type(c) is int and 0 <= c < p for c in f)
+    else:
+        assert all(type(c) is Fraction for c in f)
+
+
+KERNEL_FIELDS = [QQ, GF(2), GF(7), GF(10007), GF(MERSENNE_61)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+class TestPolyOpsKernel:
+    """Every PolyOps member against a schoolbook reference on ints and
+    Fractions, over Q and over small, word-size and above-2**32 primes."""
+
+    def test_members_match_reference(self, field):
+        ops, rng = field.poly_ops(), random.Random(27)
+        for _ in range(60):
+            f = _rand_raw(field, rng.randint(-1, 7), rng)
+            g = _rand_raw(field, rng.randint(-1, 7), rng)
+            s = _rand_raw(field, 0, rng)[0]
+            before = (list(f), list(g))
+            padded = list(zip(f + [0] * len(g), g + [0] * len(f)))
+            expected = {
+                "add": _reduced(field, [a + b for a, b in padded]),
+                "sub": _reduced(field, [a - b for a, b in padded]),
+                "neg": _reduced(field, [-c for c in f]),
+                "mul": _ref_mul(field, f, g),
+                "scale": _reduced(field, [c * s for c in f]),
+            }
+            got = {"add": ops.add(f, g), "sub": ops.sub(f, g), "neg": ops.neg(f),
+                   "mul": ops.mul(f, g), "scale": ops.scale(f, s)}
+            if g:
+                expected["divmod"] = _ref_divmod(field, f, g)
+                expected["monic"] = _reduced(field, [c * _inverse(field, g[-1]) for c in g])
+                got["divmod"], got["monic"] = ops.divmod(f, g), ops.monic(g)
+            assert got == expected
+            for value in got.values():
+                for poly in value if isinstance(value, tuple) else (value,):
+                    _assert_canonical(field, poly)
+            assert (f, g) == before, "the kernel changed its arguments"
+
+    def test_cancellation_is_the_zero_list(self, field):
+        ops = field.poly_ops()
+        f = _rand_raw(field, 5, random.Random(5))
+        assert ops.sub(f, f) == [] and ops.add(f, ops.neg(f)) == []
+
+    def test_scale_by_zero_and_by_p(self, field):
+        ops, p = field.poly_ops(), field.characteristic
+        f = _rand_raw(field, 4, random.Random(3))
+        assert ops.scale(f, field.zero) == []
+        if p:
+            assert ops.scale(f, p) == []
+            assert ops.scale(f, p + 1) == f
+
+    def test_divmod_low_degree(self, field):
+        ops, rng = field.poly_ops(), random.Random(9)
+        f, g = _rand_raw(field, 2, rng), _rand_raw(field, 4, rng)
+        q, r = ops.divmod(f, g)
+        assert q == [] and r == f and r is not f
+        _assert_canonical(field, r)
+
+    def test_zero_divisor_refused(self, field):
+        ops = field.poly_ops()
+        with pytest.raises(DivisionByZero):
+            ops.divmod(_rand_raw(field, 3, random.Random(1)), [])
+        with pytest.raises(DivisionByZero):
+            ops.monic([])
+
+
+# Every nonzero element of GF(2) is 1, so it has no non-monic divisor.
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007), GF(MERSENNE_61)], ids=repr)
+def test_divmod_by_non_monic(field):
+    ops, rng, p = field.poly_ops(), random.Random(13), field.characteristic
+    g = _rand_raw(field, 3, rng)[:-1] + [p - 1 if p else Fraction(-7, 3)]
+    for degree in range(3, 9):
+        f = _rand_raw(field, degree, rng)
+        q, r = ops.divmod(f, g)
+        assert (q, r) == _ref_divmod(field, f, g)
+        assert ops.add(ops.mul(q, g), r) == f and len(r) < len(g)
