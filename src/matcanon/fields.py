@@ -24,15 +24,26 @@ _INT_LITERAL = re.compile(r"[+-]?[0-9]+")
 _INT_LITERALS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
 
 
+def quoted(word: str) -> str:
+    """The repr of a word for an error message, cut after 40 characters."""
+    return repr(word) if len(word) <= 40 else repr(word[:40]) + "..."
+
+
 def parse_int(text: str) -> int:
     """The value of the ASCII decimal literal ``[+-]?[0-9]+``.
 
     Raises ValueError for anything else, including the underscores,
-    surrounding whitespace and non-ASCII digits that ``int`` accepts.
+    surrounding whitespace and non-ASCII digits that ``int`` accepts, and
+    ParseError for a literal over CPython's int digit limit
+    (``sys.set_int_max_str_digits``), which ``cli.main`` lifts.
     """
     if not _INT_LITERAL.fullmatch(text):
-        raise ValueError(f"bad integer literal {text!r}")
-    return int(text)
+        raise ValueError(f"bad integer literal {quoted(text)}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"an integer literal of {len(text.lstrip('+-'))} digits is over CPython's "
+                         f"int digit limit of {sys.get_int_max_str_digits()}") from None
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -312,7 +323,7 @@ class Rationals(Field):
                     return Fraction(parse_int(num), parse_int(den))
                 return Fraction(parse_int(text))
             except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational literal {value!r}") from exc
+                raise ParseError(f"bad rational literal {quoted(value)}") from exc
         raise ParseError(f"cannot interpret {value!r} as a rational")
 
     @staticmethod
@@ -417,7 +428,7 @@ class PrimeField(Field):
             try:
                 return parse_int(value.strip()) % self.p
             except ValueError as exc:
-                raise ParseError(f"bad GF({self.p}) literal {value!r}") from exc
+                raise ParseError(f"bad GF({self.p}) literal {quoted(value)}") from exc
         raise ParseError(f"cannot interpret {value!r} as an element of {self}")
 
     def _from_ints(self, ints):

@@ -13,7 +13,7 @@ the first.
 from __future__ import annotations
 
 from .errors import FieldMismatch, NotPrime, ParseError
-from .fields import GF, QQ, Field, parse_int
+from .fields import GF, QQ, Field, parse_int, quoted
 from .matrix import Matrix
 
 
@@ -43,7 +43,7 @@ class _Tokens:
         try:
             return parse_int(word)
         except ValueError as exc:
-            raise ParseError(f"expected an integer for {what}, got {word!r}") from exc
+            raise ParseError(f"expected an integer for {what}, got {quoted(word)}") from exc
 
     def exhausted(self) -> bool:
         return self.pos >= len(self.words)
@@ -57,7 +57,7 @@ def parse_field_words(words: list[str]) -> Field:
         try:
             p = parse_int(words[1])
         except ValueError as exc:
-            raise ParseError(f"bad prime {words[1]!r}") from exc
+            raise ParseError(f"bad prime {quoted(words[1])}") from exc
         try:
             return GF(p)
         except NotPrime as exc:

@@ -506,23 +506,29 @@ def _rational_reconstruction(residues: list[int], m: int) -> list[Fraction] | No
 def _modular_lift(image, accept, limit: Callable[[], int], width: int):
     """The first accepted lift of a computation over Q run modulo primes.
 
-    For each prime p of the sequence ``_prime(i, width)``, the largest
-    primes whose packed kernels take vectors of ``width`` entries, the
-    width of the computation's widest elimination, ``image(p)`` runs the
-    computation over GF(p) and returns (key, residues), or None when p is
-    unusable.  The key names every decision the run took; the primes of
-    one key are combined by CRT, and at the counts of ``_lift_due`` their
-    values are lifted by rational reconstruction and passed to
-    ``accept(key, values, bound)``, with ``bound`` the
-    reconstruction bound of their modulus.  The first result of ``accept``
-    that is not None is returned: ``accept`` runs the exact check over Q,
-    which is the proof.  BasisFailure is raised once the product of the
-    primes tried has more bits than ``limit()``, the guard on the primes.
-    The guard is a function of no arguments because it can cost more than
-    a lift that needs one prime: it is called once, and only when a second
-    prime is needed.
+    For each prime p of ``_prime(i, width)``, the largest primes whose
+    packed kernels take vectors of ``width`` entries (the width of the
+    computation's widest elimination), ``image(p)`` runs the computation
+    over GF(p) and returns (key, residues), or None when p is unusable.
+    The key names every decision the run took.  The primes of one key are
+    combined by CRT; once their modulus has a tenth more bits than at
+    the key's last lift (a lift costs time quadratic in them), the values
+    are lifted by rational reconstruction and passed to ``accept(key,
+    values, bound)``, ``bound`` the reconstruction bound of the modulus.
+    The first result of ``accept`` that is not None is returned: it runs
+    the exact check over Q, which is the proof.  Once the primes tried
+    have more bits than ``limit()``, the guard, each key whose latest
+    residues were not lifted is lifted once more, and then BasisFailure
+    is raised.  ``limit`` is called once, when a second prime is needed,
+    because it can cost more than a lift that needs one prime.
     """
-    groups: dict = {}  # key -> (lifted values, modulus, primes)
+    groups: dict = {}  # key -> (lifted values, modulus, bits of the modulus at its last lift)
+
+    def lift(key, lifted, m):
+        groups[key] = lifted, m, m.bit_length()
+        values = _rational_reconstruction(lifted, m)
+        return None if values is None else accept(key, values, _reconstruction_bound(m))
+
     tried, i = 1, 0
     while True:
         if i == 1:  # a second prime is needed
@@ -536,20 +542,13 @@ def _modular_lift(image, accept, limit: Callable[[], int], width: int):
         if found is None:
             continue
         key, residues = found
-        if key in groups:
-            lifted, m, count = groups[key]
-            lifted, m = _crt(lifted, m, residues, p)
-            count += 1
-        else:
-            lifted, m, count = residues, p, 1
-        groups[key] = lifted, m, count
-        if not _lift_due(count):
-            continue
-        values = _rational_reconstruction(lifted, m)
-        if values is None:
-            continue
-        result = accept(key, values, _reconstruction_bound(m))
-        if result is not None:
+        lifted, m, last = groups.get(key, ([0] * len(residues), 1, 0))  # modulo 1 before its first prime
+        lifted, m = _crt(lifted, m, residues, p)
+        groups[key] = lifted, m, last
+        if m.bit_length() >= last + last // 10 and (result := lift(key, lifted, m)) is not None:
+            return result
+    for key, (lifted, m, last) in groups.items():  # lift replaces values only
+        if m.bit_length() > last and (result := lift(key, lifted, m)) is not None:
             return result
     raise BasisFailure("no lift modulo primes passed the exact check within the prime bound")
 
@@ -559,18 +558,6 @@ def _hadamard_bits(factors: list[int]) -> int:
     product of max(1, f) over the factors f (the squared norms of the rows
     of a Hadamard bound), as each is below 2**(its bit length)."""
     return 3 * sum(max(1, f).bit_length() for f in factors or [1]) + 2
-
-
-def _lift_due(count: int) -> bool:
-    """Whether the values of a key are lifted after its count-th prime:
-    after 1, 2, ..., 16, 18, 20, 22, 24, 27, 30, ... primes, each count an
-    eighth above the one before (rounded down, at least one more).  A lift
-    costs time quadratic in the bits of the modulus, so lifting after every
-    prime would cost time cubic in the number of primes."""
-    due = 1
-    while due < count:
-        due += max(1, due // 8)
-    return due == count
 
 
 def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list]]:
@@ -587,12 +574,12 @@ def _rational_rank_and_kernel(rows: Sequence[Sequence[Fraction]]) -> tuple[int, 
     give rank_Q <= r_p, and r_p <= rank_Q always holds, so the rank is
     r_p, and the basis with 1 at its own free column and 0 at the others
     is unique.  With H the Hadamard bound of the integer rows, the primes
-    with the true pivots succeed at the first count of ``_lift_due`` after
-    their product exceeds 2*H**2, at most an eighth more primes later
-    (none within the first 16), and the other primes divide one nonzero
-    minor, so their product is at most H.  A product of primes of more
-    bits than :func:`_hadamard_bits`, past 4*H**6 = (2*H**3)**2, with no
-    proved basis is therefore a bug and raises BasisFailure.
+    with the true pivots succeed at the first lift of their key after
+    their product exceeds 2*H**2, and the other primes divide one nonzero
+    minor, so their product is at most H.  Past the guard of
+    :func:`_hadamard_bits`, 4*H**6 = (2*H**3)**2, the key of the true
+    pivots is lifted once more, so a run with no proved basis is a bug and
+    raises BasisFailure.
     """
     ints = [w for _, w in _integral(rows)]
     ncols = len(ints[0])

@@ -281,6 +281,17 @@ class TestDigitLimit:
         code, payload = run_json(capsys, "verify", a, a, t)
         assert code == 0 and payload["status"] == "ok"
 
+    @pytest.mark.parametrize("digits", [1000, 5000])
+    def test_long_1x1_entry(self, capsys, tmp_path, digits):
+        """[[10^d - 1]] over Q is its own chain X - (10^d - 1): its lift needs
+        nearly all the bits that the prime guard of the rnf lift allows."""
+        entry = "9" * digits
+        a = _write_q_matrix(tmp_path / "a.mat", [[entry]])
+        for argv, name in [(["rnf"], "invariant_factors"),
+                           (["normal-form", "--family", "rational"], "invariant_factors"), (["affine"], "qs")]:
+            code, payload = run_json(capsys, *argv, a)
+            assert code == 0 and payload[name] == [["-" + entry, "1"]], argv
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter has no int <-> str digit limit")
     def test_limit_is_restored(self, capsys, id2):

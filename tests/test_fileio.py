@@ -1,5 +1,7 @@
 """Matrix and pair text formats."""
 
+import sys
+
 import pytest
 
 from matcanon import GF, QQ, FieldMismatch, Matrix, ParseError
@@ -133,6 +135,29 @@ class TestIntegerLiterals:
             parse_field_words(["GF", "1_3"])
         with pytest.raises(ParseError):
             parse_field_words(["GF", "\u0661\u0663"])
+
+    @pytest.mark.parametrize("word", ["x" * 5000, "1" * 5000 + "x", "3/" + "y" * 5000])
+    def test_long_bad_word_is_cut(self, word):
+        for text in (f"field Q 1 1 {word}", f"field GF 7 1 1 {word}", f"field Q {word} 1 1",
+                     f"field GF {word} 1 1 1"):
+            with pytest.raises(ParseError) as exc:
+                parse_matrix_text(text)
+            assert len(str(exc.value)) < 100 and repr(word[:40]) + "..." in str(exc.value)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int <-> str digit limit")
+    def test_literal_over_the_digit_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default of CPython
+        try:
+            big = "9" * 5000
+            for text in (f"field Q 1 1 {big}", f"field Q 1 1 -1/{big}", f"field GF 7 1 1 +{big}",
+                         f"field Q 1 {big} 1"):
+                with pytest.raises(ParseError, match="5000 digits is over CPython's int digit limit of 4300"):
+                    parse_matrix_text(text)
+            assert parse_matrix_text("field Q 1 1 " + "9" * 4300) == Matrix(QQ, [[10 ** 4300 - 1]])
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 def outcome(text):

@@ -21,7 +21,9 @@ from matcanon import (
     block_diagonal,
 )
 from matcanon.fields import _is_prime
-from matcanon.matrix import _hadamard_bits, _modular_lift, _prime, _reconstruction_bound
+from matcanon.matrix import (
+    _hadamard_bits, _modular_lift, _prime, _rational_reconstruction, _reconstruction_bound,
+)
 
 from helpers import (
     leibniz_det,
@@ -498,3 +500,52 @@ class TestModularLift:
         with pytest.raises(BasisFailure):
             _modular_lift(image, lambda key, values, bound: None, lambda: bits, 1)
         assert seen == [_prime(0, 1), _prime(1, 1), _prime(2, 1)]
+
+    @staticmethod
+    def _lifts(monkeypatch, width, values, bits):
+        """Run one key with the given true values on the primes of a width,
+        up to a guard of the given bits; return the primes tried, the modulus
+        of each lift and the result (None for BasisFailure)."""
+        seen, moduli = [], []
+
+        def image(p):
+            seen.append(p)
+            return "a", [x.numerator * pow(x.denominator, -1, p) % p for x in values]
+
+        def reconstruction(residues, m):
+            moduli.append(m)
+            return _rational_reconstruction(residues, m)
+
+        monkeypatch.setattr(matcanon.matrix, "_rational_reconstruction", reconstruction)
+        try:
+            result = _modular_lift(image, lambda key, lifted, bound: key if lifted == values else None,
+                                   lambda: bits, width)
+        except BasisFailure:
+            result = None
+        return seen, moduli, result
+
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_lifts_are_spaced_by_bits(self, monkeypatch, width):
+        """Each lift has at least a tenth more bits of modulus than the one
+        before, and comes at the first prime that gives them."""
+        values = [Fraction(3 ** 200, 7), Fraction(-1, 5 ** 90)]
+        seen, moduli, result = self._lifts(monkeypatch, width, values, 10 ** 6)
+        products = [prod(seen[:k]) for k in range(1, len(seen) + 1)]
+        assert result == "a" and len(seen) > 16 and len(moduli) < len(seen)
+        assert moduli[0] == seen[0] and moduli[-1] == products[-1]
+        for before, after in zip(moduli, moduli[1:]):
+            due = before.bit_length() + before.bit_length() // 10
+            assert after.bit_length() >= due > products[products.index(after) - 1].bit_length()
+
+    def test_guard_lifts_what_is_left(self, monkeypatch):
+        """A key whose values first reconstruct at a prime after which its
+        schedule does not lift them is lifted there once the guard is met."""
+        products = [prod(_prime(i, 1) for i in range(k)) for k in range(1, 31)]
+        # The schedule, from a run whose values never reconstruct.
+        _, moduli, _ = self._lifts(monkeypatch, 1, [Fraction(3 ** 2000)], products[-1].bit_length() - 1)
+        count = next(k for k in range(17, 30) if products[k - 1] not in moduli)
+        m = products[count - 1]
+        values = [Fraction(_reconstruction_bound(m))]  # no smaller modulus gives it
+        seen, moduli, result = self._lifts(monkeypatch, 1, values, m.bit_length() - 1)
+        assert result == "a" and len(seen) == count and moduli[-1] == m
+        assert m not in moduli[:-1] and all(x < m for x in moduli[:-1])
