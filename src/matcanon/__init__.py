@@ -18,6 +18,7 @@ from .affine import (
     to_rnf,
 )
 from .errors import (
+    BadPartition,
     BasisFailure,
     ChainViolation,
     DegenerateComposite,

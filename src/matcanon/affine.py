@@ -13,6 +13,7 @@ with block sizes p is a bijection realized by to_rnf / to_affine.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 from .errors import ChainViolation, DegreeMismatch, DegreeZero, EmptyInput, NotMonic
 from .fields import Field
@@ -21,7 +22,7 @@ from .poly import Polynomial, product
 from .rnf import Partition, RationalNormalForm, companion, partition_of
 
 
-class JumpData:
+class JumpData(NamedTuple):
     """Descent data of a partition.
 
     ``jumps`` lists the 1-based positions i with p_i > p_{i+1}; appending
@@ -31,12 +32,9 @@ class JumpData:
     part sizes.
     """
 
-    __slots__ = ("jumps", "qs", "r")
-
-    def __init__(self, jumps: tuple[int, ...], qs: tuple[int, ...], r: int):
-        self.jumps = jumps
-        self.qs = qs
-        self.r = r
+    jumps: tuple[int, ...]
+    qs: tuple[int, ...]
+    r: int
 
     @property
     def s(self) -> int:
@@ -46,14 +44,6 @@ class JumpData:
     def boundaries(self) -> tuple[int, ...]:
         """(j_0, j_1, ..., j_s) with j_0 = 0 and j_s = r."""
         return (0,) + self.jumps + (self.r,)
-
-    def __eq__(self, other):
-        if isinstance(other, JumpData):
-            return (self.jumps, self.qs, self.r) == (other.jumps, other.qs, other.r)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"JumpData(jumps={self.jumps}, qs={self.qs}, r={self.r})"
 
 
 def jump_data(p: Partition) -> JumpData:
@@ -91,12 +81,12 @@ def nilpotent_base(field: Field, q: Sequence[int]) -> Matrix:
     return generalized_companion([Polynomial.x_power(field, qj) for qj in q])
 
 
-class AffineRepresentative:
-    """Coordinates (p, Qs) of a point of the affine family A(p)."""
+class AffineRepresentative(tuple):
+    """The point (p, Q_1, ..., Q_s) of the affine family A(p)."""
 
-    __slots__ = ("partition", "qs")
+    __slots__ = ()
 
-    def __init__(self, partition: Partition, qs: Sequence[Polynomial]):
+    def __new__(cls, partition: Partition, qs: Sequence[Polynomial]):
         qs = tuple(qs)
         data = jump_data(partition)
         if len(qs) != data.s:
@@ -106,23 +96,28 @@ class AffineRepresentative:
                 raise DegreeMismatch(f"expected degree {dq}, got {q!r}")
             if not q.is_monic():
                 raise NotMonic(f"family coordinates must be monic, got {q!r}")
-        self.partition = partition
-        self.qs = qs
+        return super().__new__(cls, (partition, *qs))
+
+    def __getnewargs__(self):
+        return self[0], self[1:]
+
+    @property
+    def partition(self) -> Partition:
+        return self[0]
+
+    @property
+    def qs(self) -> tuple[Polynomial, ...]:
+        return self[1:]
 
     @property
     def field(self) -> Field:
-        return self.qs[0].field
+        return self[1].field
 
     def realize(self) -> Matrix:
         return affine_point(self.partition, self.qs)
 
-    def __eq__(self, other):
-        if isinstance(other, AffineRepresentative):
-            return self.partition == other.partition and self.qs == other.qs
-        return NotImplemented
-
     def __repr__(self):
-        inner = ", ".join(str(q) for q in self.qs)
+        inner = ", ".join(map(str, self.qs))
         return f"AffineRepresentative({self.partition}, ({inner}))"
 
 
@@ -162,9 +157,9 @@ def to_affine(rnf: RationalNormalForm) -> AffineRepresentative:
     data = jump_data(p)
     qs = []
     for j in data.jumps:
-        quotient, remainder = divmod(rnf.factors[j - 1], rnf.factors[j])
+        quotient, remainder = divmod(rnf[j - 1], rnf[j])
         if not remainder.is_zero():
-            raise ChainViolation(f"{rnf.factors[j]} does not divide {rnf.factors[j - 1]}")
+            raise ChainViolation(f"{rnf[j]} does not divide {rnf[j - 1]}")
         qs.append(quotient)
-    qs.append(rnf.factors[-1])
+    qs.append(rnf[-1])
     return AffineRepresentative(p, qs)

@@ -45,6 +45,10 @@ class EmptyInput(MatcanonError):
     """A nonempty sequence was required."""
 
 
+class BadPartition(MatcanonError, ValueError):
+    """Partition parts that are missing, below 1, or not weakly decreasing."""
+
+
 class ChainViolation(MatcanonError):
     """Successive invariant factors must divide exactly."""
 

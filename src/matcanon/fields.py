@@ -176,6 +176,9 @@ class Field:
     def __call__(self, value) -> "Scalar":
         return Scalar(self, self.canon(value))
 
+    # A field pickles by name, as QQ or GF(p), so that unpickling returns
+    # the module's instance and the PolyOps closures that poly_ops caches
+    # on it are never pickled.
     def poly_ops(self) -> PolyOps:
         ops = getattr(self, "_poly_ops", None)
         if ops is None:
@@ -383,6 +386,9 @@ class Rationals(Field):
     def _build_poly_ops(self) -> PolyOps:
         return _poly_ops(0, self.zero)
 
+    def __reduce__(self):
+        return "QQ"
+
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -521,6 +527,9 @@ class PrimeField(Field):
 
     def _build_poly_ops(self) -> PolyOps:
         return _poly_ops(self.p, 0)
+
+    def __reduce__(self):
+        return GF, (self.p,)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import lcm
-from operator import mul as _mul
+from operator import itemgetter, mul as _mul
 
 from .errors import (
     BasisFailure,
@@ -108,35 +108,29 @@ class Sl2Pair(PairPoint):
         return self.m2
 
 
-class InvariantTriple:
+class InvariantTriple(tuple):
     """(det A, tr AB, det B) of a trace-zero pair."""
 
-    __slots__ = ("x1", "x2", "x3")
+    __slots__ = ()
 
-    def __init__(self, x1: Scalar, x2: Scalar, x3: Scalar):
+    def __new__(cls, x1: Scalar, x2: Scalar, x3: Scalar):
         if x1.field != x2.field or x2.field != x3.field:
             raise FieldMismatch("triple components must share one field")
-        self.x1 = x1
-        self.x2 = x2
-        self.x3 = x3
+        return super().__new__(cls, (x1, x2, x3))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    x1 = property(itemgetter(0))
+    x2 = property(itemgetter(1))
+    x3 = property(itemgetter(2))
 
     @property
     def field(self) -> Field:
-        return self.x1.field
-
-    def __iter__(self):
-        return iter((self.x1, self.x2, self.x3))
-
-    def __eq__(self, other):
-        if isinstance(other, InvariantTriple):
-            return (self.x1, self.x2, self.x3) == (other.x1, other.x2, other.x3)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x1, self.x2, self.x3))
+        return self[0].field
 
     def __repr__(self):
-        return f"InvariantTriple({self.x1}, {self.x2}, {self.x3})"
+        return "InvariantTriple({}, {}, {})".format(*self)
 
 
 class QForm:
@@ -406,7 +400,7 @@ def _hadamard_factors(m: PairPoint, m2: PairPoint) -> list[int]:
     return factors
 
 
-def _hom_basis(field: Field, s1, s2, t1, t2) -> list[list]:
+def _hom_basis(field: Field, s1, s2, t1, t2, flips=None) -> list[list]:
     """The basis of :func:`intertwiners` over GF(p) from the raw rows of
     M = (s1, s2) and M2 = (t1, t2), each map read row by row: the maps
     F * B^-1 of :func:`_spin_maps` on the spin of M, or on that of M2^T for
@@ -414,9 +408,10 @@ def _hom_basis(field: Field, s1, s2, t1, t2) -> list[list]:
     on equal counts and M on a tie (the smaller is spun first, the other
     only if the first has more than one generator), in reduced echelon form
     with the entries read from the last, which depends on the space alone.
+    ``flips`` = (0,) spins M only and (1,) M2^T only.
     """
     sides, spins = [(s1, s2, t1, t2), [list(zip(*a)) for a in (t1, t2, s1, s2)]], []
-    for flip in (1, 0) if len(t1) < len(s1) else (0, 1):
+    for flip in flips or ((1, 0) if len(t1) < len(s1) else (0, 1)):
         spin = _spin(field, *sides[flip][:2])
         spins.append((spin[1].count(None), len(spin[0]), flip, spin))
         if spins[-1][0] == 1:
@@ -582,13 +577,18 @@ def split_off_simple(m: PairPoint) -> tuple[PairPoint, Matrix]:
     with y1, y2 spanning ker g, turns m into the exact block diagonal
     s (+) t and the 2x2 tail t is returned together with the basis matrix.
     :func:`similarity_defect` certifies the basis against both members of
-    s (+) t with one rank, and BasisFailure is raised if it fails.
+    s (+) t with one rank, and BasisFailure is raised if it fails.  Over
+    GF(p), NotInW is raised only once :func:`_confirm_dimension` has
+    recounted both Hom dimensions.
     """
     n, field = m.size, m.field
     s = simple_pair(n, field)
     maps_in = intertwiners(s, m)
     maps_out = intertwiners(m, s)
     if len(maps_in) != 1 or len(maps_out) != 1:
+        if field.characteristic:
+            _confirm_dimension(s, m, len(maps_in))
+            _confirm_dimension(m, s, len(maps_out))
         raise NotInW(
             f"need hom dimensions (1, 1), got ({len(maps_in)}, {len(maps_out)})"
         )
@@ -616,3 +616,15 @@ def split_off_simple(m: PairPoint) -> tuple[PairPoint, Matrix]:
     if defect is not None:
         raise BasisFailure(f"splitting basis failed its certificate: {defect}")
     return tail, h
+
+
+def _confirm_dimension(m: PairPoint, m2: PairPoint, dim: int) -> None:
+    """Raise BasisFailure unless the spins of M and of M2^T both give dim
+    maps in Hom(M, M2) over GF(p).  The check of each map in
+    :func:`intertwiners` bounds the dimension from below only, so before a
+    refusal that rests on it, the orientation not taken recounts it."""
+    rows = [a._rows for a in (m.m1, m.m2, m2.m1, m2.m2)]
+    for flip in (0, 1):
+        got = len(_hom_basis(m.field, *rows, flips=(flip,)))
+        if got != dim:
+            raise BasisFailure(f"a Hom dimension is {dim} on one spin and {got} on the other")

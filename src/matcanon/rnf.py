@@ -35,6 +35,7 @@ from itertools import accumulate
 from operator import mul as _mul
 
 from .errors import (
+    BadPartition,
     BasisFailure,
     ChainViolation,
     DegreeZero,
@@ -47,58 +48,43 @@ from .matrix import _over_one_denominator, block_diagonal, similarity_defect
 from .poly import Polynomial
 
 
-class Partition:
+class Partition(tuple):
     """Weakly decreasing positive integers; here, invariant-factor degrees."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Sequence[int]):
+    def __new__(cls, parts: Sequence[int]):
         parts = tuple(int(p) for p in parts)
         if not parts:
-            raise ValueError("a partition needs at least one part")
+            raise BadPartition("a partition needs at least one part")
         if any(p < 1 for p in parts):
-            raise ValueError(f"partition parts must be >= 1, got {parts}")
+            raise BadPartition(f"partition parts must be >= 1, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
-        self.parts = parts
+            raise BadPartition(f"partition parts must be weakly decreasing, got {parts}")
+        return super().__new__(cls, parts)
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
+        return sum(self)
 
     def __repr__(self):
-        return f"Partition{self.parts}"
+        return f"Partition{tuple(self)}"
 
 
-class RationalNormalForm:
-    """The invariant-factor chain of a similarity class.
+class RationalNormalForm(tuple):
+    """The invariant-factor chain (P_1, ..., P_r) of a similarity class.
 
     Factors are monic of degree >= 1 and each one divides its predecessor;
     the first factor is the minimal polynomial of the class.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ()
 
-    def __init__(self, factors: Sequence[Polynomial]):
+    def __new__(cls, factors: Sequence[Polynomial]):
         factors = tuple(factors)
         if not factors:
             raise DegreeZero("at least one invariant factor is required")
@@ -113,39 +99,26 @@ class RationalNormalForm:
         for a, b in zip(factors, factors[1:]):
             if not (a % b).is_zero():
                 raise ChainViolation(f"{b} does not divide {a}")
-        self.factors = factors
+        return super().__new__(cls, factors)
+
+    @property
+    def factors(self) -> tuple[Polynomial, ...]:
+        return tuple(self)
 
     @property
     def field(self) -> Field:
-        return self.factors[0].field
+        return self[0].field
 
     @property
     def n(self) -> int:
-        return sum(f.degree for f in self.factors)
+        return sum(f.degree for f in self)
 
     @property
     def minimal_polynomial(self) -> Polynomial:
-        return self.factors[0]
-
-    def __len__(self):
-        return len(self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __getitem__(self, i):
-        return self.factors[i]
-
-    def __eq__(self, other):
-        if isinstance(other, RationalNormalForm):
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.factors)
+        return self[0]
 
     def __repr__(self):
-        inner = ", ".join(str(f) for f in self.factors)
+        inner = ", ".join(map(str, self))
         return f"RationalNormalForm({inner})"
 
 
@@ -170,12 +143,12 @@ def companion(p: Polynomial) -> Matrix:
 
 def assemble_rnf_matrix(rnf: RationalNormalForm) -> Matrix:
     """Block-diagonal matrix of the companions of the invariant factors."""
-    return block_diagonal([companion(f) for f in rnf.factors])
+    return block_diagonal([companion(f) for f in rnf])
 
 
 def partition_of(rnf: RationalNormalForm) -> Partition:
     """Degrees of the invariant factors (weakly decreasing by the chain)."""
-    return Partition([f.degree for f in rnf.factors])
+    return Partition([f.degree for f in rnf])
 
 
 # ---------------------------------------------------------------------------

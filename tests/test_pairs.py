@@ -1492,6 +1492,63 @@ class TestSplitOff:
         with pytest.raises(NotInW):
             split_off_simple(m)
 
+    def test_wrong_hom_dimension_is_a_basis_failure(self):
+        """Under ``python -O``, a split whose Hom dimensions come out wrong
+        ends in BasisFailure, not in NotInW: with each packed line of
+        _Span one off in the slot after its pivot, both Homs of conjugates
+        of S(4) (+) T over GF(10007) spin the simple pair, too small to
+        pack, and read (0, 0); the recount on the spin of the other pair
+        packs and is refused.  Unspoiled, the same pairs split, and
+        S(4) (+) S(4), which holds no S(6), still raises NotInW: both spins
+        count (0, 0)."""
+        script = textwrap.dedent("""
+            import random, sys
+            import matcanon.matrix as matrix
+            from matcanon import GF, BasisFailure, NotInW, QForm, simple_pair, split_off_simple
+            from helpers import rand_invertible
+            if __debug__:
+                sys.exit("not running under -O")
+
+            add = matrix._Span.add
+
+            def off_slot(span, v):
+                steps = add(span, v)
+                if steps is None and span.lines and span.pivots[-1] + 1 < len(v):
+                    span.lines[-1] += 1 << span.layout[0] * (span.pivots[-1] + 1)
+                return steps
+
+            field = GF(10007)
+            m = simple_pair(6, field).direct_sum(QForm(field(1), field(2), field(4)).realize())
+            for seed in range(5):
+                conjugate = m.conjugated_by(rand_invertible(field, 6, random.Random(seed)))
+                split_off_simple(conjugate)
+                matrix._Span.add = off_slot
+                try:
+                    split_off_simple(conjugate)
+                except BasisFailure as exc:
+                    print(seed, "BasisFailure:", exc)
+                else:
+                    sys.exit(f"{seed}: no BasisFailure")
+                finally:
+                    matrix._Span.add = add
+            s = simple_pair(6, field)
+            try:
+                split_off_simple(s.direct_sum(s))
+            except NotInW as exc:
+                print("genuine NotInW:", exc)
+        """)
+        here = Path(__file__).resolve().parent
+        src = str(Path(matcanon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, str(here), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 6, proc.stdout
+        assert all("BasisFailure" in line for line in lines[:5]), proc.stdout
+        assert lines[5] == "genuine NotInW: need hom dimensions (1, 1), got (0, 0)", proc.stdout
+
     def test_degenerate_composite(self):
         """A non-split self-extension of the simple pair has Hom gates 1, 1
         but zero composite."""
